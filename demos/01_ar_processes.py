@@ -12,7 +12,6 @@ from mixreg import (
     conditional_gaussian,
     default_warmup,
     gramian,
-    simulate_ar,
     stationary_covariance,
 )
 
@@ -21,7 +20,7 @@ from mixreg import (
 spec = GaussianAR((0.5, 0.2), covariate_dim=1)
 print("order:", spec.order, "| covariate window:", spec.covariate_dim)
 
-traj = simulate_ar(spec, 200_000, seed=1)
+traj = spec.simulate(200_000, seed=1)
 print("sample variance:", round(traj.ys.var(), 4))
 
 # The companion form stacks (y_t, y_{t-1}, y_{t-2}); its top row carries the

@@ -66,6 +66,7 @@ from .processes import (
     FiniteMarkov,
     GaussianAR,
     IIDGaussian,
+    ProcessSpec,
     StateSpace,
     Trajectory,
     autocovariances,
@@ -75,9 +76,6 @@ from .processes import (
     derive_seed,
     gramian,
     simulate,
-    simulate_ar,
-    simulate_block_constant,
-    simulate_markov,
     solve_lyapunov,
     stationary_covariance,
     stationary_distribution,

@@ -464,6 +464,26 @@ class BoundReport:
         return ",".join(cols)
 
 
+def _shared_burnins(ratio_n: float, d_x: int, h: float, s: float, block_moment: float,
+                    noise_scale: float, mix: float, delta: float,
+                    c: UniversalConstants, mix_note: str = "") -> tuple[BurninCheck, ...]:
+    """Sample-size, block-moment and mixing-budget burn-ins, shared by both
+    bound forms.  ratio_n is n over the block length; the block moment is
+    compared against noise_scale, and a zero scale passes only a zero
+    moment."""
+    log_term = math.log(1.0 / delta)
+    thr_n = c.c2 * (d_x + h**2 * log_term)
+    lhs_moment = ratio_n ** (1.0 - 2.0 / s)
+    denom = noise_scale * delta ** (2.0 / s)
+    if denom > 0:
+        thr_moment = c.c3 * s**2 * block_moment ** (2.0 / s) / denom
+    else:
+        thr_moment = 0.0 if block_moment == 0 else math.inf
+    return (BurninCheck("sample_size", ratio_n, thr_n, ratio_n >= thr_n),
+            BurninCheck("block_moment", lhs_moment, thr_moment, lhs_moment >= thr_moment),
+            BurninCheck("mixing", mix, c.c6 * delta, mix <= c.c6 * delta, note=mix_note))
+
+
 def main_bound(spectrum: NoiseSpectrum, n: int, delta: float,
                constants: UniversalConstants | None = None,
                profile: MixingProfile | None = None) -> BoundReport:
@@ -477,18 +497,11 @@ def main_bound(spectrum: NoiseSpectrum, n: int, delta: float,
     log_term = math.log(1.0 / delta)
     bound = c.c1 * spectrum.sigma2 * (spectrum.effective_dim + log_term) / n
 
-    ratio_n = n / part.a_max
-    thr_1a = c.c2 * (spectrum.d_x + spectrum.h**2 * log_term)
-    check_1a = BurninCheck("sample_size", ratio_n, thr_1a, ratio_n >= thr_1a)
-
-    s = spectrum.moment_s
-    lhs_1b = ratio_n ** (1.0 - 2.0 / s)
-    denom = spectrum.effective_dim * spectrum.sigma2 * delta ** (2.0 / s)
-    if denom > 0:
-        thr_1b = c.c3 * s**2 * spectrum.block_moment_s ** (2.0 / s) / denom
-    else:
-        thr_1b = 0.0 if spectrum.block_moment_s == 0 else math.inf
-    check_1b = BurninCheck("block_moment", lhs_1b, thr_1b, lhs_1b >= thr_1b)
+    mix = float("nan") if profile is None else mixing_sum(profile, part)
+    check_1a, check_1b, check_3 = _shared_burnins(
+        n / part.a_max, spectrum.d_x, spectrum.h, spectrum.moment_s,
+        spectrum.block_moment_s, spectrum.effective_dim * spectrum.sigma2, mix, delta, c,
+        mix_note="no mixing profile supplied" if profile is None else "")
 
     odd_len = sum(part.lengths[0::2])
     even_len = sum(part.lengths[1::2])
@@ -503,14 +516,6 @@ def main_bound(spectrum: NoiseSpectrum, n: int, delta: float,
                  min_eig(c.c5 * even_sum - odd_sum))
     check_2b = BurninCheck("spectrum_balance", margin, -tol, margin >= -tol,
                            note="min eigenvalue of the two-sided PSD comparison")
-
-    if profile is None:
-        mix = float("nan")
-        check_3 = BurninCheck("mixing", mix, c.c6 * delta, False,
-                              note="no mixing profile supplied")
-    else:
-        mix = mixing_sum(profile, part)
-        check_3 = BurninCheck("mixing", mix, c.c6 * delta, mix <= c.c6 * delta)
 
     return BoundReport(bound_value=float(bound),
                        checks=(check_1a, check_1b, check_2a, check_2b, check_3),
@@ -534,18 +539,9 @@ def corollary_bound(tau: int, n: int, d_x: int, sigma2: float, h: float,
     bound = c.c1 * sigma2 * (d_x + log_term) / n
 
     ratio_n = n / tau
-    thr_1 = c.c2 * (d_x + h**2 * log_term)
-    check_1 = BurninCheck("sample_size", ratio_n, thr_1, ratio_n >= thr_1)
-
-    lhs_2 = ratio_n ** (1.0 - 2.0 / s)
-    thr_2 = c.c3 * s**2 * block_moment ** (2.0 / s) / (sigma2 * delta ** (2.0 / s))
-    check_2 = BurninCheck("block_moment", lhs_2, thr_2, lhs_2 >= thr_2)
-
     mix = ratio_n * profile.beta(tau)
-    check_3 = BurninCheck("mixing", mix, c.c6 * delta, mix <= c.c6 * delta)
-
-    return BoundReport(bound_value=float(bound),
-                       checks=(check_1, check_2, check_3),
+    checks = _shared_burnins(ratio_n, d_x, h, s, block_moment, sigma2, mix, delta, c)
+    return BoundReport(bound_value=float(bound), checks=checks,
                        mixing_sum=float(mix), constants=c)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness
 from .config import ExperimentConfig, load_config
-from .mixing import markov_profile, profile_from_spec
+from .mixing import profile_from_spec
 from .processes import simulate, two_state_flip
 from .regression import DegenerateDesignError
 
@@ -56,13 +56,11 @@ def _cmd_mixing(args) -> int:
         key, _, val = args.markov.partition("=")
         if key.strip() != "q":
             raise ValueError("--markov expects q=<flip probability>")
-        spec = two_state_flip(float(val))
-        profile = markov_profile(spec, range(1, max_gap + 1))
-        out_dir = args.out or "."
+        spec, out_dir = two_state_flip(float(val)), args.out or "."
     else:
         config = _load(args)
-        profile = profile_from_spec(config.process, range(1, max_gap + 1))
-        out_dir = config.outputs
+        spec, out_dir = config.process, config.outputs
+    profile = profile_from_spec(spec, range(1, max_gap + 1))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "mixing.csv")
     profile.to_csv(path)

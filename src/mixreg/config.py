@@ -9,20 +9,13 @@ comma-separated numbers.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .blocking import BlockPartition, make_partition, uniform_partition
 from .bounds import UniversalConstants
-from .processes import (
-    BlockConstant,
-    FiniteMarkov,
-    GaussianAR,
-    IIDGaussian,
-    ProcessSpec,
-    default_warmup,
-)
+from .processes import SPEC_KINDS, ProcessSpec, default_warmup
 
 
 def _parse_vector(raw: str) -> np.ndarray:
@@ -38,77 +31,44 @@ def _format_matrix(m: np.ndarray) -> str:
     return "; ".join(", ".join(f"{v:.17g}" for v in row) for row in np.atleast_2d(m))
 
 
+def _format_vector(v) -> str:
+    return ", ".join(f"{x:.17g}" for x in v)
+
+
+# Spec field annotation -> (parse, format) of its [process] value.
+_FIELD_CODECS = {
+    "int": (int, str),
+    "float": (float, lambda v: f"{v:.17g}"),
+    "tuple[float, ...]": (lambda raw: tuple(_parse_vector(raw)), _format_vector),
+    "np.ndarray": (_parse_matrix, _format_matrix),
+    "np.ndarray | None": (lambda raw: _parse_matrix(raw) if raw.strip() else None,
+                          _format_matrix),
+}
+
+
 def spec_from_section(sec) -> ProcessSpec:
+    """Build the spec named by `kind` from its fields' values; omitted
+    fields keep their defaults, and `warmup = auto` picks default_warmup."""
     kind = sec.get("kind", "").strip().lower()
-    if kind == "gaussian_ar":
-        coeffs = tuple(_parse_vector(sec.get("ar_coeffs")))
-        warmup_raw = sec.get("warmup", "0").strip().lower()
-        warmup = default_warmup(coeffs) if warmup_raw == "auto" else int(warmup_raw)
-        return GaussianAR(
-            ar_coeffs=coeffs,
-            noise_std=sec.getfloat("noise_std", 1.0),
-            covariate_dim=sec.getint("covariate_dim", 0),
-            warmup=warmup,
-        )
-    if kind == "finite_markov":
-        return FiniteMarkov(
-            transition=_parse_matrix(sec.get("transition")),
-            emit_x=_parse_matrix(sec.get("emit_x")),
-            emit_y=_parse_matrix(sec.get("emit_y")),
-        )
-    if kind == "block_constant":
-        return BlockConstant(
-            block_len=sec.getint("block_len"),
-            covariate_dim=sec.getint("covariate_dim", 1),
-            target_dim=sec.getint("target_dim", 1),
-            x_std=sec.getfloat("x_std", 1.0),
-            y_std=sec.getfloat("y_std", 1.0),
-        )
-    if kind == "iid_gaussian":
-        coef = sec.get("coef", "").strip()
-        return IIDGaussian(
-            covariate_dim=sec.getint("covariate_dim"),
-            target_dim=sec.getint("target_dim", 1),
-            noise_std=sec.getfloat("noise_std", 1.0),
-            coef=_parse_matrix(coef) if coef else None,
-        )
-    raise ValueError(f"unknown process kind {kind!r}")
+    if kind not in SPEC_KINDS:
+        raise ValueError(f"unknown process kind {kind!r}")
+    values = {}
+    for f in fields(SPEC_KINDS[kind]):
+        if f.name not in sec:
+            continue
+        raw = sec[f.name]
+        if f.name == "warmup" and raw.strip().lower() == "auto":
+            values[f.name] = default_warmup(values["ar_coeffs"])
+        else:
+            values[f.name] = _FIELD_CODECS[f.type][0](raw)
+    return SPEC_KINDS[kind](**values)
 
 
 def spec_to_items(spec: ProcessSpec) -> dict[str, str]:
-    if isinstance(spec, GaussianAR):
-        return {
-            "kind": "gaussian_ar",
-            "ar_coeffs": ", ".join(f"{v:.17g}" for v in spec.ar_coeffs),
-            "noise_std": f"{spec.noise_std:.17g}",
-            "covariate_dim": str(spec.covariate_dim),
-            "warmup": str(spec.warmup),
-        }
-    if isinstance(spec, FiniteMarkov):
-        return {
-            "kind": "finite_markov",
-            "transition": _format_matrix(spec.transition),
-            "emit_x": _format_matrix(spec.emit_x),
-            "emit_y": _format_matrix(spec.emit_y),
-        }
-    if isinstance(spec, BlockConstant):
-        return {
-            "kind": "block_constant",
-            "block_len": str(spec.block_len),
-            "covariate_dim": str(spec.covariate_dim),
-            "target_dim": str(spec.target_dim),
-            "x_std": f"{spec.x_std:.17g}",
-            "y_std": f"{spec.y_std:.17g}",
-        }
-    if isinstance(spec, IIDGaussian):
-        return {
-            "kind": "iid_gaussian",
-            "covariate_dim": str(spec.covariate_dim),
-            "target_dim": str(spec.target_dim),
-            "noise_std": f"{spec.noise_std:.17g}",
-            "coef": _format_matrix(spec.coef),
-        }
-    raise TypeError(f"cannot serialize {type(spec).__name__}")
+    items = {"kind": spec.kind}
+    for f in fields(spec):
+        items[f.name] = _FIELD_CODECS[f.type][1](getattr(spec, f.name))
+    return items
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +126,8 @@ def load_config(path) -> ExperimentConfig:
     spec = spec_from_section(parser["process"])
 
     fit = parser["fit"] if "fit" in parser else {}
-    window = int(fit.get("window", getattr(spec, "covariate_dim", 1)))
-    if isinstance(spec, GaussianAR) and window != spec.covariate_dim:
-        spec = GaussianAR(spec.ar_coeffs, spec.noise_std, covariate_dim=window,
-                          warmup=spec.warmup)
+    window = int(fit.get("window", spec.covariate_dim))
+    spec = spec.with_window(window)
 
     part = parser["partition"] if "partition" in parser else {}
     tau = int(part["tau"]) if "tau" in part else None
@@ -180,12 +138,8 @@ def load_config(path) -> ExperimentConfig:
     ns = tuple(int(v) for v in _parse_vector(exp.get("ns", exp.get("n", "1000"))))
 
     con = parser["constants"] if "constants" in parser else {}
-    constants = UniversalConstants(
-        c1=float(con.get("c1", 2.0)), c2=float(con.get("c2", 20.0)),
-        c3=float(con.get("c3", 20.0)), c4=float(con.get("c4", 2.0)),
-        c5=float(con.get("c5", 2.0)), c6=float(con.get("c6", 1.0)),
-        c_lower=float(con.get("c_lower", 20.0)),
-    )
+    constants = UniversalConstants(**{f.name: float(con[f.name])
+                                      for f in fields(UniversalConstants) if f.name in con})
 
     block_lens_raw = exp.get("block_lens", "")
     block_lens = tuple(int(v) for v in _parse_vector(block_lens_raw)) if block_lens_raw \
@@ -239,7 +193,6 @@ def save_config(config: ExperimentConfig, path) -> None:
         "out": config.outputs,
     }
     c = config.constants
-    parser["constants"] = {k: f"{getattr(c, k):.17g}"
-                           for k in ("c1", "c2", "c3", "c4", "c5", "c6", "c_lower")}
+    parser["constants"] = {f.name: f"{getattr(c, f.name):.17g}" for f in fields(c)}
     with open(path, "w") as fh:
         parser.write(fh)

@@ -51,6 +51,19 @@ DECOUPLED_STREAM = 303
 COVERAGE_ATOL = 1e-24
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Header line, then one line per row: flags as 0/1, integers as
+    written, floats at full precision (.17g)."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return str(int(v))
+        return str(v) if isinstance(v, (int, np.integer)) else f"{v:.17g}"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+
+
 def population_for(config: ExperimentConfig) -> RegressionProblem:
     return population_optimum(config.process, window=config.fit_window)
 
@@ -74,14 +87,23 @@ def _coverage_chunk(args):
     return risks, degenerate
 
 
-def _trial_risks(config: ExperimentConfig, prob: RegressionProblem, n: int) -> tuple[np.ndarray, int]:
+def _map_trials(chunk_fn, config: ExperimentConfig, prob: RegressionProblem, n: int) -> list:
+    """chunk_fn's results over the config's trials at sample size n, in
+    trial order."""
     base = derive_seed(config.seed, n, TRIAL_STREAM)
     chunks = chunk_ranges(config.trials, 4 * worker_count())
-    parts = map_chunks(_coverage_chunk,
-                       [(config.process, prob, n, base, a, b) for a, b in chunks])
-    risks = np.concatenate([p[0] for p in parts])
-    degenerate = sum(p[1] for p in parts)
-    return risks, degenerate
+    return map_chunks(chunk_fn, [(config.process, prob, n, base, a, b) for a, b in chunks])
+
+
+def _trial_risks(config: ExperimentConfig, prob: RegressionProblem, n: int) -> tuple[np.ndarray, int]:
+    parts = _map_trials(_coverage_chunk, config, prob, n)
+    return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
+
+
+def _spectrum_for(config: ExperimentConfig, prob: RegressionProblem,
+                  partition: BlockPartition, n: int):
+    return noise_spectrum(config.process, prob, partition, config.n_mc,
+                          derive_seed(config.seed, n, SPECTRUM_STREAM), s=config.moment_s)
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +125,9 @@ class CoverageReport:
         return self.bound_report.all_pass
 
 
-COVERAGE_HEADER = ("n,bound,quantile,coverage,sample_size_ok,block_moment_ok,"
-                   "length_balance_ok,spectrum_balance_ok,mixing_ok,degenerate,trials")
-
-
-def coverage_csv_rows(reports: list[CoverageReport]) -> list[str]:
-    rows = [COVERAGE_HEADER]
-    for r in reports:
-        flags = {c.name: c.holds for c in r.bound_report.checks}
-        rows.append(",".join([
-            str(r.n), f"{r.bound_value:.17g}", f"{r.quantile:.17g}",
-            f"{r.coverage:.17g}",
-            str(int(flags.get("sample_size", False))),
-            str(int(flags.get("block_moment", False))),
-            str(int(flags.get("length_balance", False))),
-            str(int(flags.get("spectrum_balance", False))),
-            str(int(flags.get("mixing", False))),
-            str(r.degenerate_trials), str(r.trials),
-        ]))
-    return rows
+COVERAGE_FLAGS = ("sample_size", "block_moment", "length_balance", "spectrum_balance", "mixing")
+COVERAGE_HEADER = ",".join(["n", "bound", "quantile", "coverage",
+                            *(f"{name}_ok" for name in COVERAGE_FLAGS), "degenerate", "trials"])
 
 
 def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageReport]:
@@ -136,9 +142,7 @@ def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageReport
     reports = []
     for n in config.ns:
         partition = config.partition_for(n)
-        spectrum = noise_spectrum(config.process, prob, partition, config.n_mc,
-                                  derive_seed(config.seed, n, SPECTRUM_STREAM),
-                                  s=config.moment_s)
+        spectrum = _spectrum_for(config, prob, partition, n)
         profile = profile_for(config, partition)
         bound = main_bound(spectrum, n, config.delta, config.constants, profile)
         risks, degenerate = _trial_risks(config, prob, n)
@@ -151,8 +155,10 @@ def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageReport
             degenerate_trials=degenerate,
         ))
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            fh.write("\n".join(coverage_csv_rows(reports)) + "\n")
+        _write_csv(out_path, COVERAGE_HEADER, (
+            (r.n, r.bound_value, r.quantile, r.coverage,
+             *(r.bound_report.check(name).holds for name in COVERAGE_FLAGS),
+             r.degenerate_trials, r.trials) for r in reports))
     return reports
 
 
@@ -188,13 +194,13 @@ def rate_slope(config: ExperimentConfig, out_path=None) -> RateSlopeReport:
     medians = []
     for n in config.ns:
         risks, _ = _trial_risks(config, prob, n)
-        medians.append(float(np.median(risks[np.isfinite(risks)])))
+        finite = risks[np.isfinite(risks)]
+        if not finite.size:
+            raise RuntimeError(f"every trial at n={n} has a degenerate design")
+        medians.append(float(np.median(finite)))
     slope = slope_from_medians(config.ns, medians)
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            fh.write("n,median_excess_risk\n")
-            for n, med in zip(config.ns, medians):
-                fh.write(f"{n},{med:.17g}\n")
+        _write_csv(out_path, "n,median_excess_risk", zip(config.ns, medians))
     return RateSlopeReport(slope=slope, ns=tuple(config.ns), medians=tuple(medians))
 
 
@@ -229,29 +235,20 @@ def verify_lower_tail(config: ExperimentConfig, out_path=None) -> list[LowerTail
     out = []
     for n in config.ns:
         partition = config.partition_for(n)
-        spectrum = noise_spectrum(config.process, prob, partition, config.n_mc,
-                                  derive_seed(config.seed, n, SPECTRUM_STREAM),
-                                  s=config.moment_s)
+        spectrum = _spectrum_for(config, prob, partition, n)
         profile = profile_for(config, partition)
         cert = lower_tail_certificate(n, partition, prob.d_x, spectrum.h,
                                       config.delta, profile,
                                       config.constants.c_lower)
-        base = derive_seed(config.seed, n, TRIAL_STREAM)
-        chunks = chunk_ranges(config.trials, 4 * worker_count())
-        hits = sum(map_chunks(_lower_tail_chunk,
-                              [(config.process, prob, n, base, a, b) for a, b in chunks]))
+        hits = sum(_map_trials(_lower_tail_chunk, config, prob, n))
         out.append(LowerTailVerification(
             n=n, frequency=hits / config.trials, certificate=cert,
             h=spectrum.h, trials=config.trials,
         ))
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            fh.write("n,frequency,certified,required_n,h,trials\n")
-            for r in out:
-                fh.write(",".join([
-                    str(r.n), f"{r.frequency:.17g}", str(int(r.certificate.certified)),
-                    f"{r.certificate.required_n:.17g}", f"{r.h:.17g}", str(r.trials),
-                ]) + "\n")
+        _write_csv(out_path, "n,frequency,certified,required_n,h,trials", (
+            (r.n, r.frequency, r.certificate.certified, r.certificate.required_n, r.h, r.trials)
+            for r in out))
     return out
 
 
@@ -289,9 +286,7 @@ def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalk
         partition = config.partition_for(n)
         r_est = estimate_r(config.process, prob, partition, config.n_mc,
                            derive_seed(config.seed, n, DECOUPLED_STREAM))
-        spectrum = noise_spectrum(config.process, prob, partition, config.n_mc,
-                                  derive_seed(config.seed, n, SPECTRUM_STREAM),
-                                  s=config.moment_s)
+        spectrum = _spectrum_for(config, prob, partition, n)
         size_o, size_e = len(partition.odd_union), len(partition.even_union)
         threshold = noise_term_threshold(r_est.lambda_odd, r_est.lambda_even,
                                          size_o, size_e, r_est.r,
@@ -304,25 +299,15 @@ def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalk
             r_est.lambda_odd, r_est.lambda_even, size_o, size_e,
             max(r_est.r, 1e-12), config.eps, config.eta, config.moment_s,
             config.delta, interior)
-        base = derive_seed(config.seed, n, TRIAL_STREAM)
-        chunks = chunk_ranges(config.trials, 4 * worker_count())
-        norms = np.concatenate(map_chunks(
-            _walk_norm_chunk,
-            [(config.process, prob, n, base, a, b) for a, b in chunks]))
+        norms = np.concatenate(_map_trials(_walk_norm_chunk, config, prob, n))
         out.append(NoiseWalkReport(
             n=n, threshold=threshold, exceedance=float(np.mean(norms > threshold)),
             budget=budget, r_estimate=r_est, trials=config.trials,
         ))
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            fh.write("n,threshold,exceedance,budget,r,lambda_odd,lambda_even,trials\n")
-            for r in out:
-                fh.write(",".join([
-                    str(r.n), f"{r.threshold:.17g}", f"{r.exceedance:.17g}",
-                    f"{r.budget:.17g}", f"{r.r_estimate.r:.17g}",
-                    f"{r.r_estimate.lambda_odd:.17g}", f"{r.r_estimate.lambda_even:.17g}",
-                    str(r.trials),
-                ]) + "\n")
+        _write_csv(out_path, "n,threshold,exceedance,budget,r,lambda_odd,lambda_even,trials", (
+            (r.n, r.threshold, r.exceedance, r.budget, r.r_estimate.r,
+             r.r_estimate.lambda_odd, r.r_estimate.lambda_even, r.trials) for r in out))
     return out
 
 
@@ -358,10 +343,7 @@ def clt_consistency(config: ExperimentConfig, out_path=None) -> CltReport:
     report = CltReport(block_lens=tuple(config.block_lens), sigma2=sigma2,
                        stable_from=stabilization_length(config.block_lens, sigma2))
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            fh.write("block_len,sigma2\n")
-            for l, v in zip(report.block_lens, report.sigma2):
-                fh.write(f"{l},{v:.17g}\n")
+        _write_csv(out_path, "block_len,sigma2", zip(report.block_lens, report.sigma2))
     return report
 
 
@@ -375,9 +357,7 @@ def evaluate_bound(config: ExperimentConfig) -> BoundReport:
     n = config.ns[0]
     prob = population_for(config)
     partition = config.partition_for(n)
-    spectrum = noise_spectrum(config.process, prob, partition, config.n_mc,
-                              derive_seed(config.seed, n, SPECTRUM_STREAM),
-                              s=config.moment_s)
+    spectrum = _spectrum_for(config, prob, partition, n)
     profile = profile_for(config, partition)
     if config.bound_form == "corollary":
         tau = config.tau if config.tau is not None else partition.a_max

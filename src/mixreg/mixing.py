@@ -10,10 +10,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .processes import (
-    BlockConstant,
+    ROW_SUM_TOL,
     FiniteMarkov,
     GaussianAR,
-    IIDGaussian,
     ProcessSpec,
     companion,
     gramian,
@@ -101,7 +100,7 @@ def beta_markov_exact(transition: np.ndarray, gap: int) -> float:
     p = np.asarray(transition, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("transition must be a square matrix")
-    if (p < 0).any() or np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
+    if (p < 0).any() or np.abs(p.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         raise ValueError("transition must be row-stochastic")
     pi = stationary_distribution(p)
     p_gap = np.linalg.matrix_power(p, gap)
@@ -180,19 +179,7 @@ def gaussian_ar_profile(spec: GaussianAR, gaps, t: int | None = None,
 def profile_from_spec(spec: ProcessSpec, gaps) -> MixingProfile:
     """Best available profile for a spec: exact for Markov chains and
     block-constant processes, KL bound for Gaussian AR, zero for iid."""
-    gaps = [int(g) for g in gaps]
-    if isinstance(spec, IIDGaussian):
-        return iid_profile(gaps)
-    if isinstance(spec, FiniteMarkov):
-        return markov_profile(spec, gaps)
-    if isinstance(spec, GaussianAR):
-        return gaussian_ar_profile(spec, gaps)
-    if isinstance(spec, BlockConstant):
-        # Within a block the future is a deterministic copy of the past
-        # (total variation 1); across blocks the draws are independent.
-        coeffs = {g: (1.0 if g < spec.block_len else 0.0) for g in gaps}
-        return MixingProfile(coeffs, method=USER_SUPPLIED)
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
+    return spec.mixing_profile([int(g) for g in gaps])
 
 
 # ---------------------------------------------------------------------------

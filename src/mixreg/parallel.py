@@ -1,10 +1,10 @@
 """Deterministic chunked parallelism for Monte Carlo loops.
 
-MIXREG_THREADS caps the worker count (default 1 = serial).  Work is split
-into chunks processed in a fixed order, and partial results are merged in
-chunk order, so results do not depend on scheduling; switching the worker
-count can change results only through floating-point summation order
-(within ~1e-10 relative).
+MIXREG_THREADS caps the worker count (a positive integer, default 1 =
+serial).  Work is split into chunks processed in a fixed order, and partial
+results are merged in chunk order, so results do not depend on scheduling;
+switching the worker count can change results only through floating-point
+summation order (within ~1e-10 relative).
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 def worker_count() -> int:
     raw = os.environ.get("MIXREG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    count = int(raw) if raw.strip().isdecimal() else 0
+    if count < 1:
+        raise ValueError(f"MIXREG_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def chunk_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:

@@ -9,11 +9,13 @@ numpy's SeedSequence, so derived streams (per block, per trial) never collide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.signal import lfilter
+
+from .linalg import EIG_FLOOR, min_eig, symmetrize
 
 ROW_SUM_TOL = 1e-12
 LYAPUNOV_TOL = 1e-12
@@ -99,8 +101,36 @@ def conditional_gaussian(ss: StateSpace, state, k: int) -> tuple[float, float]:
 # Process specs
 # ---------------------------------------------------------------------------
 
+class ProcessSpec:
+    """Base of the process kinds.  A kind is one frozen dataclass that sets
+    its config name `kind` and implements `_draw(rng, n)` (the covariate and
+    target arrays), `_stationary_optimum()` and `mixing_profile(gaps)`; only
+    Gaussian AR specs override `with_window` and the finite horizon of
+    `optimum`.  `mixing_profile` imports from mixing.py when called, since
+    that module imports this one."""
+
+    def simulate(self, n: int, seed: int) -> "Trajectory":
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        xs, ys = self._draw(np.random.default_rng(seed), n)
+        return Trajectory(xs=xs, ys=ys, seed=seed, spec=self)
+
+    def with_window(self, window: int) -> "ProcessSpec":
+        """The same process regressed on a covariate window of this size."""
+        if window != self.covariate_dim:
+            raise ValueError("window is only adjustable for AR specs")
+        return self
+
+    def optimum(self, horizon: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma_x, m_star): the averaged covariate covariance and the best
+        linear map from covariates to targets under the stationary law."""
+        if horizon is not None:
+            raise ValueError("finite-horizon averaging applies to AR specs")
+        return self._stationary_optimum()
+
+
 @dataclass(frozen=True, eq=False)
-class GaussianAR:
+class GaussianAR(ProcessSpec):
     """Scalar AR(p) with iid Gaussian innovations and zero initial condition.
 
     The regression view exposes the last `covariate_dim` lags as covariates,
@@ -108,6 +138,8 @@ class GaussianAR:
     are simulated and discarded to approximate stationarity (0 keeps the raw
     zero-initialized process).
     """
+
+    kind = "gaussian_ar"
 
     ar_coeffs: tuple[float, ...]
     noise_std: float = 1.0
@@ -138,8 +170,68 @@ class GaussianAR:
     def target_dim(self) -> int:
         return 1
 
-    def simulate(self, n: int, seed: int) -> "Trajectory":
-        return simulate_ar(self, n, seed)
+    def _draw(self, rng, n):
+        """Run the AR recursion from zero initial values, discarding warmup
+        steps; the covariate at time t is the window of the previous
+        covariate_dim values of the series."""
+        eps = self.noise_std * rng.standard_normal(self.warmup + n)
+        # y_t = sum_k theta_k y_{t-k} + eps_t with zero initial conditions.
+        y = lfilter([1.0], np.r_[1.0, -np.asarray(self.ar_coeffs)], eps)
+        return _lagged_design(y, self.covariate_dim)[self.warmup:], y[self.warmup:, None]
+
+    def with_window(self, window: int) -> "GaussianAR":
+        return self if window == self.covariate_dim else replace(self, covariate_dim=window)
+
+    def _stationary_optimum(self):
+        # Yule-Walker on the stationary autocovariances.
+        m = self.covariate_dim
+        gamma = autocovariances(self, m)
+        sigma_x = toeplitz(gamma[:m])
+        if min_eig(sigma_x) <= EIG_FLOOR:
+            raise ValueError("autocovariance matrix is not positive definite")
+        return sigma_x, np.linalg.solve(sigma_x, gamma[1:])[None, :]
+
+    def optimum(self, horizon: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """With a horizon: the exact uniform mixture over that many sample
+        times of the (possibly zero-initialized) trajectory instead of the
+        stationary law."""
+        if horizon is None:
+            return self._stationary_optimum()
+        return self._zero_init_mixture_optimum(horizon)
+
+    def _zero_init_mixture_optimum(self, horizon: int):
+        """Best linear map for the uniform mixture of the sample times of a
+        zero-initialized trajectory, via the exact state-covariance recursion.
+
+        The covariate at time t is the leading window of the state one step
+        back, so the mixture moments follow from Cov(x_j) and Cov(x_{j+1}, x_j)
+        = A Cov(x_j)."""
+        window = self.covariate_dim
+        ss = companion(self.ar_coeffs)
+        a, b = ss.transition, ss.input_vec
+        q = self.noise_std**2 * np.outer(b, b)
+        state_cov = np.zeros_like(q)
+        sum_cov = np.zeros_like(q)
+        sum_cross = np.zeros_like(q)
+        # state indices warmup .. warmup + horizon - 1 feed samples 1 .. horizon
+        for j in range(self.warmup + horizon):
+            prev = state_cov
+            state_cov = a @ state_cov @ a.T + q
+            if j >= self.warmup:
+                sum_cov += prev
+                sum_cross += a @ prev
+        sel = np.zeros((window, a.shape[0]))
+        sel[:, :window] = np.eye(window)
+        sigma_x = sel @ (sum_cov / horizon) @ sel.T
+        if min_eig(sigma_x) <= EIG_FLOOR:
+            raise ValueError("mixture covariance is not positive definite")
+        cross = (sum_cross / horizon)[0] @ sel.T
+        alpha = np.linalg.solve(symmetrize(sigma_x), cross)
+        return sigma_x, alpha[None, :]
+
+    def mixing_profile(self, gaps):
+        from .mixing import gaussian_ar_profile
+        return gaussian_ar_profile(self, gaps)
 
 
 def default_warmup(coeffs) -> int:
@@ -150,8 +242,10 @@ def default_warmup(coeffs) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteMarkov:
+class FiniteMarkov(ProcessSpec):
     """Stationary finite-state Markov chain with per-state emissions."""
+
+    kind = "finite_markov"
 
     transition: np.ndarray
     emit_x: np.ndarray
@@ -190,8 +284,26 @@ class FiniteMarkov:
     def stationary(self) -> np.ndarray:
         return self._stationary
 
-    def simulate(self, n: int, seed: int) -> "Trajectory":
-        return simulate_markov(self, n, seed)
+    def _draw(self, rng, n):
+        # Stationary chain: the initial state is drawn from the stationary law.
+        cum_rows = np.cumsum(self.transition, axis=1)
+        u = rng.random(n)
+        states = np.empty(n, dtype=np.intp)
+        states[0] = np.searchsorted(np.cumsum(self.stationary), u[0])
+        for t in range(1, n):
+            states[t] = np.searchsorted(cum_rows[states[t - 1]], u[t])
+        return self.emit_x[states], self.emit_y[states]
+
+    def _stationary_optimum(self):
+        # Exact enumeration over the states under the stationary law.
+        pi = self.stationary
+        sigma_x = self.emit_x.T @ (pi[:, None] * self.emit_x)
+        cross = self.emit_y.T @ (pi[:, None] * self.emit_x)
+        return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross.T).T
+
+    def mixing_profile(self, gaps):
+        from .mixing import markov_profile
+        return markov_profile(self, gaps)
 
 
 def two_state_flip(q: float, emissions=((-1.0, -1.0), (1.0, 1.0))) -> FiniteMarkov:
@@ -220,10 +332,12 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BlockConstant:
+class BlockConstant(ProcessSpec):
     """Worst-case process: one Gaussian draw repeated over each length-k
     block, blocks iid.  Covariates and targets are drawn independently, so
     the best linear predictor is zero."""
+
+    kind = "block_constant"
 
     block_len: int
     covariate_dim: int = 1
@@ -239,14 +353,32 @@ class BlockConstant:
         if self.x_std <= 0 or self.y_std <= 0:
             raise ValueError("standard deviations must be positive")
 
-    def simulate(self, n: int, seed: int) -> "Trajectory":
-        return simulate_block_constant(self, n, seed)
+    def _draw(self, rng, n):
+        # A final partial block is allowed when k does not divide n.
+        n_blocks = -(-n // self.block_len)
+        bx = self.x_std * rng.standard_normal((n_blocks, self.covariate_dim))
+        by = self.y_std * rng.standard_normal((n_blocks, self.target_dim))
+        return (np.repeat(bx, self.block_len, axis=0)[:n],
+                np.repeat(by, self.block_len, axis=0)[:n])
+
+    def _stationary_optimum(self):
+        return (self.x_std**2 * np.eye(self.covariate_dim),
+                np.zeros((self.target_dim, self.covariate_dim)))
+
+    def mixing_profile(self, gaps):
+        # Within a block the future is a deterministic copy of the past
+        # (total variation 1); across blocks the draws are independent.
+        from .mixing import USER_SUPPLIED, MixingProfile
+        return MixingProfile({g: (1.0 if g < self.block_len else 0.0) for g in gaps},
+                             method=USER_SUPPLIED)
 
 
 @dataclass(frozen=True, eq=False)
-class IIDGaussian:
+class IIDGaussian(ProcessSpec):
     """iid isotropic Gaussian design with linear targets plus independent
     Gaussian noise.  `coef` is the true d_Y x d_X map (zeros when omitted)."""
+
+    kind = "iid_gaussian"
 
     covariate_dim: int
     target_dim: int = 1
@@ -262,15 +394,20 @@ class IIDGaussian:
             else np.asarray(self.coef, dtype=float).reshape(self.target_dim, self.covariate_dim)
         object.__setattr__(self, "coef", m)
 
-    def simulate(self, n: int, seed: int) -> "Trajectory":
-        rng = np.random.default_rng(seed)
+    def _draw(self, rng, n):
         xs = rng.standard_normal((n, self.covariate_dim))
         noise = self.noise_std * rng.standard_normal((n, self.target_dim))
-        ys = xs @ self.coef.T + noise
-        return Trajectory(xs=xs, ys=ys, seed=seed, spec=self)
+        return xs, xs @ self.coef.T + noise
+
+    def _stationary_optimum(self):
+        return np.eye(self.covariate_dim), self.coef
+
+    def mixing_profile(self, gaps):
+        from .mixing import iid_profile
+        return iid_profile(gaps)
 
 
-ProcessSpec = Union[GaussianAR, FiniteMarkov, BlockConstant, IIDGaussian]
+SPEC_KINDS = {cls.kind: cls for cls in (GaussianAR, FiniteMarkov, BlockConstant, IIDGaussian)}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +448,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Simulators
+# Simulation
 # ---------------------------------------------------------------------------
 
 def _lagged_design(values: np.ndarray, window: int) -> np.ndarray:
@@ -324,52 +461,6 @@ def _lagged_design(values: np.ndarray, window: int) -> np.ndarray:
         col[lag:] = values[:-lag]
         cols.append(col)
     return np.column_stack(cols)
-
-
-def simulate_ar(spec: GaussianAR, n: int, seed: int) -> Trajectory:
-    """Run the AR recursion from zero initial values, discarding warmup steps.
-
-    The covariate at time t is the window of the previous covariate_dim
-    values of the series.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = spec.warmup + n
-    rng = np.random.default_rng(seed)
-    eps = spec.noise_std * rng.standard_normal(total)
-    # y_t = sum_k theta_k y_{t-k} + eps_t with zero initial conditions.
-    y = lfilter([1.0], np.r_[1.0, -np.asarray(spec.ar_coeffs)], eps)
-    xs = _lagged_design(y, spec.covariate_dim)[spec.warmup:]
-    ys = y[spec.warmup:, None]
-    return Trajectory(xs=xs, ys=ys, seed=seed, spec=spec)
-
-
-def simulate_markov(spec: FiniteMarkov, n: int, seed: int) -> Trajectory:
-    """Stationary chain: the initial state is drawn from the stationary law."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    cum_rows = np.cumsum(spec.transition, axis=1)
-    u = rng.random(n)
-    states = np.empty(n, dtype=np.intp)
-    states[0] = np.searchsorted(np.cumsum(spec.stationary), u[0])
-    for t in range(1, n):
-        states[t] = np.searchsorted(cum_rows[states[t - 1]], u[t])
-    return Trajectory(xs=spec.emit_x[states], ys=spec.emit_y[states], seed=seed, spec=spec)
-
-
-def simulate_block_constant(spec: BlockConstant, n: int, seed: int) -> Trajectory:
-    """Each length-k block repeats a single iid draw; a final partial block
-    is allowed when k does not divide n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    n_blocks = -(-n // spec.block_len)
-    bx = spec.x_std * rng.standard_normal((n_blocks, spec.covariate_dim))
-    by = spec.y_std * rng.standard_normal((n_blocks, spec.target_dim))
-    xs = np.repeat(bx, spec.block_len, axis=0)[:n]
-    ys = np.repeat(by, spec.block_len, axis=0)[:n]
-    return Trajectory(xs=xs, ys=ys, seed=seed, spec=spec)
 
 
 def simulate(spec: ProcessSpec, n: int, seed: int) -> Trajectory:
@@ -417,7 +508,4 @@ def autocovariances(spec: GaussianAR, max_lag: int) -> np.ndarray:
 def stationary_covariance(spec: GaussianAR) -> np.ndarray:
     """Covariance of the covariate window under the stationary law: the
     Toeplitz matrix of autocovariances up to covariate_dim - 1."""
-    m = spec.covariate_dim
-    gamma = autocovariances(spec, m - 1)
-    idx = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-    return gamma[idx]
+    return toeplitz(autocovariances(spec, spec.covariate_dim - 1))

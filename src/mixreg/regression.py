@@ -9,17 +9,7 @@ import numpy as np
 from scipy.linalg import qr, solve_triangular
 
 from .linalg import EIG_FLOOR, inv_sqrt_psd, min_eig, sqrt_psd, symmetrize
-from .processes import (
-    BlockConstant,
-    FiniteMarkov,
-    GaussianAR,
-    IIDGaussian,
-    ProcessSpec,
-    Trajectory,
-    autocovariances,
-    companion,
-    simulate,
-)
+from .processes import GaussianAR, ProcessSpec, Trajectory, companion, simulate
 
 ANALYTIC = "analytic"
 MONTE_CARLO = "monte_carlo"
@@ -157,60 +147,6 @@ def error_identity_check(traj: Trajectory, prob: RegressionProblem) -> float:
 # Population optimum
 # ---------------------------------------------------------------------------
 
-def _zero_init_mixture_optimum(spec: GaussianAR, window: int, horizon: int) -> RegressionProblem:
-    """Best linear map for the uniform mixture of the sample times of a
-    zero-initialized trajectory, via the exact state-covariance recursion.
-
-    The covariate at time t is the leading window of the state one step
-    back, so the mixture moments follow from Cov(x_j) and Cov(x_{j+1}, x_j)
-    = A Cov(x_j)."""
-    ss = companion(spec.ar_coeffs)
-    a, b = ss.transition, ss.input_vec
-    q = spec.noise_std**2 * np.outer(b, b)
-    state_cov = np.zeros_like(q)
-    sum_cov = np.zeros_like(q)
-    sum_cross = np.zeros_like(q)
-    # state indices warmup .. warmup + horizon - 1 feed samples 1 .. horizon
-    for j in range(spec.warmup + horizon):
-        prev = state_cov
-        state_cov = a @ state_cov @ a.T + q
-        if j >= spec.warmup:
-            sum_cov += prev
-            sum_cross += a @ prev
-    sel = np.zeros((window, a.shape[0]))
-    sel[:, :window] = np.eye(window)
-    sigma_x = sel @ (sum_cov / horizon) @ sel.T
-    if min_eig(sigma_x) <= EIG_FLOOR:
-        raise ValueError("mixture covariance is not positive definite")
-    cross = (sum_cross / horizon)[0] @ sel.T
-    alpha = np.linalg.solve(symmetrize(sigma_x), cross)
-    return RegressionProblem(sigma_x=sigma_x, m_star=alpha[None, :], source=ANALYTIC)
-
-
-def _analytic_optimum(spec: ProcessSpec, window: int) -> RegressionProblem:
-    if isinstance(spec, GaussianAR):
-        gamma = autocovariances(spec, window)
-        idx = np.abs(np.subtract.outer(np.arange(window), np.arange(window)))
-        sigma_x = gamma[idx]
-        if min_eig(sigma_x) <= EIG_FLOOR:
-            raise ValueError("autocovariance matrix is not positive definite")
-        alpha = np.linalg.solve(sigma_x, gamma[1 : window + 1])
-        return RegressionProblem(sigma_x=sigma_x, m_star=alpha[None, :], source=ANALYTIC)
-    if isinstance(spec, IIDGaussian):
-        return RegressionProblem(np.eye(spec.covariate_dim), spec.coef, source=ANALYTIC)
-    if isinstance(spec, BlockConstant):
-        sigma_x = spec.x_std**2 * np.eye(spec.covariate_dim)
-        return RegressionProblem(sigma_x, np.zeros((spec.target_dim, spec.covariate_dim)),
-                                 source=ANALYTIC)
-    if isinstance(spec, FiniteMarkov):
-        pi = spec.stationary
-        sigma_x = spec.emit_x.T @ (pi[:, None] * spec.emit_x)
-        cross = spec.emit_y.T @ (pi[:, None] * spec.emit_x)
-        m_star = np.linalg.solve(symmetrize(sigma_x), cross.T).T
-        return RegressionProblem(sigma_x, m_star, source=ANALYTIC)
-    raise TypeError(f"no analytic optimum for {type(spec).__name__}")
-
-
 def _monte_carlo_optimum(spec: ProcessSpec, n_mc: int, seed: int,
                          batches: int = 100) -> RegressionProblem:
     traj = simulate(spec, n_mc, seed)
@@ -246,19 +182,10 @@ def population_optimum(spec: ProcessSpec, window: int | None = None,
     zero-initialized) trajectory instead of the stationary law.
     """
     if window is not None:
-        if isinstance(spec, GaussianAR):
-            if window != spec.covariate_dim:
-                spec = GaussianAR(spec.ar_coeffs, spec.noise_std,
-                                  covariate_dim=window, warmup=spec.warmup)
-        elif window != spec.covariate_dim:
-            raise ValueError("window is only adjustable for AR specs")
-    window = spec.covariate_dim
+        spec = spec.with_window(window)
     if method == ANALYTIC:
-        if horizon is not None:
-            if not isinstance(spec, GaussianAR):
-                raise ValueError("finite-horizon averaging applies to AR specs")
-            return _zero_init_mixture_optimum(spec, window, horizon)
-        return _analytic_optimum(spec, window)
+        sigma_x, m_star = spec.optimum(horizon)
+        return RegressionProblem(sigma_x=sigma_x, m_star=m_star, source=ANALYTIC)
     if method == MONTE_CARLO:
         return _monte_carlo_optimum(spec, n_mc, seed)
     raise ValueError(f"unknown method {method!r}")

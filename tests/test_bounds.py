@@ -355,6 +355,19 @@ class TestCorollaryBound:
         with pytest.raises(ValueError):
             corollary_bound(3, 100, 1, 1.0, 1.0, 4.0, 1.0, iid_profile([3]), 0.1)
 
+    def test_noiseless_zero_moment_passes(self):
+        # Same zero-denominator rule as the main form: a zero block moment
+        # against a zero noise level passes instead of dividing by zero.
+        report = corollary_bound(1, 100, 2, 0.0, 1.0, 4.0, 0.0, iid_profile([1]), 0.1)
+        assert report.bound_value == 0.0
+        moment = report.check("block_moment")
+        assert moment.threshold == 0.0 and moment.holds
+
+    def test_noiseless_nonzero_moment_fails(self):
+        report = corollary_bound(1, 100, 2, 0.0, 1.0, 4.0, 1.0, iid_profile([1]), 0.1)
+        assert report.check("block_moment").threshold == math.inf
+        assert not report.check("block_moment").holds
+
 
 class TestLowerTailCertificate:
     def test_threshold_arithmetic(self):

@@ -1,6 +1,7 @@
 import pytest
 
 from mixreg.cli import cli_main
+from mixreg.parallel import worker_count
 
 
 @pytest.fixture
@@ -111,3 +112,31 @@ def test_lower_tail_and_noise_walk_smoke(iid_cfg, tmp_path):
     assert (tmp_path / "lowertail.csv").exists()
     assert cli_main(["noise-walk", "--config", str(iid_cfg)]) == 0
     assert (tmp_path / "noisewalk.csv").exists()
+
+
+def test_corollary_bound_on_noiseless_iid_exits_0(tmp_path, capsys):
+    cfg = tmp_path / "noiseless.cfg"
+    cfg.write_text(
+        "[process]\nkind = iid_gaussian\ncovariate_dim = 2\nnoise_std = 0\n"
+        "[partition]\ntau = 1\nform = corollary\n"
+        f"[experiment]\nns = 300\nn_mc = 1000\nout = {tmp_path}\n")
+    assert cli_main(["bound", "--config", str(cfg)]) == 0
+    assert "bound_value 0\n" in capsys.readouterr().out
+
+
+def test_all_degenerate_slope_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(
+        "[process]\nkind = iid_gaussian\ncovariate_dim = 10\n"
+        f"[experiment]\nns = 5, 6, 7, 8\ntrials = 3\nout = {tmp_path}\n")
+    assert cli_main(["slope", "--config", str(cfg)]) == 2
+    assert "n=5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_bad_thread_count_exits_1(iid_cfg, monkeypatch, capsys, value):
+    monkeypatch.setenv("MIXREG_THREADS", value)
+    with pytest.raises(ValueError, match="MIXREG_THREADS"):
+        worker_count()
+    assert cli_main(["bound", "--config", str(iid_cfg)]) == 1
+    assert "MIXREG_THREADS" in capsys.readouterr().err

@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mixreg.cli import cli_main
 from mixreg.config import ExperimentConfig, load_config, save_config
 from mixreg.bounds import UniversalConstants
 from mixreg.harness import (
@@ -15,7 +20,15 @@ from mixreg.harness import (
     verify_lower_tail,
     verify_noise_walk,
 )
-from mixreg.processes import BlockConstant, GaussianAR, IIDGaussian, two_state_flip
+from mixreg.processes import (
+    BlockConstant,
+    FiniteMarkov,
+    GaussianAR,
+    IIDGaussian,
+    default_warmup,
+    two_state_flip,
+)
+from mixreg.regression import population_optimum
 
 
 def iid_config(tmp_path, **overrides):
@@ -32,6 +45,39 @@ def iid_config(tmp_path, **overrides):
     )
     fields.update(overrides)
     return ExperimentConfig(**fields)
+
+
+finite = st.floats(-3.0, 3.0, allow_nan=False)
+positive = st.floats(0.01, 5.0, allow_nan=False)
+
+
+def matrices(rows, cols, elements=finite):
+    return st.lists(st.lists(elements, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(np.array)
+
+
+@st.composite
+def any_spec(draw):
+    """A random valid spec of any of the four process kinds."""
+    kind = draw(st.sampled_from(["ar", "markov", "block", "iid"]))
+    if kind == "ar":
+        # sum |a_k| < 1 keeps the recursion Schur stable.
+        coeffs = draw(st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=2))
+        return GaussianAR(tuple(coeffs), noise_std=draw(positive),
+                          covariate_dim=draw(st.integers(1, 3)),
+                          warmup=draw(st.integers(0, 50)))
+    if kind == "markov":
+        k = draw(st.integers(1, 3))
+        weights = draw(matrices(k, k, st.floats(0.05, 1.0)))
+        return FiniteMarkov(weights / weights.sum(axis=1, keepdims=True),
+                            draw(matrices(k, draw(st.integers(1, 2)))),
+                            draw(matrices(k, draw(st.integers(1, 2)))))
+    d_x, d_y = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    if kind == "block":
+        return BlockConstant(draw(st.integers(1, 20)), d_x, d_y,
+                             x_std=draw(positive), y_std=draw(positive))
+    return IIDGaussian(d_x, d_y, noise_std=draw(st.floats(0.0, 3.0)),
+                       coef=draw(matrices(d_y, d_x)))
 
 
 class TestConfig:
@@ -85,6 +131,55 @@ class TestConfig:
             iid_config(tmp_path, delta=1.5)
         with pytest.raises(ValueError):
             iid_config(tmp_path, ns=())
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=any_spec())
+    def test_roundtrip_every_kind(self, spec):
+        config = ExperimentConfig(process=spec, fit_window=spec.covariate_dim,
+                                  ns=(100,), delta=0.1, trials=100, seed=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.cfg"), os.path.join(tmp, "b.cfg")
+            save_config(config, first)
+            loaded = load_config(first)
+            save_config(loaded, second)
+            with open(first) as fa, open(second) as fb:
+                assert fa.read() == fb.read()
+        assert type(loaded.process) is type(spec)
+        for f in dataclasses.fields(spec):
+            np.testing.assert_array_equal(getattr(loaded.process, f.name),
+                                          getattr(spec, f.name))
+        assert loaded.fit_window == spec.covariate_dim
+
+    def test_auto_warmup_saves_its_value(self, tmp_path):
+        path = tmp_path / "ar.cfg"
+        path.write_text("[process]\nkind = gaussian_ar\nar_coeffs = 0.5, 0.2\n"
+                        "warmup = AUTO\n[experiment]\nns = 100\n")
+        config = load_config(path)
+        assert config.process.warmup == default_warmup((0.5, 0.2))
+        save_config(config, tmp_path / "saved.cfg")
+        assert f"warmup = {default_warmup((0.5, 0.2))}\n" in (tmp_path / "saved.cfg").read_text()
+
+    def test_unknown_kind_is_argument_error(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[process]\nkind = garch\n[experiment]\nns = 100\n")
+        with pytest.raises(ValueError, match="unknown process kind"):
+            load_config(path)
+        assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("spec", [IIDGaussian(covariate_dim=1), BlockConstant(3),
+                                      two_state_flip(0.3)])
+    def test_window_change_rejected_for_non_ar(self, spec, tmp_path):
+        assert spec.with_window(spec.covariate_dim) is spec
+        with pytest.raises(ValueError, match="window"):
+            spec.with_window(2)
+        with pytest.raises(ValueError, match="window"):
+            population_optimum(spec, window=2)
+        config = ExperimentConfig(process=spec, fit_window=2, ns=(100,), delta=0.1,
+                                  trials=100, seed=1, outputs=str(tmp_path))
+        save_config(config, tmp_path / "w.cfg")
+        with pytest.raises(ValueError, match="window"):
+            load_config(tmp_path / "w.cfg")
+        assert cli_main(["bound", "--config", str(tmp_path / "w.cfg")]) == 1
 
     def test_misspecified_window_from_file(self, tmp_path):
         path = tmp_path / "ar.cfg"
@@ -165,6 +260,13 @@ class TestRateSlope:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             slope_from_medians((10, 100, 1000), [1, 2, 3])
+
+    def test_all_degenerate_sample_size_raises(self, tmp_path):
+        # Ten covariates and at most eight samples: every design is singular.
+        config = iid_config(tmp_path, process=IIDGaussian(covariate_dim=10),
+                            fit_window=10, ns=(5, 6, 7, 8), trials=3)
+        with pytest.raises(RuntimeError, match="n=5"):
+            rate_slope(config)
 
     def test_iid_ols_rate(self, tmp_path):
         config = iid_config(tmp_path, ns=(200, 600, 2000, 6000), trials=120)

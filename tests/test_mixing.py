@@ -20,6 +20,7 @@ from mixreg.mixing import (
 )
 from mixreg.processes import (
     BlockConstant,
+    FiniteMarkov,
     GaussianAR,
     IIDGaussian,
     companion,
@@ -109,6 +110,15 @@ class TestBetaMarkovExact:
             beta_markov_exact(np.array([[0.5, 0.6], [0.5, 0.5]]), 1)
         with pytest.raises(ValueError):
             beta_markov_exact(flip_chain(0.3), 0)
+
+
+def test_markov_exact_uses_chain_row_sum_tolerance():
+    # Rows off by 5e-10 are rejected, as FiniteMarkov rejects them.
+    p = np.array([[0.5, 0.5 + 5e-10], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="row-stochastic"):
+        beta_markov_exact(p, 1)
+    with pytest.raises(ValueError):
+        FiniteMarkov(p, np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 class TestKlGaussian:

@@ -13,9 +13,6 @@ from mixreg.processes import (
     derive_seed,
     gramian,
     simulate,
-    simulate_ar,
-    simulate_block_constant,
-    simulate_markov,
     solve_lyapunov,
     stationary_covariance,
     stationary_distribution,
@@ -145,32 +142,32 @@ class TestGaussianAR:
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            simulate_ar(GaussianAR((0.5,)), 0, 1)
+            simulate(GaussianAR((0.5,)), 0, 1)
 
     def test_pure_noise_for_zero_coeffs(self):
-        traj = simulate_ar(GaussianAR((0.0,)), 10**5, 3)
+        traj = simulate(GaussianAR((0.0,)), 10**5, 3)
         y = traj.ys.ravel()
         assert y.var() == pytest.approx(1.0, abs=0.02)
         assert abs(lag1_corr(y)) < 0.02
 
     def test_ar1_stationary_variance(self):
-        traj = simulate_ar(GaussianAR((0.5,)), 10**6, 7)
+        traj = simulate(GaussianAR((0.5,)), 10**6, 7)
         assert traj.ys.var() == pytest.approx(4.0 / 3.0, abs=0.01)
 
     def test_ar2_lag1_autocorrelation(self):
         # Yule-Walker: rho(1) = a1 / (1 - a2) = 0.625
-        traj = simulate_ar(GaussianAR((0.5, 0.2)), 10**6, 9)
+        traj = simulate(GaussianAR((0.5, 0.2)), 10**6, 9)
         assert lag1_corr(traj.ys) == pytest.approx(0.625, abs=0.01)
 
     def test_deterministic_regeneration(self):
         spec = GaussianAR((0.4, 0.1), noise_std=1.5, covariate_dim=1, warmup=10)
-        a = simulate_ar(spec, 500, 42)
-        b = simulate_ar(spec, 500, 42)
+        a = simulate(spec, 500, 42)
+        b = simulate(spec, 500, 42)
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
     def test_covariate_is_lag_window(self):
         spec = GaussianAR((0.5, 0.2), covariate_dim=2)
-        traj = simulate_ar(spec, 50, 1)
+        traj = simulate(spec, 50, 1)
         y = traj.ys.ravel()
         np.testing.assert_allclose(traj.xs[1:, 0], y[:-1])
         np.testing.assert_allclose(traj.xs[2:, 1], y[:-2])
@@ -178,9 +175,16 @@ class TestGaussianAR:
 
     def test_warmup_drops_transient(self):
         spec = GaussianAR((0.9,), warmup=200)
-        traj = simulate_ar(spec, 2000, 5)
+        traj = simulate(spec, 2000, 5)
         # Warm-started variance already close to stationary 1/(1-0.81).
         assert traj.ys.var() == pytest.approx(1.0 / 0.19, rel=0.2)
+
+    def test_with_window_rewrites_only_the_window(self):
+        spec = GaussianAR((0.5, 0.2), noise_std=1.5, warmup=7)
+        narrow = spec.with_window(1)
+        assert (narrow.ar_coeffs, narrow.noise_std, narrow.warmup) == ((0.5, 0.2), 1.5, 7)
+        assert narrow.covariate_dim == 1
+        assert spec.with_window(2) is spec
 
     def test_default_warmup_value(self):
         assert default_warmup((0.5,)) == 20
@@ -190,7 +194,7 @@ class TestGaussianAR:
 class TestMarkov:
     def test_frozen_single_state_chain(self):
         spec = FiniteMarkov(np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]]))
-        traj = simulate_markov(spec, 50, 0)
+        traj = simulate(spec, 50, 0)
         assert np.all(traj.xs == 2.0) and np.all(traj.ys == 3.0)
 
     def test_identity_chain_rejected(self):
@@ -204,12 +208,12 @@ class TestMarkov:
                          np.zeros((2, 1)), np.zeros((2, 1)))
 
     def test_symmetric_flip_state_frequency(self):
-        traj = simulate_markov(two_state_flip(0.3), 10**5, 13)
+        traj = simulate(two_state_flip(0.3), 10**5, 13)
         freq = np.mean(traj.xs.ravel() > 0)
         assert freq == pytest.approx(0.5, abs=0.01)
 
     def test_half_flip_is_iid(self):
-        traj = simulate_markov(two_state_flip(0.5), 10**5, 17)
+        traj = simulate(two_state_flip(0.5), 10**5, 17)
         assert abs(lag1_corr(traj.xs)) < 0.01
 
     def test_stationary_distribution(self):
@@ -220,27 +224,27 @@ class TestMarkov:
 
     def test_determinism(self):
         spec = two_state_flip(0.3)
-        a = simulate_markov(spec, 200, 5)
-        b = simulate_markov(spec, 200, 5)
+        a = simulate(spec, 200, 5)
+        b = simulate(spec, 200, 5)
         assert np.array_equal(a.xs, b.xs)
 
 
 class TestBlockConstant:
     def test_degenerate_block_is_iid(self):
-        traj = simulate_block_constant(BlockConstant(1), 10**5, 3)
+        traj = simulate(BlockConstant(1), 10**5, 3)
         assert abs(lag1_corr(traj.xs)) < 0.02
 
     def test_lag1_overlap_fraction(self):
         # Expected autocorrelation (k-1)/k = 0.75 for k = 4.
-        traj = simulate_block_constant(BlockConstant(4), 10**5, 5)
+        traj = simulate(BlockConstant(4), 10**5, 5)
         assert lag1_corr(traj.xs) == pytest.approx(0.75, abs=0.02)
 
     def test_single_block(self):
-        traj = simulate_block_constant(BlockConstant(64), 64, 7)
+        traj = simulate(BlockConstant(64), 64, 7)
         assert np.all(traj.xs == traj.xs[0])
 
     def test_partial_final_block(self):
-        traj = simulate_block_constant(BlockConstant(4), 10, 1)
+        traj = simulate(BlockConstant(4), 10, 1)
         assert len(traj) == 10
         assert np.all(traj.xs[8] == traj.xs[9])
 
