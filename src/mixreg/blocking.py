@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mixing import MixingProfile
+from .mixing import MixingProfile, mixing_sum
 from .processes import ProcessSpec, Trajectory, derive_seed, simulate
 
 INTERIOR = "interior"
@@ -131,14 +131,11 @@ def decoupling_gap_bound(profile: MixingProfile, partition: BlockPartition,
     charges every block, as needed when both parities are controlled at
     once.
     """
-    lengths = partition.lengths
     if form == INTERIOR:
-        gaps = list(lengths[1:-1])
-    elif form == ALL_BLOCKS:
-        gaps = list(lengths)
-    else:
+        return mixing_sum(profile, partition)
+    if form != ALL_BLOCKS:
         raise ValueError(f"unknown form {form!r}")
-    missing = sorted({g for g in gaps if g not in profile.coefficients})
+    missing = sorted({g for g in partition.lengths if g not in profile.coefficients})
     if missing:
         raise ValueError(f"profile missing coefficients for gaps {missing}")
-    return float(sum(profile.coefficients[g] for g in gaps))
+    return float(sum(profile.coefficients[g] for g in partition.lengths))

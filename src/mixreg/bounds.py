@@ -12,17 +12,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .blocking import BlockPartition, block_sums, decoupled_resample
+from .blocking import BlockPartition, block_sums
 from .linalg import min_eig, opnorm_psd, symmetrize
 from .mixing import MixingProfile, mixing_sum
-from .parallel import chunk_ranges, map_chunks, worker_count
-from .processes import ProcessSpec, derive_seed, simulate
+from .parallel import draw_decoupled, draw_process, map_trials
+from .processes import ProcessSpec, derive_seed
 from .regression import RegressionProblem, noise_walk
 
 MIN_MC_TRIALS = 1000
+
+
+def _require_trials(n_mc: int, floor: int) -> None:
+    if n_mc < floor:
+        raise ValueError(f"n_mc must be >= {floor}, got {n_mc}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,40 +202,26 @@ def _h_directions(sigma_x: np.ndarray, seed: int) -> np.ndarray:
     return dirs / scale[:, None]
 
 
-def _spectrum_pass1(args):
-    spec, prob, partition, seed, start, stop, dirs = args
-    n = partition.n
-    d = prob.d_x * prob.d_y
-    sum_bs = np.zeros((partition.n_blocks, d))
-    sum_outer = np.zeros((partition.n_blocks, d, d))
-    sum_walk = np.zeros(d)
-    sum_p2 = np.zeros(dirs.shape[0])
-    sum_p4 = np.zeros(dirs.shape[0])
-    for trial in range(start, stop):
-        traj = simulate(spec, n, derive_seed(seed, trial))
-        v, s_n = noise_walk(traj, prob)
-        bs = block_sums(v.reshape(n, d), partition)
-        sum_bs += bs
-        sum_outer += np.einsum("bi,bj->bij", bs, bs)
-        sum_walk += s_n.reshape(d)
-        proj = traj.xs @ dirs.T
-        p2 = proj * proj
-        sum_p2 += p2.sum(axis=0)
-        sum_p4 += (p2 * p2).sum(axis=0)
-    return sum_bs, sum_outer, sum_walk, sum_p2, sum_p4
+def _walk_block_sums(prob: RegressionProblem, partition: BlockPartition, traj):
+    v, s_n = noise_walk(traj, prob)
+    return block_sums(v.reshape(partition.n, -1), partition), s_n
 
 
-def _spectrum_pass2(args):
-    spec, prob, partition, seed, start, stop, mean_bs, s = args
-    n = partition.n
-    d = prob.d_x * prob.d_y
-    sum_snorm = np.zeros(partition.n_blocks)
-    for trial in range(start, stop):
-        traj = simulate(spec, n, derive_seed(seed, trial))
-        v, _ = noise_walk(traj, prob)
-        bs = block_sums(v.reshape(n, d), partition) - mean_bs
-        sum_snorm += np.linalg.norm(bs, axis=1) ** s
-    return sum_snorm
+def _spectrum_moments(prob, partition, dirs, proj, traj):
+    """Pass-1 statistic: block sums, their outer products, the walk's end
+    point, and the second and fourth powers of the projections onto dirs
+    (written into the reused (n, K) buffer proj)."""
+    bs, s_n = _walk_block_sums(prob, partition, traj)
+    np.matmul(traj.xs, dirs.T, out=proj)
+    p2 = np.square(proj, out=proj)
+    return (), (bs, np.einsum("bi,bj->bij", bs, bs), s_n.reshape(-1),
+                p2.sum(axis=0), (p2 * p2).sum(axis=0))
+
+
+def _block_snorms(prob, partition, mean_bs, s, traj):
+    """Pass-2 statistic: s-th powers of the centered block-sum norms."""
+    bs = _walk_block_sums(prob, partition, traj)[0] - mean_bs
+    return (), (np.linalg.norm(bs, axis=1) ** s,)
 
 
 def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
@@ -239,19 +231,14 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
     trajectories, including the fourth-moment constant h (maximized over an
     eigenvector grid plus random directions; a lower estimate of the true
     supremum) and the s-th block moments."""
-    if n_mc < MIN_MC_TRIALS:
-        raise ValueError(f"n_mc must be >= {MIN_MC_TRIALS} for a usable spectrum")
+    _require_trials(n_mc, MIN_MC_TRIALS)
     if s < 2:
         raise ValueError("s must be >= 2")
     dirs = _h_directions(prob.sigma_x, seed)
-    chunks = chunk_ranges(n_mc, 4 * worker_count())
-    parts = map_chunks(_spectrum_pass1,
-                       [(spec, prob, partition, seed, a, b, dirs) for a, b in chunks])
-    sum_bs = sum(p[0] for p in parts)
-    sum_outer = sum(p[1] for p in parts)
-    sum_walk = sum(p[2] for p in parts)
-    sum_p2 = sum(p[3] for p in parts)
-    sum_p4 = sum(p[4] for p in parts)
+    draw = partial(draw_process, spec, partition.n)
+    proj = np.empty((partition.n, dirs.shape[0]))
+    _, (sum_bs, sum_outer, sum_walk, sum_p2, sum_p4) = map_trials(
+        partial(_spectrum_moments, prob, partition, dirs, proj), draw, n_mc, seed)
 
     mean_bs = sum_bs / n_mc
     sigma_blocks = sum_outer / n_mc - np.einsum("bi,bj->bij", mean_bs, mean_bs)
@@ -263,10 +250,9 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
     eff = edim(sigma_agg) if sigma2 > 0 else 0.0
     h = float(np.sqrt(np.max(sum_p4 / np.maximum(sum_p2, 1e-300))))
 
-    parts2 = map_chunks(_spectrum_pass2,
-                        [(spec, prob, partition, seed, a, b, mean_bs, s)
-                         for a, b in chunks])
-    block_snorm = sum(parts2) / n_mc
+    _, (sum_snorm,) = map_trials(partial(_block_snorms, prob, partition, mean_bs, s),
+                                 draw, n_mc, seed)
+    block_snorm = sum_snorm / n_mc
     norm_factor = partition.a_max ** (s / 2.0)
     block_moment = float(np.sum(block_snorm / norm_factor) / partition.m)
 
@@ -280,15 +266,9 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
     )
 
 
-def _clt_chunk(args):
-    spec, prob, length, seed, start, stop = args
-    d = prob.d_x * prob.d_y
-    sums = np.zeros((stop - start, d))
-    for idx, trial in enumerate(range(start, stop)):
-        traj = simulate(spec, length, derive_seed(seed, length, trial))
-        v, _ = noise_walk(traj, prob)
-        sums[idx] = v.reshape(length, d).sum(axis=0)
-    return sums
+def _noise_sum(prob: RegressionProblem, traj):
+    v, _ = noise_walk(traj, prob)
+    return v.reshape(len(v), -1).sum(axis=0), ()
 
 
 def clt_variance(spec: ProcessSpec, prob: RegressionProblem, block_lens,
@@ -299,11 +279,11 @@ def clt_variance(spec: ProcessSpec, prob: RegressionProblem, block_lens,
     block_lens = [int(v) for v in block_lens]
     if not block_lens:
         raise ValueError("need at least one block length")
+    _require_trials(n_mc, 2)
     out = {}
     for length in block_lens:
-        chunks = chunk_ranges(n_mc, 4 * worker_count())
-        sums = np.concatenate(map_chunks(
-            _clt_chunk, [(spec, prob, length, seed, a, b) for a, b in chunks]))
+        sums, _ = map_trials(partial(_noise_sum, prob), partial(draw_process, spec, length),
+                             n_mc, seed, length)
         centered = sums - sums.mean(axis=0)
         out[length] = symmetrize(centered.T @ centered / n_mc / length)
     return out
@@ -323,23 +303,12 @@ class REstimate:
     degenerate: bool = False
 
 
-def _r_chunk(args):
-    spec, prob, partition, seed, start, stop = args
-    n = partition.n
-    d = prob.d_x * prob.d_y
-    n_blocks = partition.n_blocks
-    sgn_sums = np.zeros((stop - start, 2, d))  # odd, even
-    sum_bs = np.zeros((n_blocks, d))
-    sum_outer = np.zeros((n_blocks, d, d))
-    for idx, trial in enumerate(range(start, stop)):
-        traj = decoupled_resample(spec, partition, derive_seed(seed, trial))
-        v, _ = noise_walk(traj, prob)
-        bs = block_sums(v.reshape(n, d), partition)
-        sum_bs += bs
-        sum_outer += np.einsum("bi,bj->bij", bs, bs)
-        sgn_sums[idx, 0] = bs[0::2].sum(axis=0)
-        sgn_sums[idx, 1] = bs[1::2].sum(axis=0)
-    return sgn_sums, sum_bs, sum_outer
+def _parity_sums(prob, partition, traj):
+    """Odd and even block-sum totals per trial; block sums and their outer
+    products as totals."""
+    bs, _ = _walk_block_sums(prob, partition, traj)
+    return (np.stack([bs[0::2].sum(axis=0), bs[1::2].sum(axis=0)]),
+            (bs, np.einsum("bi,bj->bij", bs, bs)))
 
 
 def estimate_r(spec: ProcessSpec, prob: RegressionProblem,
@@ -348,14 +317,10 @@ def estimate_r(spec: ProcessSpec, prob: RegressionProblem,
     decoupled noise walk: max over odd/even of
     E||sum of centered noise over the union / sqrt(union size)|| / sqrt(Lambda).
     """
-    if n_mc < MIN_MC_TRIALS:
-        raise ValueError(f"n_mc must be >= {MIN_MC_TRIALS}")
-    chunks = chunk_ranges(n_mc, 4 * worker_count())
-    parts = map_chunks(_r_chunk,
-                       [(spec, prob, partition, seed, a, b) for a, b in chunks])
-    sgn_sums = np.concatenate([p[0] for p in parts])
-    sum_bs = sum(p[1] for p in parts)
-    sum_outer = sum(p[2] for p in parts)
+    _require_trials(n_mc, MIN_MC_TRIALS)
+    sgn_sums, (sum_bs, sum_outer) = map_trials(
+        partial(_parity_sums, prob, partition), partial(draw_decoupled, spec, partition),
+        n_mc, seed)
     mean_bs = sum_bs / n_mc
     sigma_blocks = sum_outer / n_mc - np.einsum("bi,bj->bij", mean_bs, mean_bs)
 
@@ -369,7 +334,7 @@ def estimate_r(spec: ProcessSpec, prob: RegressionProblem,
         centered = sgn_sums[:, side, :] - sgn_sums[:, side, :].mean(axis=0)
         norms = np.linalg.norm(centered, axis=1) / math.sqrt(size)
         mean_norm = norms.mean()
-        se_norm = norms.std(ddof=1) / math.sqrt(n_mc) if n_mc > 1 else 0.0
+        se_norm = norms.std(ddof=1) / math.sqrt(n_mc)
         if lam <= 0:
             ratios.append(0.0)
             stderrs.append(0.0)
@@ -599,6 +564,16 @@ class TruncationCheck:
         return self.lhs <= self.rhs + 3.0 * self.stderr
 
 
+def _truncated_mass(start, stop, v, tau, traj):
+    """Directional mass of one block, raw and truncated at tau, per trial;
+    the fourth powers of the projections as a total."""
+    proj = traj.xs[start:stop] @ v
+    p2 = proj * proj
+    raw = p2.sum()
+    kept = raw if raw / (stop - start) <= tau * tau else 0.0
+    return (raw, kept), ((p2 * p2).sum(),)
+
+
 def truncation_mass_check(spec: ProcessSpec, prob: RegressionProblem,
                           block: tuple[int, int], direction, tau: float,
                           n_mc: int, seed: int) -> TruncationCheck:
@@ -616,26 +591,17 @@ def truncation_mass_check(spec: ProcessSpec, prob: RegressionProblem,
     start, stop = block
     if not 0 <= start < stop:
         raise ValueError("invalid block range")
+    _require_trials(n_mc, 2)
     v = np.asarray(direction, dtype=float)
     v = v / math.sqrt(v @ prob.sigma_x @ v)
-    length = stop - start
-    raw = np.empty(n_mc)
-    kept = np.empty(n_mc)
-    sum_p2 = 0.0
-    sum_p4 = 0.0
-    for trial in range(n_mc):
-        traj = simulate(spec, stop, derive_seed(seed, trial))
-        proj = traj.xs[start:stop] @ v
-        p2 = proj * proj
-        raw[trial] = p2.sum()
-        kept[trial] = raw[trial] if raw[trial] / length <= tau * tau else 0.0
-        sum_p2 += p2.sum()
-        sum_p4 += (p2 * p2).sum()
-    h2 = sum_p4 / max(sum_p2, 1e-300)
+    samples, (sum_p4,) = map_trials(partial(_truncated_mass, start, stop, v, tau),
+                                    partial(draw_process, spec, stop), n_mc, seed)
+    raw, kept = samples[:, 0], samples[:, 1]
+    h2 = sum_p4 / max(raw.sum(), 1e-300)
     factor = 1.0 - h2 / (tau * tau)
     lhs_samples = factor * raw
     diff = kept - lhs_samples
-    stderr = float(diff.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
+    stderr = float(diff.std(ddof=1) / math.sqrt(n_mc))
     return TruncationCheck(lhs=float(lhs_samples.mean()), rhs=float(kept.mean()),
                            stderr=stderr, h=float(math.sqrt(h2)))
 
@@ -651,17 +617,9 @@ def cs_comparison(spectrum: NoiseSpectrum, per_sample_var: float) -> tuple[float
     return spectrum.sigma2, inflated
 
 
-def _per_sample_chunk(args):
-    spec, prob, n, seed, start, stop = args
-    sum_v = np.zeros(n)
-    sum_v2 = np.zeros(n)
-    for trial in range(start, stop):
-        traj = simulate(spec, n, derive_seed(seed, trial))
-        v, _ = noise_walk(traj, prob)
-        flat = v.reshape(n)
-        sum_v += flat
-        sum_v2 += flat * flat
-    return sum_v, sum_v2
+def _noise_moments(prob: RegressionProblem, traj):
+    flat = noise_walk(traj, prob)[0].reshape(-1)
+    return (), (flat, flat * flat)
 
 
 def max_per_sample_variance(spec: ProcessSpec, prob: RegressionProblem,
@@ -670,11 +628,9 @@ def max_per_sample_variance(spec: ProcessSpec, prob: RegressionProblem,
     estimated across trials."""
     if prob.d_x != 1 or prob.d_y != 1:
         raise ValueError("defined for scalar covariates and targets")
-    chunks = chunk_ranges(n_mc, 4 * worker_count())
-    parts = map_chunks(_per_sample_chunk,
-                       [(spec, prob, n, seed, a, b) for a, b in chunks])
-    sum_v = sum(p[0] for p in parts)
-    sum_v2 = sum(p[1] for p in parts)
+    _require_trials(n_mc, 2)
+    _, (sum_v, sum_v2) = map_trials(partial(_noise_moments, prob),
+                                    partial(draw_process, spec, n), n_mc, seed)
     mean = sum_v / n_mc
     var = sum_v2 / n_mc - mean * mean
     return float(var.max())

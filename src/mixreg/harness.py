@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,9 +30,9 @@ from .bounds import (
 )
 from .config import ExperimentConfig
 from .linalg import min_eig, opnorm_psd
-from .mixing import MixingProfile, profile_from_spec
-from .parallel import chunk_ranges, map_chunks, worker_count
-from .processes import derive_seed, simulate
+from .mixing import MixingProfile, mixing_sum, profile_from_spec
+from .parallel import draw_process, map_trials
+from .processes import derive_seed
 from .regression import (
     DegenerateDesignError,
     RegressionProblem,
@@ -73,31 +74,20 @@ def profile_for(config: ExperimentConfig, partition: BlockPartition) -> MixingPr
     return profile_from_spec(config.process, gaps)
 
 
-def _coverage_chunk(args):
-    spec, prob, n, base_seed, start, stop = args
-    risks = np.empty(stop - start)
-    degenerate = 0
-    for idx, trial in enumerate(range(start, stop)):
-        traj = simulate(spec, n, derive_seed(base_seed, trial))
-        try:
-            risks[idx] = excess_risk(fit_ols(traj), prob)
-        except DegenerateDesignError:
-            risks[idx] = np.inf
-            degenerate += 1
-    return risks, degenerate
+def _trial_risk(prob: RegressionProblem, traj):
+    """One trial's excess risk (inf for a degenerate design) and a
+    degenerate count."""
+    try:
+        return excess_risk(fit_ols(traj), prob), (0,)
+    except DegenerateDesignError:
+        return np.inf, (1,)
 
 
-def _map_trials(chunk_fn, config: ExperimentConfig, prob: RegressionProblem, n: int) -> list:
-    """chunk_fn's results over the config's trials at sample size n, in
-    trial order."""
-    base = derive_seed(config.seed, n, TRIAL_STREAM)
-    chunks = chunk_ranges(config.trials, 4 * worker_count())
-    return map_chunks(chunk_fn, [(config.process, prob, n, base, a, b) for a, b in chunks])
-
-
-def _trial_risks(config: ExperimentConfig, prob: RegressionProblem, n: int) -> tuple[np.ndarray, int]:
-    parts = _map_trials(_coverage_chunk, config, prob, n)
-    return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
+def _run_trials(statistic, config: ExperimentConfig, prob: RegressionProblem, n: int):
+    """statistic(prob, traj) over the config's trials at sample size n:
+    values in trial order and summed totals, as from `map_trials`."""
+    return map_trials(partial(statistic, prob), partial(draw_process, config.process, n),
+                      config.trials, derive_seed(config.seed, n, TRIAL_STREAM))
 
 
 def _spectrum_for(config: ExperimentConfig, prob: RegressionProblem,
@@ -145,14 +135,14 @@ def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageReport
         spectrum = _spectrum_for(config, prob, partition, n)
         profile = profile_for(config, partition)
         bound = main_bound(spectrum, n, config.delta, config.constants, profile)
-        risks, degenerate = _trial_risks(config, prob, n)
+        risks, (degenerate,) = _run_trials(_trial_risk, config, prob, n)
         coverage = float(np.mean(risks <= bound.bound_value + COVERAGE_ATOL))
         finite = risks[np.isfinite(risks)]
         quantile = float(np.quantile(finite, 1.0 - config.delta)) if finite.size else math.inf
         reports.append(CoverageReport(
             n=n, bound_value=bound.bound_value, quantile=quantile,
             coverage=coverage, bound_report=bound, trials=config.trials,
-            degenerate_trials=degenerate,
+            degenerate_trials=int(degenerate),
         ))
     if out_path is not None:
         _write_csv(out_path, COVERAGE_HEADER, (
@@ -193,7 +183,7 @@ def rate_slope(config: ExperimentConfig, out_path=None) -> RateSlopeReport:
     prob = population_for(config)
     medians = []
     for n in config.ns:
-        risks, _ = _trial_risks(config, prob, n)
+        risks, _ = _run_trials(_trial_risk, config, prob, n)
         finite = risks[np.isfinite(risks)]
         if not finite.size:
             raise RuntimeError(f"every trial at n={n} has a degenerate design")
@@ -217,15 +207,8 @@ class LowerTailVerification:
     trials: int
 
 
-def _lower_tail_chunk(args):
-    spec, prob, n, base_seed, start, stop = args
-    hits = 0
-    for trial in range(start, stop):
-        traj = simulate(spec, n, derive_seed(base_seed, trial))
-        emp = whitened_empirical_covariance(traj, prob)
-        if min_eig(emp) >= 0.5:
-            hits += 1
-    return hits
+def _lower_tail_hit(prob: RegressionProblem, traj):
+    return (), (min_eig(whitened_empirical_covariance(traj, prob)) >= 0.5,)
 
 
 def verify_lower_tail(config: ExperimentConfig, out_path=None) -> list[LowerTailVerification]:
@@ -240,7 +223,7 @@ def verify_lower_tail(config: ExperimentConfig, out_path=None) -> list[LowerTail
         cert = lower_tail_certificate(n, partition, prob.d_x, spectrum.h,
                                       config.delta, profile,
                                       config.constants.c_lower)
-        hits = sum(_map_trials(_lower_tail_chunk, config, prob, n))
+        _, (hits,) = _run_trials(_lower_tail_hit, config, prob, n)
         out.append(LowerTailVerification(
             n=n, frequency=hits / config.trials, certificate=cert,
             h=spectrum.h, trials=config.trials,
@@ -266,14 +249,8 @@ class NoiseWalkReport:
     trials: int
 
 
-def _walk_norm_chunk(args):
-    spec, prob, n, base_seed, start, stop = args
-    norms = np.empty(stop - start)
-    for idx, trial in enumerate(range(start, stop)):
-        traj = simulate(spec, n, derive_seed(base_seed, trial))
-        _, s_n = noise_walk(traj, prob)
-        norms[idx] = np.linalg.norm(s_n)
-    return norms
+def _walk_norm(prob: RegressionProblem, traj):
+    return np.linalg.norm(noise_walk(traj, prob)[1]), ()
 
 
 def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalkReport]:
@@ -292,14 +269,14 @@ def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalk
                                          size_o, size_e, r_est.r,
                                          config.eps, config.eta, config.delta)
         profile = profile_for(config, partition)
-        interior = sum(profile.beta(g) for g in partition.lengths[1:-1])
+        interior = mixing_sum(profile, partition)
         moments = spectrum.block_snorm_moments
         budget = noise_term_failure_budget(
             moments[0::2], moments[1::2],
             r_est.lambda_odd, r_est.lambda_even, size_o, size_e,
             max(r_est.r, 1e-12), config.eps, config.eta, config.moment_s,
             config.delta, interior)
-        norms = np.concatenate(_map_trials(_walk_norm_chunk, config, prob, n))
+        norms, _ = _run_trials(_walk_norm, config, prob, n)
         out.append(NoiseWalkReport(
             n=n, threshold=threshold, exceedance=float(np.mean(norms > threshold)),
             budget=budget, r_estimate=r_est, trials=config.trials,
@@ -323,7 +300,11 @@ class CltReport:
 
 
 def stabilization_length(block_lens, sigma2) -> int | None:
-    ratios = [b / a for a, b in zip(sigma2[:-1], sigma2[1:])]
+    """First sweep length from which every ratio of consecutive levels lies
+    in [0.8, 1.25].  Zero after zero counts as ratio 1 (a noiseless sweep is
+    stable); non-zero after zero counts as unstable."""
+    ratios = [b / a if a else (1.0 if b == 0 else math.inf)
+              for a, b in zip(sigma2[:-1], sigma2[1:])]
     for idx in range(len(block_lens) - 1):
         if all(0.8 <= r <= 1.25 for r in ratios[idx:]):
             return int(block_lens[idx])

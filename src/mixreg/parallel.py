@@ -1,16 +1,30 @@
-"""Deterministic chunked parallelism for Monte Carlo loops.
+"""The trial engine: every Monte Carlo estimate in mixreg is an average over
+independent seeded trials, and `map_trials` is the one loop that runs them.
+
+A caller supplies a draw (a trajectory from a seed, see `draw_process` and
+`draw_decoupled`) and a statistic (one trajectory in, `(values, totals)` out).
+The engine derives trial t's seed as `derive_seed(seed, *keys, t)`, splits the
+trials into chunks, maps the chunks, stacks the values in trial order and sums
+the totals in chunk order.
 
 MIXREG_THREADS caps the worker count (a positive integer, default 1 =
-serial).  Work is split into chunks processed in a fixed order, and partial
+serial).  Chunks are fixed by the trial count and worker count, and partial
 results are merged in chunk order, so results do not depend on scheduling;
 switching the worker count can change results only through floating-point
-summation order (within ~1e-10 relative).
+summation order (within ~1e-10 relative).  Draws and statistics reach the
+pool by pickling, so they must be module-level functions or `partial`s of
+them.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+
+from .blocking import decoupled_resample
+from .processes import derive_seed, simulate
 
 
 def worker_count() -> int:
@@ -34,3 +48,52 @@ def map_chunks(fn, chunk_args: list, workers: int | None = None) -> list:
         return [fn(arg) for arg in chunk_args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunk_args))
+
+
+# The two draws are module-level functions rather than partials of `simulate`
+# and `decoupled_resample`, so they pickle by reference and look those names
+# up when called.  Bind the leading arguments with `partial`.
+
+def draw_process(spec, n: int, seed: int):
+    """A length-n trajectory of the process."""
+    return simulate(spec, n, seed)
+
+
+def draw_decoupled(spec, partition, seed: int):
+    """A trajectory of the blockwise-decoupled process over the partition."""
+    return decoupled_resample(spec, partition, seed)
+
+
+def _trial_chunk(args):
+    statistic, draw, seed, keys, start, stop = args
+    values, totals = [], None
+    for trial in range(start, stop):
+        # traj stays alive until the next draw replaces it, which keeps the
+        # allocator from returning the trajectory's pages after every trial.
+        traj = draw(derive_seed(seed, *keys, trial))
+        vals, tots = statistic(traj)
+        values.append(vals)
+        if totals is None:
+            # first + 0.0, like a zero-started sum: -0.0 totals come out 0.0.
+            totals = [np.add(t, 0.0, out=np.empty(np.shape(t))) for t in tots]
+        else:
+            for acc, t in zip(totals, tots):
+                acc += t
+    return np.array(values, dtype=float), totals
+
+
+def map_trials(statistic, draw, trials: int, seed: int, *keys: int) -> tuple[np.ndarray, tuple]:
+    """Run `statistic(draw(derive_seed(seed, *keys, t)))` for t < trials.
+
+    The statistic returns `(values, totals)`: values is a float or array per
+    trial (use `()` for none) and totals is a tuple of floats or arrays.
+    Returns the values stacked in trial order, shape (trials, ...), and the
+    tuple of totals summed over all trials.
+    """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
+    chunks = chunk_ranges(trials, 4 * worker_count())
+    parts = map_chunks(_trial_chunk, [(statistic, draw, seed, keys, a, b) for a, b in chunks])
+    values = np.concatenate([p[0] for p in parts])
+    totals = tuple(sum(column) for column in zip(*(p[1] for p in parts)))
+    return values, totals

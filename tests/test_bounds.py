@@ -252,6 +252,12 @@ class TestCltVariance:
         assert v[16] == pytest.approx(16.0, rel=0.15)
         assert v[64] == pytest.approx(16.0, rel=0.2)
 
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_needs_two_trials(self, n_mc):
+        spec = IIDGaussian(covariate_dim=1)
+        with pytest.raises(ValueError, match="n_mc"):
+            clt_variance(spec, population_optimum(spec), [1, 2], n_mc, 7)
+
 
 class TestEstimateR:
     def test_iid_isotropic(self):
@@ -416,6 +422,12 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncation_mass_check(spec, prob, (5, 5), [1.0], 2.0, 100, 1)
 
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_needs_two_trials(self, n_mc):
+        spec = IIDGaussian(covariate_dim=1)
+        with pytest.raises(ValueError, match="n_mc"):
+            truncation_mass_check(spec, population_optimum(spec), (0, 4), [1.0], 2.0, n_mc, 1)
+
 
 class TestCsComparison:
     def test_iid_gap_factor(self):
@@ -438,6 +450,12 @@ class TestCsComparison:
         per_sample = max_per_sample_variance(spec, prob, 64, 2000, 9)
         sigma2, inflated = cs_comparison(spectrum, per_sample)
         assert sigma2 == pytest.approx(inflated, rel=0.2)
+
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_per_sample_variance_needs_two_trials(self, n_mc):
+        spec = IIDGaussian(covariate_dim=1)
+        with pytest.raises(ValueError, match="n_mc"):
+            max_per_sample_variance(spec, population_optimum(spec), 8, n_mc, 9)
 
     def test_unit_blocks_equal_sides(self):
         spec = IIDGaussian(covariate_dim=1)

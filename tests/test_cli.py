@@ -124,6 +124,16 @@ def test_corollary_bound_on_noiseless_iid_exits_0(tmp_path, capsys):
     assert "bound_value 0\n" in capsys.readouterr().out
 
 
+def test_clt_on_noiseless_iid_exits_0(tmp_path, capsys):
+    cfg = tmp_path / "noiseless.cfg"
+    cfg.write_text(
+        "[process]\nkind = iid_gaussian\ncovariate_dim = 2\nnoise_std = 0\n"
+        f"[experiment]\nn_mc = 1000\nblock_lens = 1, 2, 4\nout = {tmp_path}\n")
+    assert cli_main(["clt", "--config", str(cfg)]) == 0
+    assert (tmp_path / "clt.csv").read_text() == "block_len,sigma2\n1,0\n2,0\n4,0\n"
+    assert "stable_from=1\n" in capsys.readouterr().out
+
+
 def test_all_degenerate_slope_exits_2(tmp_path, capsys):
     cfg = tmp_path / "wide.cfg"
     cfg.write_text(

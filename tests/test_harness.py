@@ -332,6 +332,18 @@ class TestClt:
         assert stabilization_length((1, 2, 4, 8), (1.0, 2.0, 4.0, 4.1)) == 4
         assert stabilization_length((1, 2), (1.0, 2.0)) is None
 
+    def test_stabilization_of_zero_levels(self):
+        assert stabilization_length((1, 2, 4), (0.0, 0.0, 0.0)) == 1
+        assert stabilization_length((1, 2, 4), (0.0, 1.0, 1.0)) == 2
+        assert stabilization_length((1, 2, 4), (1.0, 0.0, 1.0)) is None
+
+    def test_noiseless_sweep_is_stable_from_the_start(self, tmp_path):
+        config = iid_config(tmp_path, process=IIDGaussian(covariate_dim=2, noise_std=0.0),
+                            block_lens=(2, 4, 8))
+        report = clt_consistency(config)
+        assert report.sigma2 == (0.0, 0.0, 0.0)
+        assert report.stable_from == 2
+
     def test_iid_stabilizes_immediately(self, tmp_path):
         config = iid_config(tmp_path, process=IIDGaussian(covariate_dim=1),
                             fit_window=1, n_mc=3000, block_lens=(1, 2, 4, 8))
