@@ -64,12 +64,6 @@ class BlockPartition:
     def even_union(self) -> np.ndarray:
         return np.concatenate([np.arange(a, b) for i, (a, b) in enumerate(self.blocks) if i % 2 == 1])
 
-    def odd_block_indices(self) -> list[int]:
-        return [i for i in range(self.n_blocks) if i % 2 == 0]
-
-    def even_block_indices(self) -> list[int]:
-        return [i for i in range(self.n_blocks) if i % 2 == 1]
-
 
 def make_partition(n: int, m: int) -> BlockPartition:
     """Near-uniform partition of n samples into 2m consecutive blocks: the

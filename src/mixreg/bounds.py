@@ -593,7 +593,10 @@ def truncation_mass_check(spec: ProcessSpec, prob: RegressionProblem,
         raise ValueError("invalid block range")
     _require_trials(n_mc, 2)
     v = np.asarray(direction, dtype=float)
-    v = v / math.sqrt(v @ prob.sigma_x @ v)
+    mass = float(v @ prob.sigma_x @ v)
+    if not mass > 0:
+        raise ValueError(f"direction must have v' Sigma_X v > 0, got {mass}")
+    v = v / math.sqrt(mass)
     samples, (sum_p4,) = map_trials(partial(_truncated_mass, start, stop, v, tau),
                                     partial(draw_process, spec, stop), n_mc, seed)
     raw, kept = samples[:, 0], samples[:, 1]

@@ -3,7 +3,9 @@
 
 The format is INI (configparser) so configs stay diffable and
 language-neutral.  Matrices are written as semicolon-separated rows of
-comma-separated numbers.
+comma-separated numbers.  Every key is a dataclass field: the process
+spec's, UniversalConstants' or ExperimentConfig's, read and written by one
+codec, so a section or key that no field declares is an error.
 """
 
 from __future__ import annotations
@@ -35,15 +37,44 @@ def _format_vector(v) -> str:
     return ", ".join(f"{x:.17g}" for x in v)
 
 
-# Spec field annotation -> (parse, format) of its [process] value.
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.replace(";", ",").split(",") if v.strip())
+
+
+def _format_ints(v) -> str:
+    return ", ".join(str(x) for x in v)
+
+
+# Field annotation -> (parse, format) of its config value.
 _FIELD_CODECS = {
     "int": (int, str),
+    "int | None": (int, str),
     "float": (float, lambda v: f"{v:.17g}"),
+    "str": (str, str),
+    "tuple[int, ...]": (_parse_ints, _format_ints),
+    "tuple[int, ...] | None": (_parse_ints, _format_ints),
     "tuple[float, ...]": (lambda raw: tuple(_parse_vector(raw)), _format_vector),
     "np.ndarray": (_parse_matrix, _format_matrix),
     "np.ndarray | None": (lambda raw: _parse_matrix(raw) if raw.strip() else None,
                           _format_matrix),
 }
+
+
+def _check_keys(name: str, section, known) -> None:
+    """Reject a section nothing declares (known is None) or a key in it
+    that no field declares."""
+    unknown = sorted(set(section) - set(known or ()))
+    if known is None or unknown:
+        raise ValueError(f"unknown config section or key: [{name}] {unknown}")
+
+
+def _values(cls, sec) -> dict:
+    """Parsed values of the fields of `cls` that the section sets."""
+    return {f.name: _FIELD_CODECS[f.type][0](sec[f.name]) for f in fields(cls) if f.name in sec}
+
+
+def _items(obj) -> dict[str, str]:
+    return {f.name: _FIELD_CODECS[f.type][1](getattr(obj, f.name)) for f in fields(obj)}
 
 
 def spec_from_section(sec) -> ProcessSpec:
@@ -52,35 +83,31 @@ def spec_from_section(sec) -> ProcessSpec:
     kind = sec.get("kind", "").strip().lower()
     if kind not in SPEC_KINDS:
         raise ValueError(f"unknown process kind {kind!r}")
-    values = {}
-    for f in fields(SPEC_KINDS[kind]):
-        if f.name not in sec:
-            continue
-        raw = sec[f.name]
-        if f.name == "warmup" and raw.strip().lower() == "auto":
-            values[f.name] = default_warmup(values["ar_coeffs"])
-        else:
-            values[f.name] = _FIELD_CODECS[f.type][0](raw)
-    return SPEC_KINDS[kind](**values)
+    cls = SPEC_KINDS[kind]
+    _check_keys("process", sec, ["kind", *(f.name for f in fields(cls))])
+    raw = dict(sec)
+    if raw.get("warmup", "").strip().lower() != "auto":
+        return cls(**_values(cls, raw))
+    del raw["warmup"]
+    values = _values(cls, raw)
+    return cls(**values, warmup=default_warmup(values["ar_coeffs"]))
 
 
 def spec_to_items(spec: ProcessSpec) -> dict[str, str]:
-    items = {"kind": spec.kind}
-    for f in fields(spec):
-        items[f.name] = _FIELD_CODECS[f.type][1](getattr(spec, f.name))
-    return items
+    return {"kind": spec.kind, **_items(spec)}
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Everything a harness run needs; parsed from one config file."""
+    """Everything a harness run needs; parsed from one config file.  These
+    defaults are the config file's defaults."""
 
     process: ProcessSpec
     fit_window: int
-    ns: tuple[int, ...]
-    delta: float
-    trials: int
-    seed: int
+    ns: tuple[int, ...] = (1000,)
+    delta: float = 0.1
+    trials: int = 100
+    seed: int = 0
     constants: UniversalConstants = UniversalConstants()
     outputs: str = "."
     n_mc: int = 1000
@@ -100,6 +127,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.ns:
             raise ValueError("at least one sample size is required")
+        if self.bound_form not in ("main", "corollary"):
+            raise ValueError(f"bound form must be main or corollary, got {self.bound_form!r}")
         if self.tau is None and self.m is None and self.lengths is None:
             object.__setattr__(self, "tau", 1)
 
@@ -116,83 +145,52 @@ class ExperimentConfig:
         return uniform_partition(n, self.tau)
 
 
+# [section] key of each ExperimentConfig field that is not the [experiment]
+# key of its own name; `process` and `constants` are sections of their own.
+_RENAMED = {"fit_window": ("fit", "window"), "tau": ("partition", "tau"),
+            "m": ("partition", "m"), "lengths": ("partition", "lengths"),
+            "bound_form": ("partition", "form"), "moment_s": ("experiment", "s"),
+            "outputs": ("experiment", "out")}
+
+
+def _places() -> list:
+    """(field, section, key) of every ExperimentConfig field stored as a key."""
+    return [(f, *_RENAMED.get(f.name, ("experiment", f.name)))
+            for f in fields(ExperimentConfig) if f.name not in ("process", "constants")]
+
+
 def load_config(path) -> ExperimentConfig:
+    """Read a config file.  A key it omits keeps its field's default, except
+    that the fit window defaults to the process's covariate dimension."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
     if "process" not in parser:
         raise ValueError("config needs a [process] section")
-    spec = spec_from_section(parser["process"])
-
-    fit = parser["fit"] if "fit" in parser else {}
-    window = int(fit.get("window", spec.covariate_dim))
-    spec = spec.with_window(window)
-
-    part = parser["partition"] if "partition" in parser else {}
-    tau = int(part["tau"]) if "tau" in part else None
-    m = int(part["m"]) if "m" in part else None
-    lengths = tuple(int(v) for v in _parse_vector(part["lengths"])) if "lengths" in part else None
-
-    exp = parser["experiment"] if "experiment" in parser else {}
-    ns = tuple(int(v) for v in _parse_vector(exp.get("ns", exp.get("n", "1000"))))
-
-    con = parser["constants"] if "constants" in parser else {}
-    constants = UniversalConstants(**{f.name: float(con[f.name])
-                                      for f in fields(UniversalConstants) if f.name in con})
-
-    block_lens_raw = exp.get("block_lens", "")
-    block_lens = tuple(int(v) for v in _parse_vector(block_lens_raw)) if block_lens_raw \
-        else ExperimentConfig.__dataclass_fields__["block_lens"].default
-
-    return ExperimentConfig(
-        process=spec,
-        fit_window=window,
-        ns=ns,
-        delta=float(exp.get("delta", 0.1)),
-        trials=int(exp.get("trials", 100)),
-        seed=int(exp.get("seed", 0)),
-        constants=constants,
-        outputs=exp.get("out", "."),
-        n_mc=int(exp.get("n_mc", 1000)),
-        moment_s=float(exp.get("s", 4.0)),
-        tau=tau,
-        m=m,
-        lengths=lengths,
-        block_lens=block_lens,
-        eps=float(exp.get("eps", 0.1)),
-        eta=float(exp.get("eta", 0.1)),
-        bound_form=part.get("form", "main") if part else "main",
-    )
+    spec = spec_from_section(parser["process"])  # checks the [process] keys
+    known = {"process": parser["process"], "constants": [f.name for f in fields(UniversalConstants)]}
+    values = {}
+    for f, name, key in _places():
+        known.setdefault(name, []).append(key)
+        if parser.has_option(name, key):
+            values[f.name] = _FIELD_CODECS[f.type][0](parser[name][key])
+    for name in parser.sections():
+        _check_keys(name, parser[name], known.get(name))
+    constants = _values(UniversalConstants, parser["constants"] if "constants" in parser else {})
+    window = values.pop("fit_window", spec.covariate_dim)
+    return ExperimentConfig(process=spec.with_window(window), fit_window=window,
+                            constants=UniversalConstants(**constants), **values)
 
 
 def save_config(config: ExperimentConfig, path) -> None:
+    """Write every field; a partition rule left as None is left out."""
+    items = {"process": spec_to_items(config.process)}
+    for f, name, key in _places():
+        value = getattr(config, f.name)
+        if value is not None:
+            items.setdefault(name, {})[key] = _FIELD_CODECS[f.type][1](value)
+    items["constants"] = _items(config.constants)
     parser = configparser.ConfigParser()
-    parser["process"] = spec_to_items(config.process)
-    parser["fit"] = {"window": str(config.fit_window)}
-    part: dict[str, str] = {}
-    if config.lengths is not None:
-        part["lengths"] = ", ".join(str(v) for v in config.lengths)
-    elif config.m is not None:
-        part["m"] = str(config.m)
-    elif config.tau is not None:
-        part["tau"] = str(config.tau)
-    if config.bound_form != "main":
-        part["form"] = config.bound_form
-    parser["partition"] = part
-    parser["experiment"] = {
-        "ns": ", ".join(str(v) for v in config.ns),
-        "delta": f"{config.delta:.17g}",
-        "trials": str(config.trials),
-        "seed": str(config.seed),
-        "n_mc": str(config.n_mc),
-        "s": f"{config.moment_s:.17g}",
-        "block_lens": ", ".join(str(v) for v in config.block_lens),
-        "eps": f"{config.eps:.17g}",
-        "eta": f"{config.eta:.17g}",
-        "out": config.outputs,
-    }
-    c = config.constants
-    parser["constants"] = {f.name: f"{getattr(c, f.name):.17g}" for f in fields(c)}
+    parser.read_dict(items)
     with open(path, "w") as fh:
         parser.write(fh)

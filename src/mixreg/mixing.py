@@ -160,19 +160,10 @@ def beta_ar_kl_bound(spec: GaussianAR, t: int | None, k: int) -> float:
     return float(min(1.0, np.sqrt(kl / 2.0)))
 
 
-def gaussian_ar_profile(spec: GaussianAR, gaps, t: int | None = None,
-                        horizon: int | None = None) -> MixingProfile:
-    """Profile of KL-route bounds.  With a horizon, each gap takes the worst
-    conditioning time on the zero-initialized trajectory (maximized
-    directly); otherwise the stationary limit, which dominates every t."""
-    coeffs = {}
-    for g in gaps:
-        g = int(g)
-        if horizon is None:
-            coeffs[g] = beta_ar_kl_bound(spec, t, g)
-        else:
-            ts = range(0, max(horizon - g, 0) + 1)
-            coeffs[g] = max(beta_ar_kl_bound(spec, tt, g) for tt in ts)
+def gaussian_ar_profile(spec: GaussianAR, gaps) -> MixingProfile:
+    """Profile of KL-route bounds in the stationary limit, which dominates
+    every conditioning time t of the zero-initialized process."""
+    coeffs = {g: beta_ar_kl_bound(spec, None, g) for g in map(int, gaps)}
     return MixingProfile(coeffs, method=GAUSSIAN_KL_BOUND)
 
 

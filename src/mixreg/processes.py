@@ -12,14 +12,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_discrete_lyapunov, toeplitz
 from scipy.signal import lfilter
 
 from .linalg import EIG_FLOOR, min_eig, symmetrize
 
 ROW_SUM_TOL = 1e-12
-LYAPUNOV_TOL = 1e-12
-LYAPUNOV_MAX_ITER = 10**6
 
 
 def derive_seed(seed: int, *keys: int) -> int:
@@ -471,18 +469,11 @@ def simulate(spec: ProcessSpec, n: int, seed: int) -> Trajectory:
 # Stationary second moments
 # ---------------------------------------------------------------------------
 
-def solve_lyapunov(a: np.ndarray, q: np.ndarray,
-                   tol: float = LYAPUNOV_TOL, max_iter: int = LYAPUNOV_MAX_ITER) -> np.ndarray:
-    """Fixed point of S = A S A' + Q by iteration; matrices here are small."""
+def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The exact solution S of S = A S A' + Q for a Schur-stable A."""
     if np.abs(np.linalg.eigvals(a)).max() >= 1.0:
-        raise ValueError("Lyapunov iteration requires a Schur-stable matrix")
-    s = q.copy()
-    for _ in range(max_iter):
-        s_next = a @ s @ a.T + q
-        if np.abs(s_next - s).max() < tol:
-            return 0.5 * (s_next + s_next.T)
-        s = s_next
-    raise RuntimeError("Lyapunov iteration did not converge")
+        raise ValueError("the Lyapunov equation needs a Schur-stable matrix")
+    return symmetrize(solve_discrete_lyapunov(a, q))
 
 
 def stationary_state_covariance(spec: GaussianAR) -> np.ndarray:

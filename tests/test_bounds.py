@@ -428,6 +428,12 @@ class TestTruncation:
         with pytest.raises(ValueError, match="n_mc"):
             truncation_mass_check(spec, population_optimum(spec), (0, 4), [1.0], 2.0, n_mc, 1)
 
+    def test_zero_direction_raises(self):
+        spec = IIDGaussian(covariate_dim=2)
+        with pytest.raises(ValueError, match="direction"):
+            truncation_mass_check(spec, population_optimum(spec), (0, 10), [0.0, 0.0],
+                                  3.0, 50, 1)
+
 
 class TestCsComparison:
     def test_iid_gap_factor(self):

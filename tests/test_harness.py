@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import os
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,31 @@ def any_spec(draw):
                        coef=draw(matrices(d_y, d_x)))
 
 
+@st.composite
+def any_config(draw):
+    """A random valid config: any spec, one partition rule, and every
+    experiment field and constant drawn."""
+    spec = draw(any_spec())
+    sizes = st.lists(st.integers(1, 10**6), min_size=1, max_size=4).map(tuple)
+    rule = draw(st.sampled_from(["tau", "m", "lengths"]))
+    return ExperimentConfig(
+        process=spec, fit_window=spec.covariate_dim, ns=draw(sizes),
+        delta=draw(st.floats(0.001, 0.999)), trials=draw(st.integers(1, 10**5)),
+        seed=draw(st.integers(0, 2**63)), n_mc=draw(st.integers(2, 10**5)),
+        moment_s=draw(st.floats(2.0, 8.0)),
+        block_lens=tuple(draw(st.lists(st.integers(1, 512), max_size=8))),
+        eps=draw(positive), eta=draw(st.floats(0.01, 1.0)),
+        bound_form=draw(st.sampled_from(["main", "corollary"])),
+        constants=UniversalConstants(**{f.name: draw(positive)
+                                        for f in dataclasses.fields(UniversalConstants)}),
+        **{rule: draw(sizes if rule == "lengths" else st.integers(1, 100))})
+
+
+VALID_SECTIONS = {"process": {"kind": "iid_gaussian", "covariate_dim": "2"},
+                  "fit": {"window": "2"}, "partition": {"tau": "1"},
+                  "experiment": {"ns": "300"}, "constants": {"c1": "2"}}
+
+
 class TestConfig:
     def test_roundtrip_gaussian_ar(self, tmp_path):
         config = ExperimentConfig(
@@ -133,10 +160,8 @@ class TestConfig:
             iid_config(tmp_path, ns=())
 
     @settings(max_examples=40, deadline=None)
-    @given(spec=any_spec())
-    def test_roundtrip_every_kind(self, spec):
-        config = ExperimentConfig(process=spec, fit_window=spec.covariate_dim,
-                                  ns=(100,), delta=0.1, trials=100, seed=3)
+    @given(config=any_config())
+    def test_roundtrip_every_kind(self, config):
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "a.cfg"), os.path.join(tmp, "b.cfg")
             save_config(config, first)
@@ -144,11 +169,50 @@ class TestConfig:
             save_config(loaded, second)
             with open(first) as fa, open(second) as fb:
                 assert fa.read() == fb.read()
+        spec = config.process
         assert type(loaded.process) is type(spec)
         for f in dataclasses.fields(spec):
             np.testing.assert_array_equal(getattr(loaded.process, f.name),
                                           getattr(spec, f.name))
-        assert loaded.fit_window == spec.covariate_dim
+        for f in dataclasses.fields(config)[1:]:
+            assert getattr(loaded, f.name) == getattr(config, f.name), f.name
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.cfg"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        config = load_config(path)
+        assert config.process.ar_coeffs == (0.5, 0.2)
+        assert (config.fit_window, config.tau, config.bound_form) == (1, 50, "main")
+        assert config.ns == (1000, 3000, 10000)
+
+    def test_defaults_come_from_the_dataclass(self, tmp_path):
+        path = tmp_path / "min.cfg"
+        path.write_text("[process]\nkind = iid_gaussian\ncovariate_dim = 3\n")
+        loaded, default = load_config(path), ExperimentConfig(IIDGaussian(3), fit_window=3)
+        for f in dataclasses.fields(default)[1:]:
+            assert getattr(loaded, f.name) == getattr(default, f.name), f.name
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("process", "noise_sdt", "5.0", "noise_sdt"),
+        ("fit", "windw", "2", "windw"),
+        ("partition", "taus", "3", "taus"),
+        ("experiment", "n", "300", "'n'"),
+        ("constants", "c7", "1", "c7"),
+        ("experimnet", "trials", "10", "experimnet"),
+        ("partition", "form", "corolary", "corolary"),
+        ("experiment", "ns", "1000.5", "1000.5"),
+        ("experiment", "block_lens", "1, 2.5", "2.5"),
+    ])
+    def test_malformed_config_is_argument_error(self, tmp_path, section, key, value, named):
+        sections = {name: dict(items) for name, items in VALID_SECTIONS.items()}
+        sections.setdefault(section, {})[key] = value
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                                for name, items in sections.items()))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_config(path)
+        assert cli_main(["bound", "--config", str(path)]) == 1
 
     def test_auto_warmup_saves_its_value(self, tmp_path):
         path = tmp_path / "ar.cfg"

@@ -278,7 +278,7 @@ class TestStationaryCovariance:
         assert np.abs(resid).max() <= 1e-10
 
     def test_lyapunov_rejects_unstable(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Schur-stable"):
             solve_lyapunov(np.array([[1.01]]), np.eye(1))
 
     def test_autocovariance_extension(self):

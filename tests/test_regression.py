@@ -108,6 +108,12 @@ class TestPopulationOptimum:
         diff = abs(mc.m_star[0, 0] - analytic.m_star[0, 0])
         assert diff <= 3 * mc.stderr[0, 0]
 
+    def test_near_unit_root_is_exact(self):
+        rho = 0.99999
+        prob = population_optimum(GaussianAR((rho,)))
+        assert prob.sigma_x[0, 0] == pytest.approx(1.0 / (1.0 - rho * rho), rel=1e-9)
+        assert prob.m_star[0, 0] == pytest.approx(rho, rel=1e-9)
+
     def test_markov_analytic(self):
         prob = population_optimum(two_state_flip(0.3))
         # Emissions are equal signs, so the best map is the identity.
