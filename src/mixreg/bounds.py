@@ -422,11 +422,12 @@ class BoundReport:
             cols += [f"{c.name}_value", f"{c.name}_threshold", f"{c.name}_holds"]
         return ",".join(cols)
 
-    def csv_row(self) -> str:
-        cols = [f"{self.bound_value:.17g}", f"{self.mixing_sum:.17g}"]
+    def csv_row(self) -> tuple:
+        """The cells under `csv_header`, for `write_csv` to format."""
+        cols = [self.bound_value, self.mixing_sum]
         for c in self.checks:
-            cols += [f"{c.value:.17g}", f"{c.threshold:.17g}", str(int(c.holds))]
-        return ",".join(cols)
+            cols += [c.value, c.threshold, c.holds]
+        return tuple(cols)
 
 
 def _shared_burnins(ratio_n: float, d_x: int, h: float, s: float, block_moment: float,

@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Subcommands: simulate, mixing, bound, coverage, lower-tail, noise-walk, clt,
-slope.  Exit codes: 0 on success, 1 on argument/config errors, 2 on
-runtime or numerical errors.  MIXREG_THREADS caps trial parallelism.
+Subcommands: simulate, mixing, and the harness experiments bound, coverage,
+lower-tail, noise-walk, clt and slope, which one handler runs from the
+`EXPERIMENTS` table.  Each writes one CSV through `csvfile.write_csv` and
+prints its summary lines, then `wrote <path>`.  Exit codes: 0 on success,
+1 on argument/config errors, 2 on runtime or numerical errors.
+MIXREG_THREADS caps trial parallelism.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -35,23 +39,22 @@ def _load(args) -> ExperimentConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def _outpath(config: ExperimentConfig, name: str) -> str:
-    os.makedirs(config.outputs, exist_ok=True)
-    return os.path.join(config.outputs, name)
+def _outpath(out_dir: str, name: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _cmd_simulate(args) -> int:
     config = _load(args)
     n = args.n if args.n is not None else config.ns[0]
     traj = simulate(config.process, n, config.seed)
-    path = _outpath(config, "trajectory.csv")
+    path = _outpath(config.outputs, "trajectory.csv")
     traj.to_csv(path)
     print(f"wrote {path} ({n} samples)")
     return 0
 
 
 def _cmd_mixing(args) -> int:
-    max_gap = args.max_gap
     if args.markov is not None:
         key, _, val = args.markov.partition("=")
         if key.strip() != "q":
@@ -60,90 +63,56 @@ def _cmd_mixing(args) -> int:
     else:
         config = _load(args)
         spec, out_dir = config.process, config.outputs
-    profile = profile_from_spec(spec, range(1, max_gap + 1))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "mixing.csv")
+    profile = profile_from_spec(spec, range(1, args.max_gap + 1))
+    path = _outpath(out_dir, "mixing.csv")
     profile.to_csv(path)
-    if args.format == "text":
-        for gap in sorted(profile.coefficients):
-            print(f"beta({gap}) = {profile.coefficients[gap]:.10g}")
+    for gap in sorted(profile.coefficients):
+        print(f"beta({gap}) = {profile.coefficients[gap]:.10g}")
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_bound(args) -> int:
+# Subcommand -> (harness entry point, CSV name, summary lines of its result,
+# help).  The entry is looked up on `harness` when the command runs, so a
+# rebound harness function (a tracer's, a test's) is the one used.
+EXPERIMENTS = {
+    "bound": ("evaluate_bound", "bound.csv", lambda report: [report.to_text()],
+              "evaluate the excess-risk bound for a config"),
+    "coverage": ("run_coverage", "coverage.csv", lambda reports: (
+        f"n={r.n} bound={r.bound_value:.6g} quantile={r.quantile:.6g} "
+        f"coverage={r.coverage:.4f} burnins={'PASS' if r.burnins_pass else 'FAIL'}"
+        for r in reports), "Monte Carlo coverage of the bound"),
+    "lower-tail": ("verify_lower_tail", "lowertail.csv", lambda reports: (
+        f"n={r.n} frequency={r.frequency:.4f} certified={r.certificate.certified}"
+        for r in reports), "verify the lower uniform law"),
+    "noise-walk": ("verify_noise_walk", "noisewalk.csv", lambda reports: (
+        f"n={r.n} threshold={r.threshold:.6g} exceedance={r.exceedance:.4f} "
+        f"budget={r.budget:.6g}" for r in reports), "verify the noise-walk threshold"),
+    "clt": ("clt_consistency", "clt.csv", lambda report: [
+        *(f"block_len={l} sigma2={v:.6g}" for l, v in zip(report.block_lens, report.sigma2)),
+        f"stable_from={report.stable_from}"], "block noise level across block lengths"),
+    "slope": ("rate_slope", "slope.csv", lambda report: [
+        *(f"n={n} median={med:.6g}" for n, med in zip(report.ns, report.medians)),
+        f"slope={report.slope:.6g}"], "log-log excess-risk rate slope"),
+}
+
+
+def _cmd_experiment(name: str, args) -> int:
+    entry, csv_name, summary, _ = EXPERIMENTS[name]
     config = _load(args)
-    report = harness.evaluate_bound(config)
-    if args.format == "csv":
-        print(report.csv_header())
-        print(report.csv_row())
-    else:
-        print(report.to_text())
-    path = _outpath(config, "bound.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(report.csv_header() + "\n" + report.csv_row() + "\n")
+    path = _outpath(config.outputs, csv_name)
+    for line in summary(getattr(harness, entry)(config, out_path=path)):
+        print(line)
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_coverage(args) -> int:
-    config = _load(args)
-    path = _outpath(config, "coverage.csv")
-    reports = harness.run_coverage(config, out_path=path)
-    if args.format == "text":
-        for r in reports:
-            print(f"n={r.n} bound={r.bound_value:.6g} quantile={r.quantile:.6g} "
-                  f"coverage={r.coverage:.4f} burnins={'PASS' if r.burnins_pass else 'FAIL'}")
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_lower_tail(args) -> int:
-    config = _load(args)
-    path = _outpath(config, "lowertail.csv")
-    reports = harness.verify_lower_tail(config, out_path=path)
-    if args.format == "text":
-        for r in reports:
-            print(f"n={r.n} frequency={r.frequency:.4f} "
-                  f"certified={r.certificate.certified}")
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_noise_walk(args) -> int:
-    config = _load(args)
-    path = _outpath(config, "noisewalk.csv")
-    reports = harness.verify_noise_walk(config, out_path=path)
-    if args.format == "text":
-        for r in reports:
-            print(f"n={r.n} threshold={r.threshold:.6g} exceedance={r.exceedance:.4f} "
-                  f"budget={r.budget:.6g}")
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_clt(args) -> int:
-    config = _load(args)
-    path = _outpath(config, "clt.csv")
-    report = harness.clt_consistency(config, out_path=path)
-    if args.format == "text":
-        for l, v in zip(report.block_lens, report.sigma2):
-            print(f"block_len={l} sigma2={v:.6g}")
-    print(f"stable_from={report.stable_from}")
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_slope(args) -> int:
-    config = _load(args)
-    path = _outpath(config, "slope.csv")
-    report = harness.rate_slope(config, out_path=path)
-    if args.format == "text":
-        for n, med in zip(report.ns, report.medians):
-            print(f"n={n} median={med:.6g}")
-    print(f"slope={report.slope:.6g}")
-    print(f"wrote {path}")
-    return 0
+COMMANDS = {
+    "simulate": (_cmd_simulate, "simulate a trajectory and write it as CSV"),
+    "mixing": (_cmd_mixing, "write a mixing-coefficient profile as CSV"),
+    **{name: (partial(_cmd_experiment, name), help_text)
+       for name, (*_, help_text) in EXPERIMENTS.items()},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,23 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "Monte Carlo verification experiments.",
     )
     sub = parser.add_subparsers(dest="command")
-    commands = {
-        "simulate": (_cmd_simulate, "simulate a trajectory and write it as CSV"),
-        "mixing": (_cmd_mixing, "write a mixing-coefficient profile as CSV"),
-        "bound": (_cmd_bound, "evaluate the excess-risk bound for a config"),
-        "coverage": (_cmd_coverage, "Monte Carlo coverage of the bound"),
-        "lower-tail": (_cmd_lower_tail, "verify the lower uniform law"),
-        "noise-walk": (_cmd_noise_walk, "verify the noise-walk threshold"),
-        "clt": (_cmd_clt, "block noise level across block lengths"),
-        "slope": (_cmd_slope, "log-log excess-risk rate slope"),
-    }
-    for name, (fn, help_text) in commands.items():
+    for name, (fn, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="experiment config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--format", choices=("csv", "text"), default="text")
         if name == "simulate":
             p.add_argument("--n", type=int, help="trajectory length (default: first config n)")
         if name == "mixing":

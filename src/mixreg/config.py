@@ -11,7 +11,7 @@ codec, so a section or key that no field declares is an error.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -68,9 +68,22 @@ def _check_keys(name: str, section, known) -> None:
         raise ValueError(f"unknown config section or key: [{name}] {unknown}")
 
 
-def _values(cls, sec) -> dict:
-    """Parsed values of the fields of `cls` that the section sets."""
-    return {f.name: _FIELD_CODECS[f.type][0](sec[f.name]) for f in fields(cls) if f.name in sec}
+def _parse(f, name: str, key: str, sec):
+    """Parse one value; an unparsable one names its [section] and key."""
+    try:
+        return _FIELD_CODECS[f.type][0](sec[key])
+    except ValueError as exc:
+        raise ValueError(f"[{name}] {key}: {exc}") from exc
+
+
+def _values(cls, name: str, sec) -> dict:
+    """Parsed values of the fields of `cls` that the section sets; a field
+    with no default must be set."""
+    missing = [f.name for f in fields(cls) if f.name not in sec
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"[{name}] {', '.join(missing)}: required key missing")
+    return {f.name: _parse(f, name, f.name, sec) for f in fields(cls) if f.name in sec}
 
 
 def _items(obj) -> dict[str, str]:
@@ -87,9 +100,9 @@ def spec_from_section(sec) -> ProcessSpec:
     _check_keys("process", sec, ["kind", *(f.name for f in fields(cls))])
     raw = dict(sec)
     if raw.get("warmup", "").strip().lower() != "auto":
-        return cls(**_values(cls, raw))
+        return cls(**_values(cls, "process", raw))
     del raw["warmup"]
-    values = _values(cls, raw)
+    values = _values(cls, "process", raw)
     return cls(**values, warmup=default_warmup(values["ar_coeffs"]))
 
 
@@ -128,7 +141,7 @@ class ExperimentConfig:
         if not self.ns:
             raise ValueError("at least one sample size is required")
         if self.bound_form not in ("main", "corollary"):
-            raise ValueError(f"bound form must be main or corollary, got {self.bound_form!r}")
+            raise ValueError(f"[partition] form must be main or corollary, got {self.bound_form!r}")
         if self.tau is None and self.m is None and self.lengths is None:
             object.__setattr__(self, "tau", 1)
 
@@ -163,20 +176,25 @@ def load_config(path) -> ExperimentConfig:
     """Read a config file.  A key it omits keeps its field's default, except
     that the fit window defaults to the process's covariate dimension."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ValueError(f"cannot read config file {path}")
-    if "process" not in parser:
+    try:
+        if not parser.read(path):
+            raise ValueError(f"cannot read config file {path}")
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file: {exc}") from exc
+    if "process" not in sections:
         raise ValueError("config needs a [process] section")
-    spec = spec_from_section(parser["process"])  # checks the [process] keys
-    known = {"process": parser["process"], "constants": [f.name for f in fields(UniversalConstants)]}
+    spec = spec_from_section(sections["process"])  # checks the [process] keys
+    known = {"process": sections["process"],
+             "constants": [f.name for f in fields(UniversalConstants)]}
     values = {}
     for f, name, key in _places():
         known.setdefault(name, []).append(key)
-        if parser.has_option(name, key):
-            values[f.name] = _FIELD_CODECS[f.type][0](parser[name][key])
-    for name in parser.sections():
-        _check_keys(name, parser[name], known.get(name))
-    constants = _values(UniversalConstants, parser["constants"] if "constants" in parser else {})
+        if key in sections.get(name, {}):
+            values[f.name] = _parse(f, name, key, sections[name])
+    for name, sec in sections.items():
+        _check_keys(name, sec, known.get(name))
+    constants = _values(UniversalConstants, "constants", sections.get("constants", {}))
     window = values.pop("fit_window", spec.covariate_dim)
     return ExperimentConfig(process=spec.with_window(window), fit_window=window,
                             constants=UniversalConstants(**constants), **values)

@@ -29,6 +29,7 @@ from .bounds import (
     clt_variance,
 )
 from .config import ExperimentConfig
+from .csvfile import write_csv
 from .linalg import min_eig, opnorm_psd
 from .mixing import MixingProfile, mixing_sum, profile_from_spec
 from .parallel import draw_process, map_trials
@@ -50,19 +51,6 @@ DECOUPLED_STREAM = 303
 # Absolute slack for the bound comparison: covers the noiseless case where
 # both sides are zero up to rounding; far below any attainable risk scale.
 COVERAGE_ATOL = 1e-24
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """Header line, then one line per row: flags as 0/1, integers as
-    written, floats at full precision (.17g)."""
-    def cell(v):
-        if isinstance(v, (bool, np.bool_)):
-            return str(int(v))
-        return str(v) if isinstance(v, (int, np.integer)) else f"{v:.17g}"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
 
 
 def population_for(config: ExperimentConfig) -> RegressionProblem:
@@ -145,7 +133,7 @@ def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageReport
             degenerate_trials=int(degenerate),
         ))
     if out_path is not None:
-        _write_csv(out_path, COVERAGE_HEADER, (
+        write_csv(out_path, COVERAGE_HEADER, (
             (r.n, r.bound_value, r.quantile, r.coverage,
              *(r.bound_report.check(name).holds for name in COVERAGE_FLAGS),
              r.degenerate_trials, r.trials) for r in reports))
@@ -190,7 +178,7 @@ def rate_slope(config: ExperimentConfig, out_path=None) -> RateSlopeReport:
         medians.append(float(np.median(finite)))
     slope = slope_from_medians(config.ns, medians)
     if out_path is not None:
-        _write_csv(out_path, "n,median_excess_risk", zip(config.ns, medians))
+        write_csv(out_path, "n,median_excess_risk", zip(config.ns, medians))
     return RateSlopeReport(slope=slope, ns=tuple(config.ns), medians=tuple(medians))
 
 
@@ -229,7 +217,7 @@ def verify_lower_tail(config: ExperimentConfig, out_path=None) -> list[LowerTail
             h=spectrum.h, trials=config.trials,
         ))
     if out_path is not None:
-        _write_csv(out_path, "n,frequency,certified,required_n,h,trials", (
+        write_csv(out_path, "n,frequency,certified,required_n,h,trials", (
             (r.n, r.frequency, r.certificate.certified, r.certificate.required_n, r.h, r.trials)
             for r in out))
     return out
@@ -282,7 +270,7 @@ def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalk
             budget=budget, r_estimate=r_est, trials=config.trials,
         ))
     if out_path is not None:
-        _write_csv(out_path, "n,threshold,exceedance,budget,r,lambda_odd,lambda_even,trials", (
+        write_csv(out_path, "n,threshold,exceedance,budget,r,lambda_odd,lambda_even,trials", (
             (r.n, r.threshold, r.exceedance, r.budget, r.r_estimate.r,
              r.r_estimate.lambda_odd, r.r_estimate.lambda_even, r.trials) for r in out))
     return out
@@ -324,7 +312,7 @@ def clt_consistency(config: ExperimentConfig, out_path=None) -> CltReport:
     report = CltReport(block_lens=tuple(config.block_lens), sigma2=sigma2,
                        stable_from=stabilization_length(config.block_lens, sigma2))
     if out_path is not None:
-        _write_csv(out_path, "block_len,sigma2", zip(report.block_lens, report.sigma2))
+        write_csv(out_path, "block_len,sigma2", zip(report.block_lens, report.sigma2))
     return report
 
 
@@ -332,7 +320,7 @@ def clt_consistency(config: ExperimentConfig, out_path=None) -> CltReport:
 # Stand-alone bound evaluation (CLI `bound` subcommand)
 # ---------------------------------------------------------------------------
 
-def evaluate_bound(config: ExperimentConfig) -> BoundReport:
+def evaluate_bound(config: ExperimentConfig, out_path=None) -> BoundReport:
     """Evaluate the main or stationary-corollary bound for the first sample
     size in the config."""
     n = config.ns[0]
@@ -346,7 +334,11 @@ def evaluate_bound(config: ExperimentConfig) -> BoundReport:
         block_moment = float(np.mean(spectrum.block_snorm_moments)) \
             / (tau * prob.d_x) ** (config.moment_s / 2.0)
         prof = profile_from_spec(config.process, [tau])
-        return corollary_bound(tau, n, prob.d_x, spectrum.sigma2, spectrum.h,
-                               config.moment_s, block_moment, prof,
-                               config.delta, config.constants)
-    return main_bound(spectrum, n, config.delta, config.constants, profile)
+        report = corollary_bound(tau, n, prob.d_x, spectrum.sigma2, spectrum.h,
+                                 config.moment_s, block_moment, prof,
+                                 config.delta, config.constants)
+    else:
+        report = main_bound(spectrum, n, config.delta, config.constants, profile)
+    if out_path is not None:
+        write_csv(out_path, report.csv_header(), [report.csv_row()])
+    return report

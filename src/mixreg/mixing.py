@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .csvfile import write_csv
 from .processes import (
     ROW_SUM_TOL,
     FiniteMarkov,
@@ -60,10 +61,7 @@ class MixingProfile:
         return all(b >= a for b, a in zip(vals, vals[1:]))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("gap,beta\n")
-            for g in sorted(self.coefficients):
-                fh.write(f"{g},{self.coefficients[g]:.17g}\n")
+        write_csv(path, "gap,beta", sorted(self.coefficients.items()))
 
     @classmethod
     def from_csv(cls, path) -> "MixingProfile":

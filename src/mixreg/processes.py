@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 from scipy.signal import lfilter
 
+from .csvfile import write_csv
 from .linalg import EIG_FLOOR, min_eig, symmetrize
 
 ROW_SUM_TOL = 1e-12
@@ -438,11 +439,8 @@ class Trajectory:
         """Write columns t, x_1..x_dX, y_1..y_dY."""
         d_x, d_y = self.xs.shape[1], self.ys.shape[1]
         header = ["t"] + [f"x_{j+1}" for j in range(d_x)] + [f"y_{j+1}" for j in range(d_y)]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for t in range(len(self)):
-                row = [str(t + 1)] + [f"{v:.17g}" for v in self.xs[t]] + [f"{v:.17g}" for v in self.ys[t]]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, ",".join(header),
+                  ((t, *x, *y) for t, x, y in zip(range(1, len(self) + 1), self.xs, self.ys)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,16 +63,6 @@ class FitResult:
     s_n: np.ndarray
     excess_risk: float
 
-    def csv_row(self, n: int, seed: int) -> str:
-        return ",".join([
-            str(n), str(seed),
-            f"{self.excess_risk:.17g}",
-            f"{min_eig(self.emp_cov_whitened):.17g}",
-            f"{np.linalg.norm(self.s_n):.17g}",
-        ])
-
-    CSV_HEADER = "n,seed,excess_risk,min_eig_whitened,s_n_norm"
-
 
 def _check_gram(gram: np.ndarray) -> None:
     d = gram.shape[0]

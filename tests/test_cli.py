@@ -1,6 +1,13 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from mixreg.cli import cli_main
+import mixreg
+from mixreg.cli import COMMANDS, cli_main
 from mixreg.parallel import worker_count
 
 
@@ -25,14 +32,17 @@ def test_unknown_subcommand_exits_1(capsys):
 
 
 def test_console_entry_point():
-    import shutil
-    import subprocess
+    """The installed `mixreg` script, or the module it runs, lists every
+    subcommand."""
     exe = shutil.which("mixreg")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    done = subprocess.run([exe, "--help"], capture_output=True, text=True)
+    argv = [exe] if exe else [sys.executable, "-m", "mixreg.cli"]
+    src = str(Path(mixreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([*argv, "--help"], capture_output=True, text=True, env=env)
     assert done.returncode == 0
-    assert "coverage" in done.stdout
+    for name in COMMANDS:
+        assert name in done.stdout
 
 
 def test_no_subcommand_prints_usage(capsys):
@@ -150,3 +160,25 @@ def test_bad_thread_count_exits_1(iid_cfg, monkeypatch, capsys, value):
         worker_count()
     assert cli_main(["bound", "--config", str(iid_cfg)]) == 1
     assert "MIXREG_THREADS" in capsys.readouterr().err
+
+
+CSV_OF = {"simulate": "trajectory.csv", "mixing": "mixing.csv", "bound": "bound.csv",
+          "coverage": "coverage.csv", "lower-tail": "lowertail.csv",
+          "noise-walk": "noisewalk.csv", "clt": "clt.csv", "slope": "slope.csv"}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_rerun_writes_identical_csv(tmp_path, capsys, command):
+    """The same config and seed give byte-identical CSVs."""
+    ns = "40, 50, 60, 80" if command == "slope" else "40"
+    runs = []
+    for run in ("first", "second"):
+        cfg = tmp_path / f"{run}.cfg"
+        cfg.write_text(
+            "[process]\nkind = gaussian_ar\nar_coeffs = 0.5, 0.2\nwarmup = 20\n"
+            "[fit]\nwindow = 1\n[partition]\ntau = 2\n"
+            f"[experiment]\nns = {ns}\ntrials = 100\nseed = 3\nn_mc = 1000\n"
+            f"block_lens = 1, 2\nout = {tmp_path / run}\n")
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        runs.append((tmp_path / run / CSV_OF[command]).read_bytes())
+    assert runs[0] == runs[1]

@@ -210,9 +210,25 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
                                 for name, items in sections.items()))
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        for part in (f"[{section}]", key, named):
+            assert part in str(err.value)
+        assert cli_main(["bound", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("text, named", [
+        ("[process]\nkind = iid_gaussian\ncovariate_dim = 2\n[experiment]\nns = 300\nns = 1000\n",
+         "option 'ns' in section 'experiment'"),
+        ("ns = 300\n[process]\nkind = iid_gaussian\ncovariate_dim = 2\n", "no section headers"),
+        ("[process]\nkind = iid_gaussian\n", "[process] covariate_dim"),
+    ])
+    def test_unreadable_config_is_argument_error(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(named)):
             load_config(path)
         assert cli_main(["bound", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("argument error:")
 
     def test_auto_warmup_saves_its_value(self, tmp_path):
         path = tmp_path / "ar.cfg"

@@ -236,8 +236,6 @@ class TestNoiseWalk:
         fit = evaluate_fit(traj, prob)
         diff = (fit.m_hat - prob.m_star) @ sqrt_psd(prob.sigma_x)
         assert fit.excess_risk == pytest.approx(np.sum(diff**2), abs=1e-10)
-        row = fit.csv_row(n=500, seed=3)
-        assert row.startswith("500,3,")
 
 
 class TestErrorIdentity:
