@@ -33,7 +33,7 @@ class BlockPartition:
         if any(v < 1 for v in lengths):
             raise ValueError("block lengths must be >= 1")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.lengths)
 
@@ -50,10 +50,16 @@ class BlockPartition:
         return max(self.lengths)
 
     @cached_property
+    def starts(self) -> np.ndarray:
+        """0-indexed first sample of every block (read-only)."""
+        starts = np.concatenate([[0], np.cumsum(self.lengths[:-1])])
+        starts.flags.writeable = False
+        return starts
+
+    @cached_property
     def blocks(self) -> tuple[tuple[int, int], ...]:
         """Half-open (start, stop) sample ranges, 0-indexed."""
-        edges = np.concatenate([[0], np.cumsum(self.lengths)])
-        return tuple((int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
+        return tuple((int(a), int(a) + g) for a, g in zip(self.starts, self.lengths))
 
     @cached_property
     def odd_union(self) -> np.ndarray:
@@ -92,8 +98,7 @@ def block_sums(values, partition: BlockPartition) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape[0] != partition.n:
         raise ValueError(f"expected {partition.n} values, got {arr.shape[0]}")
-    edges = np.concatenate([[0], np.cumsum(partition.lengths)])
-    return np.add.reduceat(arr, edges[:-1], axis=0)
+    return np.add.reduceat(arr, partition.starts, axis=0)
 
 
 def decoupled_resample(spec: ProcessSpec, partition: BlockPartition, seed: int) -> Trajectory:

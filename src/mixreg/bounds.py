@@ -209,13 +209,14 @@ def _walk_block_sums(prob: RegressionProblem, partition: BlockPartition, traj):
 
 def _spectrum_moments(prob, partition, dirs, proj, traj):
     """Pass-1 statistic: block sums, their outer products, the walk's end
-    point, and the second and fourth powers of the projections onto dirs
-    (written into the reused (n, K) buffer proj)."""
+    point, and the second and fourth powers of the projections onto dirs,
+    summed over time.  The projections are written into the reused (K, n)
+    buffer proj, one contiguous row per direction."""
     bs, s_n = _walk_block_sums(prob, partition, traj)
-    np.matmul(traj.xs, dirs.T, out=proj)
+    np.matmul(dirs, traj.xs.T, out=proj)
     p2 = np.square(proj, out=proj)
     return (), (bs, np.einsum("bi,bj->bij", bs, bs), s_n.reshape(-1),
-                p2.sum(axis=0), (p2 * p2).sum(axis=0))
+                p2.sum(axis=1), np.einsum("ij,ij->i", p2, p2))
 
 
 def _block_snorms(prob, partition, mean_bs, s, traj):
@@ -236,7 +237,7 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
         raise ValueError("s must be >= 2")
     dirs = _h_directions(prob.sigma_x, seed)
     draw = partial(draw_process, spec, partition.n)
-    proj = np.empty((partition.n, dirs.shape[0]))
+    proj = np.empty((dirs.shape[0], partition.n))
     _, (sum_bs, sum_outer, sum_walk, sum_p2, sum_p4) = map_trials(
         partial(_spectrum_moments, prob, partition, dirs, proj), draw, n_mc, seed)
 

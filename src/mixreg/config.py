@@ -2,7 +2,8 @@
 [process], [fit], [partition], [experiment], [constants].
 
 The format is INI (configparser) so configs stay diffable and
-language-neutral.  Matrices are written as semicolon-separated rows of
+language-neutral.  Values are read and written verbatim (no `%`
+interpolation).  Matrices are written as semicolon-separated rows of
 comma-separated numbers.  Every key is a dataclass field: the process
 spec's, UniversalConstants' or ExperimentConfig's, read and written by one
 codec, so a section or key that no field declares is an error.
@@ -175,7 +176,7 @@ def _places() -> list:
 def load_config(path) -> ExperimentConfig:
     """Read a config file.  A key it omits keeps its field's default, except
     that the fit window defaults to the process's covariate dimension."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
             raise ValueError(f"cannot read config file {path}")
@@ -208,7 +209,7 @@ def save_config(config: ExperimentConfig, path) -> None:
         if value is not None:
             items.setdefault(name, {})[key] = _FIELD_CODECS[f.type][1](value)
     items["constants"] = _items(config.constants)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(items)
     with open(path, "w") as fh:
         parser.write(fh)

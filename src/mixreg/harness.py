@@ -175,7 +175,11 @@ def rate_slope(config: ExperimentConfig, out_path=None) -> RateSlopeReport:
         finite = risks[np.isfinite(risks)]
         if not finite.size:
             raise RuntimeError(f"every trial at n={n} has a degenerate design")
-        medians.append(float(np.median(finite)))
+        median = float(np.median(finite))
+        if median <= 0:
+            raise RuntimeError(f"median excess risk at n={n} is {median:g}; "
+                               "a log-log slope needs positive medians")
+        medians.append(median)
     slope = slope_from_medians(config.ns, medians)
     if out_path is not None:
         write_csv(out_path, "n,median_excess_risk", zip(config.ns, medians))

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov, toeplitz
-from scipy.signal import lfilter
 
 from .csvfile import write_csv
 from .linalg import EIG_FLOOR, min_eig, symmetrize
@@ -135,7 +133,8 @@ class GaussianAR(ProcessSpec):
     The regression view exposes the last `covariate_dim` lags as covariates,
     so covariate_dim < p is a deliberately misspecified fit.  `warmup` steps
     are simulated and discarded to approximate stationarity (0 keeps the raw
-    zero-initialized process).
+    zero-initialized process).  Only this kind needs scipy, which its
+    methods import when first called.
     """
 
     kind = "gaussian_ar"
@@ -160,6 +159,8 @@ class GaussianAR(ProcessSpec):
         rho = spectral_radius(self.ar_coeffs)
         if rho >= 1.0:
             raise ValueError(f"AR coefficients are not Schur stable (spectral radius {rho:.4f})")
+        # Denominator of the recursion's filter, 1 - sum_k theta_k z^-k.
+        object.__setattr__(self, "_filter_den", np.r_[1.0, -np.asarray(self.ar_coeffs)])
 
     @property
     def order(self) -> int:
@@ -173,16 +174,21 @@ class GaussianAR(ProcessSpec):
         """Run the AR recursion from zero initial values, discarding warmup
         steps; the covariate at time t is the window of the previous
         covariate_dim values of the series."""
-        eps = self.noise_std * rng.standard_normal(self.warmup + n)
+        from scipy.signal import lfilter
+
+        eps = rng.standard_normal(self.warmup + n)
+        eps *= self.noise_std
         # y_t = sum_k theta_k y_{t-k} + eps_t with zero initial conditions.
-        y = lfilter([1.0], np.r_[1.0, -np.asarray(self.ar_coeffs)], eps)
-        return _lagged_design(y, self.covariate_dim)[self.warmup:], y[self.warmup:, None]
+        y = lfilter([1.0], self._filter_den, eps)
+        return _lagged_design(y, self.covariate_dim, self.warmup), y[self.warmup:, None]
 
     def with_window(self, window: int) -> "GaussianAR":
         return self if window == self.covariate_dim else replace(self, covariate_dim=window)
 
     def _stationary_optimum(self):
         # Yule-Walker on the stationary autocovariances.
+        from scipy.linalg import toeplitz
+
         m = self.covariate_dim
         gamma = autocovariances(self, m)
         sigma_x = toeplitz(gamma[:m])
@@ -447,16 +453,17 @@ class Trajectory:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _lagged_design(values: np.ndarray, window: int) -> np.ndarray:
-    """Row t holds (values[t-1], ..., values[t-window]), zero-padded at the
-    start (zero initial condition)."""
+def _lagged_design(values: np.ndarray, window: int, skip: int = 0) -> np.ndarray:
+    """Rows t = skip, skip + 1, ... of the lagged design, where row t holds
+    (values[t-1], ..., values[t-window]), zero-padded at the start (zero
+    initial condition).  The first skip rows are never built."""
     n = values.shape[0]
-    cols = []
+    out = np.zeros((n - skip, window))
     for lag in range(1, window + 1):
-        col = np.zeros(n)
-        col[lag:] = values[:-lag]
-        cols.append(col)
-    return np.column_stack(cols)
+        first = max(lag - skip, 0)  # first kept row with t >= lag
+        if first < len(out):
+            out[first:, lag - 1] = values[first + skip - lag : n - lag]
+    return out
 
 
 def simulate(spec: ProcessSpec, n: int, seed: int) -> Trajectory:
@@ -469,6 +476,8 @@ def simulate(spec: ProcessSpec, n: int, seed: int) -> Trajectory:
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The exact solution S of S = A S A' + Q for a Schur-stable A."""
+    from scipy.linalg import solve_discrete_lyapunov
+
     if np.abs(np.linalg.eigvals(a)).max() >= 1.0:
         raise ValueError("the Lyapunov equation needs a Schur-stable matrix")
     return symmetrize(solve_discrete_lyapunov(a, q))
@@ -497,4 +506,6 @@ def autocovariances(spec: GaussianAR, max_lag: int) -> np.ndarray:
 def stationary_covariance(spec: GaussianAR) -> np.ndarray:
     """Covariance of the covariate window under the stationary law: the
     Toeplitz matrix of autocovariances up to covariate_dim - 1."""
+    from scipy.linalg import toeplitz
+
     return toeplitz(autocovariances(spec, spec.covariate_dim - 1))

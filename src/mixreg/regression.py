@@ -4,9 +4,9 @@ walk, and the Gaussian quartic machinery for misspecified AR cross terms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .linalg import EIG_FLOOR, inv_sqrt_psd, min_eig, sqrt_psd, symmetrize
 from .processes import GaussianAR, ProcessSpec, Trajectory, companion, simulate
@@ -21,6 +21,11 @@ class DegenerateDesignError(ValueError):
     def __init__(self, min_eigenvalue: float):
         self.min_eigenvalue = float(min_eigenvalue)
         super().__init__(f"degenerate design: min eigenvalue {min_eigenvalue:.3e}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +49,16 @@ class RegressionProblem:
             raise ValueError("sigma_x must be strictly positive definite")
         object.__setattr__(self, "sigma_x", sx)
         object.__setattr__(self, "m_star", ms)
+
+    @cached_property
+    def whitener(self) -> np.ndarray:
+        """Sigma_X^{-1/2}, computed once per problem (read-only)."""
+        return _frozen(inv_sqrt_psd(self.sigma_x))
+
+    @cached_property
+    def sqrt_sigma_x(self) -> np.ndarray:
+        """Sigma_X^{1/2}, computed once per problem (read-only)."""
+        return _frozen(sqrt_psd(self.sigma_x))
 
     @property
     def d_x(self) -> int:
@@ -79,8 +94,8 @@ def fit_ols(traj: Trajectory) -> np.ndarray:
     gram = xs.T @ xs
     _check_gram(gram)
     cross = ys.T @ xs
-    q, r = qr(gram)
-    return solve_triangular(r, q.T @ cross.T).T
+    q, r = np.linalg.qr(gram)
+    return np.linalg.solve(r, q.T @ cross.T).T
 
 
 def excess_risk(m: np.ndarray, prob: RegressionProblem) -> float:
@@ -88,7 +103,7 @@ def excess_risk(m: np.ndarray, prob: RegressionProblem) -> float:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape != prob.m_star.shape:
         raise ValueError(f"expected shape {prob.m_star.shape}, got {m.shape}")
-    diff = (m - prob.m_star) @ sqrt_psd(prob.sigma_x)
+    diff = (m - prob.m_star) @ prob.sqrt_sigma_x
     return float(np.sum(diff * diff))
 
 
@@ -96,14 +111,13 @@ def noise_walk(traj: Trajectory, prob: RegressionProblem) -> tuple[np.ndarray, n
     """Whitened noise-covariate interactions V_i = W_i X_i' Sigma_X^{-1/2}
     (W_i the residual against the best map) and their average S_n."""
     w = traj.ys - traj.xs @ prob.m_star.T
-    xw = traj.xs @ inv_sqrt_psd(prob.sigma_x)
+    xw = traj.xs @ prob.whitener
     v = np.einsum("ni,nj->nij", w, xw)
     return v, v.mean(axis=0)
 
 
 def whitened_empirical_covariance(traj: Trajectory, prob: RegressionProblem) -> np.ndarray:
-    root = inv_sqrt_psd(prob.sigma_x)
-    xw = traj.xs @ root
+    xw = traj.xs @ prob.whitener
     return (xw.T @ xw) / len(traj)
 
 
@@ -126,7 +140,7 @@ def error_identity_check(traj: Trajectory, prob: RegressionProblem) -> float:
     which holds algebraically for any nonsingular design.
     """
     m_hat = fit_ols(traj)
-    lhs = (m_hat - prob.m_star) @ sqrt_psd(prob.sigma_x)
+    lhs = (m_hat - prob.m_star) @ prob.sqrt_sigma_x
     _, s_n = noise_walk(traj, prob)
     emp = whitened_empirical_covariance(traj, prob)
     rhs = s_n @ np.linalg.inv(emp)

@@ -98,6 +98,17 @@ class TestBlockSums:
         with pytest.raises(ValueError):
             block_sums(np.ones(9), make_partition(10, 2))
 
+    @pytest.mark.parametrize("lengths", [(1, 1), (3, 3, 2, 2), (5, 1, 1, 7, 2, 4), (1,) * 40])
+    def test_matches_reduceat_on_fresh_edges(self, lengths):
+        part = BlockPartition(lengths)
+        values = np.random.default_rng(len(lengths)).standard_normal((part.n, 3))
+        edges = np.concatenate([[0], np.cumsum(lengths)])
+        np.testing.assert_array_equal(block_sums(values, part),
+                                      np.add.reduceat(values, edges[:-1], axis=0))
+        np.testing.assert_array_equal(part.starts, edges[:-1])
+        assert part.blocks == tuple(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        assert not part.starts.flags.writeable
+
 
 class TestDecoupledResample:
     def test_iid_law_preserved(self):

@@ -25,8 +25,9 @@ from mixreg.bounds import (
     phi_tau,
     truncation_mass_check,
 )
+from mixreg.bounds import _h_directions, _spectrum_moments, _walk_block_sums
 from mixreg.mixing import iid_profile, markov_profile
-from mixreg.processes import BlockConstant, IIDGaussian, two_state_flip
+from mixreg.processes import BlockConstant, GaussianAR, IIDGaussian, simulate, two_state_flip
 from mixreg.regression import RegressionProblem, population_optimum
 
 
@@ -223,6 +224,26 @@ class TestNoiseSpectrum:
         prob = population_optimum(spec)
         with pytest.raises(ValueError):
             noise_spectrum(spec, prob, make_partition(16, 4), 500, 1)
+
+    @pytest.mark.parametrize("spec, n, m", [
+        (IIDGaussian(covariate_dim=5), 300, 150),
+        (GaussianAR((0.5, 0.2), covariate_dim=2, warmup=30), 500, 5),
+    ])
+    def test_moments_match_the_row_major_projection(self, spec, n, m):
+        prob = population_optimum(spec)
+        part = make_partition(n, m)
+        dirs = _h_directions(prob.sigma_x, 3)
+        traj = simulate(spec, n, 8)
+        proj = np.empty((dirs.shape[0], n))
+        _, (bs, outer, walk, p2_sum, p4_sum) = _spectrum_moments(prob, part, dirs, proj, traj)
+        # Reference: one row per sample, one column per direction.
+        ref_bs, ref_walk = _walk_block_sums(prob, part, traj)
+        p2 = (traj.xs @ dirs.T) ** 2
+        np.testing.assert_array_equal(bs, ref_bs)
+        np.testing.assert_array_equal(outer, np.einsum("bi,bj->bij", ref_bs, ref_bs))
+        np.testing.assert_array_equal(walk, ref_walk.reshape(-1))
+        np.testing.assert_allclose(p2_sum, p2.sum(axis=0), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(p4_sum, (p2 * p2).sum(axis=0), rtol=1e-13, atol=0)
 
     def test_zero_noise_spectrum(self):
         coef = np.array([[2.0, -1.0]])

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -8,7 +9,9 @@ import pytest
 
 import mixreg
 from mixreg.cli import COMMANDS, cli_main
+from mixreg.config import ExperimentConfig, save_config
 from mixreg.parallel import worker_count
+from mixreg.processes import two_state_flip
 
 
 @pytest.fixture
@@ -151,6 +154,51 @@ def test_all_degenerate_slope_exits_2(tmp_path, capsys):
         f"[experiment]\nns = 5, 6, 7, 8\ntrials = 3\nout = {tmp_path}\n")
     assert cli_main(["slope", "--config", str(cfg)]) == 2
     assert "n=5" in capsys.readouterr().err
+
+
+def test_noiseless_chain_slope_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "flip.cfg"
+    save_config(ExperimentConfig(two_state_flip(0.3), fit_window=1, ns=(200, 300, 400, 500),
+                                 trials=100, outputs=str(tmp_path)), cfg)
+    assert cli_main(["slope", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n=200" in err
+
+
+SCIPY_PROBE = """
+import json
+import sys
+import mixreg.cli
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+on_import = scipy_modules()
+for command in sys.argv[2:]:
+    assert mixreg.cli.cli_main([command, "--config", sys.argv[1]]) == 0, command
+print(json.dumps([on_import, scipy_modules()]))
+"""
+
+
+def scipy_modules_after(cfg, *commands):
+    """scipy modules loaded in a fresh interpreter after `import mixreg.cli`,
+    and after running the commands on the config."""
+    src = str(Path(mixreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(cfg), *commands],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_only_ar_runs_import_scipy(iid_cfg, tmp_path):
+    assert scipy_modules_after(iid_cfg, "coverage", "lower-tail") == [[], []]
+    ar_cfg = tmp_path / "ar.cfg"
+    ar_cfg.write_text(
+        "[process]\nkind = gaussian_ar\nar_coeffs = 0.5\nwarmup = 20\n"
+        "[partition]\ntau = 2\n"
+        f"[experiment]\nns = 40\ntrials = 100\nseed = 2\nout = {tmp_path}\n")
+    on_import, after_run = scipy_modules_after(ar_cfg, "simulate")
+    assert on_import == [] and "scipy.signal" in after_run
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])

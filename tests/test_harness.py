@@ -97,6 +97,7 @@ def any_config(draw):
         block_lens=tuple(draw(st.lists(st.integers(1, 512), max_size=8))),
         eps=draw(positive), eta=draw(st.floats(0.01, 1.0)),
         bound_form=draw(st.sampled_from(["main", "corollary"])),
+        outputs=draw(st.text(alphabet="abc/_.%", min_size=1, max_size=12)),
         constants=UniversalConstants(**{f.name: draw(positive)
                                         for f in dataclasses.fields(UniversalConstants)}),
         **{rule: draw(sizes if rule == "lengths" else st.integers(1, 100))})
@@ -230,6 +231,17 @@ class TestConfig:
         assert cli_main(["bound", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("argument error:")
 
+    def test_percent_in_outputs_roundtrips(self, tmp_path):
+        config = ExperimentConfig(IIDGaussian(2), fit_window=2, outputs="runs/50%")
+        save_config(config, tmp_path / "pct.cfg")
+        assert load_config(tmp_path / "pct.cfg").outputs == "runs/50%"
+
+    def test_percent_signs_read_verbatim(self, tmp_path):
+        path = tmp_path / "pct.cfg"
+        path.write_text("[process]\nkind = iid_gaussian\ncovariate_dim = 2\n"
+                        "[experiment]\nout = a%%b\n")
+        assert load_config(path).outputs == "a%%b"
+
     def test_auto_warmup_saves_its_value(self, tmp_path):
         path = tmp_path / "ar.cfg"
         path.write_text("[process]\nkind = gaussian_ar\nar_coeffs = 0.5, 0.2\n"
@@ -346,6 +358,13 @@ class TestRateSlope:
         config = iid_config(tmp_path, process=IIDGaussian(covariate_dim=10),
                             fit_window=10, ns=(5, 6, 7, 8), trials=3)
         with pytest.raises(RuntimeError, match="n=5"):
+            rate_slope(config)
+
+    def test_zero_median_raises_naming_n(self, tmp_path):
+        # Noiseless realizable chain: every fit is exact, every risk is 0.
+        config = iid_config(tmp_path, process=two_state_flip(0.3), fit_window=1,
+                            ns=(200, 300, 400, 500), trials=100)
+        with pytest.raises(RuntimeError, match="n=200"):
             rate_slope(config)
 
     def test_iid_ols_rate(self, tmp_path):

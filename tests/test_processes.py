@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from mixreg.processes import (
     BlockConstant,
@@ -19,6 +20,7 @@ from mixreg.processes import (
     stationary_state_covariance,
     two_state_flip,
 )
+from mixreg.processes import _lagged_design
 
 
 def lag1_corr(y):
@@ -189,6 +191,45 @@ class TestGaussianAR:
     def test_default_warmup_value(self):
         assert default_warmup((0.5,)) == 20
         assert default_warmup((0.9,)) >= 100
+
+    @staticmethod
+    def full_lagged_design(values, window):
+        """Reference: every row of the lagged design, built column by column."""
+        n = values.shape[0]
+        cols = []
+        for lag in range(1, window + 1):
+            col = np.zeros(n)
+            col[lag:] = values[:-lag]
+            cols.append(col)
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    @pytest.mark.parametrize("skip", [0, 1, 2, 3, 6, 7, 10, 25])
+    def test_lagged_design_keeps_the_rows_of_the_full_design(self, window, skip):
+        values = np.random.default_rng(skip).standard_normal(30)
+        kept = _lagged_design(values, window, skip)
+        np.testing.assert_array_equal(kept, self.full_lagged_design(values, window)[skip:])
+        assert kept.flags.c_contiguous
+
+    def test_lagged_design_window_longer_than_series(self):
+        values = np.arange(1.0, 4.0)
+        np.testing.assert_array_equal(_lagged_design(values, 5, 1),
+                                      self.full_lagged_design(values, 5)[1:])
+
+    @pytest.mark.parametrize("spec", [
+        GaussianAR((0.5, 0.2), covariate_dim=1, warmup=40),
+        GaussianAR((0.4, 0.1, -0.2), noise_std=1.7, covariate_dim=3),
+        GaussianAR((0.6,), noise_std=0.3, covariate_dim=4, warmup=2),
+    ])
+    def test_draw_matches_the_direct_recursion(self, spec):
+        # Reference: scale a fresh noise array, filter, build every row, slice.
+        n, seed = 200, 11
+        eps = spec.noise_std * np.random.default_rng(seed).standard_normal(spec.warmup + n)
+        y = lfilter([1.0], np.r_[1.0, -np.asarray(spec.ar_coeffs)], eps)
+        traj = simulate(spec, n, seed)
+        np.testing.assert_array_equal(
+            traj.xs, self.full_lagged_design(y, spec.covariate_dim)[spec.warmup:])
+        np.testing.assert_array_equal(traj.ys, y[spec.warmup:, None])
 
 
 class TestMarkov:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import qr, solve_triangular
 from scipy.signal import lfilter
 from scipy.stats import ortho_group
 
-from mixreg.linalg import sqrt_psd
+from mixreg.linalg import inv_sqrt_psd, sqrt_psd
 from mixreg.processes import (
     BlockConstant,
     GaussianAR,
@@ -87,6 +88,15 @@ class TestFitOls:
             direction = rng.standard_normal(m_hat.shape)
             direction /= np.linalg.norm(direction)
             assert emp_risk(m_hat + 1e-3 * direction) >= base - 1e-6
+
+    @pytest.mark.parametrize("d_x, d_y, n", [(1, 1, 20), (3, 2, 50), (6, 3, 400)])
+    def test_matches_triangular_solve_oracle(self, d_x, d_y, n):
+        rng = np.random.default_rng(d_x)
+        traj = random_trajectory(rng, n, d_x, d_y)
+        gram = traj.xs.T @ traj.xs
+        q, r = qr(gram)
+        oracle = solve_triangular(r, q.T @ (traj.ys.T @ traj.xs).T).T
+        np.testing.assert_allclose(fit_ols(traj), oracle, rtol=1e-12, atol=1e-12)
 
 
 class TestPopulationOptimum:
@@ -196,6 +206,25 @@ class TestExcessRisk:
         prob = random_problem(rng, 3, 2)
         for _ in range(20):
             assert excess_risk(rng.standard_normal((2, 3)), prob) >= 0.0
+
+
+class TestCachedRoots:
+    def test_roots_equal_the_direct_computation(self):
+        prob = random_problem(np.random.default_rng(4), 4, 2)
+        np.testing.assert_array_equal(prob.whitener, inv_sqrt_psd(prob.sigma_x))
+        np.testing.assert_array_equal(prob.sqrt_sigma_x, sqrt_psd(prob.sigma_x))
+        assert prob.whitener is prob.whitener
+        assert not prob.whitener.flags.writeable
+
+    def test_noise_walk_uses_the_whitener(self):
+        rng = np.random.default_rng(5)
+        prob = random_problem(rng, 3, 2)
+        traj = random_trajectory(rng, 40, 3, 2)
+        w = traj.ys - traj.xs @ prob.m_star.T
+        ref = np.einsum("ni,nj->nij", w, traj.xs @ inv_sqrt_psd(prob.sigma_x))
+        v, s_n = noise_walk(traj, prob)
+        np.testing.assert_array_equal(v, ref)
+        np.testing.assert_array_equal(s_n, ref.mean(axis=0))
 
 
 class TestNoiseWalk:
