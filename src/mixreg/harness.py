@@ -50,6 +50,7 @@ DECOUPLED_STREAM = 303
 
 # Absolute slack for the bound comparison: covers the noiseless case where
 # both sides are zero up to rounding; far below any attainable risk scale.
+# `rate_slope` scales it by the signal power to tell a zero median risk.
 COVERAGE_ATOL = 1e-24
 
 
@@ -169,6 +170,10 @@ def rate_slope(config: ExperimentConfig, out_path=None) -> RateSlopeReport:
     if len(config.ns) < 4:
         raise ValueError("need at least 4 sample sizes for a slope")
     prob = population_for(config)
+    # A median at this level is rounding noise of a realizable, noiseless
+    # problem: COVERAGE_ATOL relative to the signal power tr(M* Sigma_X M*').
+    signal = float(np.trace(prob.m_star @ prob.sigma_x @ prob.m_star.T))
+    rounding = COVERAGE_ATOL * max(1.0, signal)
     medians = []
     for n in config.ns:
         risks, _ = _run_trials(_trial_risk, config, prob, n)
@@ -176,9 +181,10 @@ def rate_slope(config: ExperimentConfig, out_path=None) -> RateSlopeReport:
         if not finite.size:
             raise RuntimeError(f"every trial at n={n} has a degenerate design")
         median = float(np.median(finite))
-        if median <= 0:
-            raise RuntimeError(f"median excess risk at n={n} is {median:g}; "
-                               "a log-log slope needs positive medians")
+        if median <= rounding:
+            raise RuntimeError(f"median excess risk at n={n} is {median:g}, at or below "
+                               f"rounding level {rounding:g}; a log-log slope needs "
+                               "positive medians")
         medians.append(median)
     slope = slope_from_medians(config.ns, medians)
     if out_path is not None:

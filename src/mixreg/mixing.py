@@ -133,18 +133,29 @@ def expected_kl_ar(spec: GaussianAR, t: int | None, k: int) -> float:
     stationary limit, which dominates every finite t for the zero-initialized
     process.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if t is not None and t < 0:
         raise ValueError("t must be >= 0")
     ss = companion(spec.ar_coeffs)
     if t is None:
-        q = np.outer(ss.input_vec, ss.input_vec)
-        state_cov = solve_lyapunov(ss.transition, q)
+        state_cov = _unit_stationary_state_cov(ss)
     else:
         state_cov = gramian(ss, t + 1)
+    return _expected_kl(ss, state_cov, k)
+
+
+def _unit_stationary_state_cov(ss) -> np.ndarray:
+    return solve_lyapunov(ss.transition, np.outer(ss.input_vec, ss.input_vec))
+
+
+def _expected_kl(ss, state_cov: np.ndarray, k: int) -> float:
+    if k < 1:
+        raise ValueError("k must be >= 1")
     a_k = np.linalg.matrix_power(ss.transition, k)
     return float((a_k @ state_cov @ a_k.T)[0, 0])
+
+
+def _pinsker_beta(kl: float) -> float:
+    return float(min(1.0, np.sqrt(kl / 2.0)))
 
 
 def beta_ar_kl_bound(spec: GaussianAR, t: int | None, k: int) -> float:
@@ -154,14 +165,16 @@ def beta_ar_kl_bound(spec: GaussianAR, t: int | None, k: int) -> float:
 
     clipped to [0, 1] since total variation never exceeds 1.
     """
-    kl = expected_kl_ar(spec, t, k)
-    return float(min(1.0, np.sqrt(kl / 2.0)))
+    return _pinsker_beta(expected_kl_ar(spec, t, k))
 
 
 def gaussian_ar_profile(spec: GaussianAR, gaps) -> MixingProfile:
     """Profile of KL-route bounds in the stationary limit, which dominates
-    every conditioning time t of the zero-initialized process."""
-    coeffs = {g: beta_ar_kl_bound(spec, None, g) for g in map(int, gaps)}
+    every conditioning time t of the zero-initialized process.  The
+    stationary state covariance is solved once for all gaps."""
+    ss = companion(spec.ar_coeffs)
+    state_cov = _unit_stationary_state_cov(ss)
+    coeffs = {g: _pinsker_beta(_expected_kl(ss, state_cov, g)) for g in map(int, gaps)}
     return MixingProfile(coeffs, method=GAUSSIAN_KL_BOUND)
 
 

@@ -2,9 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixreg.mixing import MixingProfile, iid_profile, markov_profile
-from mixreg.processes import IIDGaussian, two_state_flip
+from mixreg.processes import (
+    BlockConstant,
+    GaussianAR,
+    IIDGaussian,
+    derive_seed,
+    simulate,
+    two_state_flip,
+)
 from mixreg.blocking import (
     BlockPartition,
     block_sums,
@@ -46,6 +54,31 @@ class TestMakePartition:
             assert len(part.odd_union) + len(part.even_union) == n
             assert max(part.lengths) - min(part.lengths) <= 1
             assert part.a_max == max(part.lengths)
+
+    @staticmethod
+    def check_invariants(part, n):
+        assert part.n == n and sum(part.lengths) == n
+        assert max(part.lengths) - min(part.lengths) <= 1
+        assert [a for a, _ in part.blocks] == part.starts.tolist()
+        assert all(b - a == g for (a, b), g in zip(part.blocks, part.lengths))
+        assert all(b == a2 for (_, b), (a2, _) in zip(part.blocks, part.blocks[1:]))
+        union = np.concatenate([part.odd_union, part.even_union])
+        assert len(union) == n
+        np.testing.assert_array_equal(np.sort(union), np.arange(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5_000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n // 2))))
+    def test_make_partition_invariants(self, n_m):
+        n, m = n_m
+        part = make_partition(n, m)
+        assert part.m == m
+        self.check_invariants(part, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5_000), st.integers(1, 6_000))
+    def test_uniform_partition_invariants(self, n, block_len):
+        self.check_invariants(uniform_partition(n, block_len), n)
 
     def test_uniform_partition_exact(self):
         part = uniform_partition(96, 8)
@@ -110,7 +143,36 @@ class TestBlockSums:
         assert not part.starts.flags.writeable
 
 
+class TestBlockSumsLinearity:
+    # Integer-valued data and weights keep every sum exact in floating point.
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8).map(lambda h: tuple(h * 2)),
+           st.integers(1, 3), st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 2**32 - 1))
+    def test_block_sums_is_linear(self, lengths, cols, a, b, seed):
+        part = BlockPartition(lengths)
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-1000, 1000, (part.n, cols)).astype(float)
+        y = rng.integers(-1000, 1000, (part.n, cols)).astype(float)
+        np.testing.assert_array_equal(block_sums(a * x + b * y, part),
+                                      a * block_sums(x, part) + b * block_sums(y, part))
+
+
 class TestDecoupledResample:
+    @pytest.mark.parametrize("spec", [
+        GaussianAR((0.5, 0.2), covariate_dim=1, warmup=84),
+        GaussianAR((0.4, 0.1, -0.2), noise_std=1.7, covariate_dim=4),
+        two_state_flip(0.3),
+        IIDGaussian(2, 2, coef=np.ones((2, 2))),
+        BlockConstant(3, 2),
+    ])
+    def test_blocks_are_rows_of_fresh_draws(self, spec):
+        part = make_partition(1_300, 13)
+        traj = decoupled_resample(spec, part, 5)
+        for i, (a, b) in enumerate(part.blocks):
+            ref = simulate(spec, b, derive_seed(5, i))
+            np.testing.assert_array_equal(traj.xs[a:b], ref.xs[a:b])
+            np.testing.assert_array_equal(traj.ys[a:b], ref.ys[a:b])
+
     def test_iid_law_preserved(self):
         spec = IIDGaussian(covariate_dim=1)
         part = make_partition(2000, 5)

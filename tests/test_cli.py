@@ -5,13 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixreg
 from mixreg.cli import COMMANDS, cli_main
 from mixreg.config import ExperimentConfig, save_config
 from mixreg.parallel import worker_count
-from mixreg.processes import two_state_flip
+from mixreg.processes import FiniteMarkov, IIDGaussian, two_state_flip
 
 
 @pytest.fixture
@@ -156,6 +157,33 @@ def test_all_degenerate_slope_exits_2(tmp_path, capsys):
     assert "n=5" in capsys.readouterr().err
 
 
+def rounding_chain(q=0.3):
+    """A two-state chain whose target is an exact linear map of a
+    two-dimensional covariate: OLS recovers it up to rounding."""
+    return FiniteMarkov(np.array([[1 - q, q], [q, 1 - q]]),
+                        emit_x=np.array([[-1.0, 0.5], [1.0, 2.0]]),
+                        emit_y=np.array([[0.3], [1.1]]))
+
+
+def test_slope_of_rounding_noise_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "chain.cfg"
+    save_config(ExperimentConfig(rounding_chain(), fit_window=2, ns=(200, 300, 400, 500, 600),
+                                 trials=100, seed=3, outputs=str(tmp_path)), cfg)
+    assert cli_main(["slope", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n=200" in err and "rounding level" in err
+    assert not (tmp_path / "slope.csv").exists()
+
+
+def test_noisy_slope_still_fits(tmp_path, capsys):
+    cfg = tmp_path / "iid.cfg"
+    save_config(ExperimentConfig(IIDGaussian(2), fit_window=2, ns=(200, 300, 400, 600),
+                                 trials=100, seed=3, outputs=str(tmp_path)), cfg)
+    assert cli_main(["slope", "--config", str(cfg)]) == 0
+    slope = float(capsys.readouterr().out.split("slope=")[1].split()[0])
+    assert -1.5 < slope < -0.5
+
+
 def test_noiseless_chain_slope_exits_2(tmp_path, capsys):
     cfg = tmp_path / "flip.cfg"
     save_config(ExperimentConfig(two_state_flip(0.3), fit_window=1, ns=(200, 300, 400, 500),
@@ -165,40 +193,64 @@ def test_noiseless_chain_slope_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "n=200" in err
 
 
+CSV_OF = {"simulate": "trajectory.csv", "mixing": "mixing.csv", "bound": "bound.csv",
+          "coverage": "coverage.csv", "lower-tail": "lowertail.csv",
+          "noise-walk": "noisewalk.csv", "clt": "clt.csv", "slope": "slope.csv"}
+
+
 SCIPY_PROBE = """
 import json
 import sys
+
+class NoScipy:
+    # Make every scipy import fail, as on an install without scipy.
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv[2] == "block":
+    sys.meta_path.insert(0, NoScipy())
 import mixreg.cli
 def scipy_modules():
     return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
 on_import = scipy_modules()
-for command in sys.argv[2:]:
+for command in sys.argv[3:]:
     assert mixreg.cli.cli_main([command, "--config", sys.argv[1]]) == 0, command
 print(json.dumps([on_import, scipy_modules()]))
 """
 
 
-def scipy_modules_after(cfg, *commands):
+def scipy_modules_after(cfg, *commands, block=False):
     """scipy modules loaded in a fresh interpreter after `import mixreg.cli`,
-    and after running the commands on the config."""
+    and after running the commands on the config; with `block`, every
+    scipy import in that interpreter raises ImportError."""
     src = str(Path(mixreg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(cfg), *commands],
-                          capture_output=True, text=True, env=env)
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(cfg), "block" if block else "open", *commands],
+        capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_only_ar_runs_import_scipy(iid_cfg, tmp_path):
+def test_runs_need_no_scipy(iid_cfg, tmp_path):
+    """iid runs load no scipy module; simulate, bound, coverage and
+    noise-walk on an AR config run with scipy blocked, and write the same
+    CSV bytes as without the block."""
     assert scipy_modules_after(iid_cfg, "coverage", "lower-tail") == [[], []]
-    ar_cfg = tmp_path / "ar.cfg"
-    ar_cfg.write_text(
-        "[process]\nkind = gaussian_ar\nar_coeffs = 0.5\nwarmup = 20\n"
-        "[partition]\ntau = 2\n"
-        f"[experiment]\nns = 40\ntrials = 100\nseed = 2\nout = {tmp_path}\n")
-    on_import, after_run = scipy_modules_after(ar_cfg, "simulate")
-    assert on_import == [] and "scipy.signal" in after_run
+    commands = ("simulate", "bound", "coverage", "noise-walk")
+    csvs = {}
+    for mode in ("open", "block"):
+        out = tmp_path / mode
+        cfg = tmp_path / f"{mode}.cfg"
+        cfg.write_text(
+            "[process]\nkind = gaussian_ar\nar_coeffs = 0.5, 0.2\nwarmup = 20\n"
+            "[fit]\nwindow = 1\n[partition]\ntau = 2\n"
+            f"[experiment]\nns = 40\ntrials = 100\nseed = 2\nn_mc = 1000\nout = {out}\n")
+        assert scipy_modules_after(cfg, *commands, block=mode == "block") == [[], []]
+        csvs[mode] = {c: (out / CSV_OF[c]).read_bytes() for c in commands}
+    assert csvs["block"] == csvs["open"]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
@@ -208,11 +260,6 @@ def test_bad_thread_count_exits_1(iid_cfg, monkeypatch, capsys, value):
         worker_count()
     assert cli_main(["bound", "--config", str(iid_cfg)]) == 1
     assert "MIXREG_THREADS" in capsys.readouterr().err
-
-
-CSV_OF = {"simulate": "trajectory.csv", "mixing": "mixing.csv", "bound": "bound.csv",
-          "coverage": "coverage.csv", "lower-tail": "lowertail.csv",
-          "noise-walk": "noisewalk.csv", "clt": "clt.csv", "slope": "slope.csv"}
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

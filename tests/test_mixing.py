@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from mixreg import mixing
 from mixreg.blocking import make_partition
 from mixreg.mixing import (
     MixingProfile,
@@ -176,6 +178,21 @@ class TestBetaArKlBound:
         b = beta_ar_kl_bound(GaussianAR((0.6,), noise_std=5.0), None, 3)
         assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.parametrize("coeffs", [(0.5,), (0.5, 0.2), (0.6, -0.2, 0.1), (0.99999,)])
+    def test_profile_solves_lyapunov_once(self, monkeypatch, coeffs):
+        spec = GaussianAR(coeffs)
+        gaps = range(1, 11)
+        want = {g: beta_ar_kl_bound(spec, None, g) for g in gaps}
+        calls = []
+
+        def counted(a, q):
+            calls.append(1)
+            return solve_lyapunov(a, q)
+
+        monkeypatch.setattr(mixing, "solve_lyapunov", counted)
+        assert gaussian_ar_profile(spec, gaps).coefficients == want
+        assert len(calls) == 1
+
     def test_pinsker_consistency_with_exact_tv(self):
         # Averaged exact Gaussian TV never exceeds the KL-route bound.
         spec = GaussianAR((0.6,))
@@ -233,6 +250,16 @@ class TestMixingProfile:
         profile.to_csv(path)
         loaded = MixingProfile.from_csv(path)
         assert loaded.coefficients == pytest.approx(profile.coefficients)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(1, 10**9), st.floats(0.0, 1.0), max_size=20))
+    def test_csv_roundtrip_is_exact(self, tmp_path_factory, coefficients):
+        path = tmp_path_factory.mktemp("profile") / "profile.csv"
+        MixingProfile(coefficients).to_csv(path)
+        loaded = MixingProfile.from_csv(path)
+        assert loaded.coefficients == coefficients
+        assert all(math.copysign(1.0, loaded.coefficients[g]) == math.copysign(1.0, b)
+                   for g, b in coefficients.items())
 
     def test_profile_from_spec_block_constant(self):
         profile = profile_from_spec(BlockConstant(4), [1, 2, 3, 4, 5])

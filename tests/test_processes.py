@@ -3,6 +3,9 @@ import pytest
 from scipy.signal import lfilter
 
 from mixreg.processes import (
+    FILTER_CHUNK,
+    SCAN_GROUP,
+    ARFilter,
     BlockConstant,
     FiniteMarkov,
     GaussianAR,
@@ -227,9 +230,57 @@ class TestGaussianAR:
         eps = spec.noise_std * np.random.default_rng(seed).standard_normal(spec.warmup + n)
         y = lfilter([1.0], np.r_[1.0, -np.asarray(spec.ar_coeffs)], eps)
         traj = simulate(spec, n, seed)
-        np.testing.assert_array_equal(
-            traj.xs, self.full_lagged_design(y, spec.covariate_dim)[spec.warmup:])
-        np.testing.assert_array_equal(traj.ys, y[spec.warmup:, None])
+        np.testing.assert_allclose(
+            traj.xs, self.full_lagged_design(y, spec.covariate_dim)[spec.warmup:], rtol=1e-13)
+        np.testing.assert_allclose(traj.ys, y[spec.warmup:, None], rtol=1e-13)
+
+
+def ar_coeffs_with_roots(*roots):
+    """Coefficients theta of the AR recursion whose characteristic roots
+    are `roots`."""
+    return tuple(-np.poly(roots)[1:])
+
+
+class TestARFilter:
+    """The chunked filter against scipy's lfilter, which runs the recursion
+    one sample at a time."""
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.5,), (0.5, 0.2), (0.4, 0.1, -0.2), (-0.6, 0.3),
+        (0.99999,), ar_coeffs_with_roots(0.99999, -0.3), ar_coeffs_with_roots(0.99999, 0.5, -0.4),
+    ])
+    @pytest.mark.parametrize("n", [1, FILTER_CHUNK - 1, FILTER_CHUNK, FILTER_CHUNK + 1,
+                                   10_084, 10**6])
+    def test_matches_lfilter(self, coeffs, n):
+        eps = np.random.default_rng(n).standard_normal(n)
+        want = lfilter([1.0], np.r_[1.0, -np.asarray(coeffs)], eps)
+        got = ARFilter(coeffs)(eps)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("coeffs", [(0.7,), (0.5, 0.2), (0.4, 0.1, -0.2)])
+    def test_rows_of_a_2d_call_equal_1d_calls(self, coeffs):
+        # Lengths cover a partial first chunk, the chunk edge, the first
+        # state group's edge (the scan takes the states of chunks 1, 2, ...)
+        # and three levels of the state scan.
+        c, k = FILTER_CHUNK, SCAN_GROUP
+        lengths = [1, c - 1, c, c + 1, c * (k + 1), c * (k + 1) + 1, 2084, 40 * c * k + 3]
+        rng = np.random.default_rng(len(coeffs))
+        eps = np.zeros((len(lengths), max(lengths)))
+        for row, n in zip(eps, lengths):
+            row[:n] = rng.standard_normal(n)
+        filt = ARFilter(coeffs)
+        rows = filt(eps)
+        for n, e, row in zip(lengths, eps, rows):
+            np.testing.assert_array_equal(row[:n], filt(e[:n]))
+        np.testing.assert_array_equal(filt(eps.reshape(2, 4, -1)), rows.reshape(2, 4, -1))
+
+    def test_high_order_matches_lfilter(self):
+        coeffs = tuple(np.random.default_rng(0).uniform(-0.04, 0.04, 20))
+        filt = ARFilter(coeffs)
+        eps = np.random.default_rng(1).standard_normal(5 * FILTER_CHUNK * SCAN_GROUP)
+        want = lfilter([1.0], np.r_[1.0, -np.asarray(coeffs)], eps)
+        assert np.abs(filt(eps) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestMarkov:
@@ -317,6 +368,18 @@ class TestStationaryCovariance:
         resid = cov - (ss.transition @ cov @ ss.transition.T
                        + np.outer(ss.input_vec, ss.input_vec))
         assert np.abs(resid).max() <= 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
+    def test_lyapunov_matches_scipy(self, d):
+        from scipy.linalg import solve_discrete_lyapunov
+
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d))
+        a *= 0.95 / np.abs(np.linalg.eigvals(a)).max()
+        q = rng.standard_normal((d, d))
+        q = q @ q.T
+        want = solve_discrete_lyapunov(a, q)
+        assert np.abs(solve_lyapunov(a, q) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_lyapunov_rejects_unstable(self):
         with pytest.raises(ValueError, match="Schur-stable"):
