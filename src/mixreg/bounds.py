@@ -193,13 +193,29 @@ class NoiseSpectrum:
 
 def _h_directions(sigma_x: np.ndarray, seed: int) -> np.ndarray:
     """Eigenvector grid plus 10 d random directions, normalized onto the
-    ellipsoid v' Sigma_X v = 1."""
+    ellipsoid v' Sigma_X v = 1.  For d = 1 every normalized direction is
+    +-the eigenvector and gives the same ratio, so only it is returned and
+    no random directions are drawn."""
     d = sigma_x.shape[0]
     _, eigvecs = np.linalg.eigh(sigma_x)
-    rng = np.random.default_rng(derive_seed(seed, 0xD1))
-    dirs = np.concatenate([eigvecs.T, rng.standard_normal((10 * d, d))], axis=0)
+    dirs = eigvecs.T
+    if d > 1:
+        rng = np.random.default_rng(derive_seed(seed, 0xD1))
+        dirs = np.concatenate([dirs, rng.standard_normal((10 * d, d))], axis=0)
     scale = np.sqrt(np.einsum("ij,jk,ik->i", dirs, sigma_x, dirs))
     return dirs / scale[:, None]
+
+
+# Scratch elements of one h-projection tile: 256 KB of float64.  Products
+# this small run on the calling thread, so the per-trial projection never
+# fans out over BLAS threads.
+PROJECTION_TILE = 32768
+
+
+def _projection_scratch(n_dirs: int, n: int) -> np.ndarray:
+    """Flat scratch for one tile of at most PROJECTION_TILE elements."""
+    rows = min(n, max(1, PROJECTION_TILE // n_dirs))
+    return np.empty(n_dirs * rows)
 
 
 def _walk_block_sums(prob: RegressionProblem, partition: BlockPartition, traj):
@@ -207,16 +223,22 @@ def _walk_block_sums(prob: RegressionProblem, partition: BlockPartition, traj):
     return block_sums(v.reshape(partition.n, -1), partition), s_n
 
 
-def _spectrum_moments(prob, partition, dirs, proj, traj):
+def _spectrum_moments(prob, partition, dirs, scratch, traj):
     """Pass-1 statistic: block sums, their outer products, the walk's end
     point, and the second and fourth powers of the projections onto dirs,
-    summed over time.  The projections are written into the reused (K, n)
-    buffer proj, one contiguous row per direction."""
+    summed over time.  The projections run in row tiles that fit the flat
+    scratch buffer; each tile is squared in place and its row sums added."""
     bs, s_n = _walk_block_sums(prob, partition, traj)
-    np.matmul(dirs, traj.xs.T, out=proj)
-    p2 = np.square(proj, out=proj)
-    return (), (bs, np.einsum("bi,bj->bij", bs, bs), s_n.reshape(-1),
-                p2.sum(axis=1), np.einsum("ij,ij->i", p2, p2))
+    k = dirs.shape[0]
+    rows = scratch.size // k
+    sum_p2, sum_p4 = np.zeros(k), np.zeros(k)
+    for a in range(0, partition.n, rows):
+        xs = traj.xs[a:a + rows]
+        p2 = np.matmul(dirs, xs.T, out=scratch[:k * len(xs)].reshape(k, len(xs)))
+        np.square(p2, out=p2)
+        sum_p2 += p2.sum(axis=1)
+        sum_p4 += np.einsum("ij,ij->i", p2, p2)
+    return (), (bs, np.einsum("bi,bj->bij", bs, bs), s_n.reshape(-1), sum_p2, sum_p4)
 
 
 def _block_snorms(prob, partition, mean_bs, s, traj):
@@ -230,16 +252,17 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
                    s: float = 4.0) -> NoiseSpectrum:
     """Monte Carlo estimate of the block noise spectrum over n_mc independent
     trajectories, including the fourth-moment constant h (maximized over an
-    eigenvector grid plus random directions; a lower estimate of the true
-    supremum) and the s-th block moments."""
+    eigenvector grid plus random directions, or the eigenvector alone when
+    d_X = 1; for d_X > 1 a lower estimate of the true supremum) and the s-th
+    block moments."""
     _require_trials(n_mc, MIN_MC_TRIALS)
     if s < 2:
         raise ValueError("s must be >= 2")
     dirs = _h_directions(prob.sigma_x, seed)
     draw = partial(draw_process, spec, partition.n)
-    proj = np.empty((dirs.shape[0], partition.n))
+    scratch = _projection_scratch(dirs.shape[0], partition.n)
     _, (sum_bs, sum_outer, sum_walk, sum_p2, sum_p4) = map_trials(
-        partial(_spectrum_moments, prob, partition, dirs, proj), draw, n_mc, seed)
+        partial(_spectrum_moments, prob, partition, dirs, scratch), draw, n_mc, seed)
 
     mean_bs = sum_bs / n_mc
     sigma_blocks = sum_outer / n_mc - np.einsum("bi,bj->bij", mean_bs, mean_bs)

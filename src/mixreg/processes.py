@@ -403,6 +403,8 @@ class FiniteMarkov(ProcessSpec):
             raise ValueError("emissions must have one row per state")
         # Existence of a unique stationary law; computed once, cached.
         object.__setattr__(self, "_stationary", stationary_distribution(p))
+        object.__setattr__(self, "_cum_rows", _cumulative(p))
+        object.__setattr__(self, "_cum_stationary", _cumulative(self._stationary))
 
     @property
     def n_states(self) -> int:
@@ -422,10 +424,10 @@ class FiniteMarkov(ProcessSpec):
 
     def _draw(self, rng, n):
         # Stationary chain: the initial state is drawn from the stationary law.
-        cum_rows = np.cumsum(self.transition, axis=1)
+        cum_rows = self._cum_rows
         u = rng.random(n)
         states = np.empty(n, dtype=np.intp)
-        states[0] = np.searchsorted(np.cumsum(self.stationary), u[0])
+        states[0] = np.searchsorted(self._cum_stationary, u[0])
         for t in range(1, n):
             states[t] = np.searchsorted(cum_rows[states[t - 1]], u[t])
         return self.emit_x[states], self.emit_y[states]
@@ -450,6 +452,17 @@ def two_state_flip(q: float, emissions=((-1.0, -1.0), (1.0, 1.0))) -> FiniteMark
     p = np.array([[1.0 - q, q], [q, 1.0 - q]])
     em = np.asarray(emissions, dtype=float)
     return FiniteMarkov(transition=p, emit_x=em[:, :1], emit_y=em[:, 1:])
+
+
+def _cumulative(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis with each row's final total pinned
+    to 1.0, so `searchsorted` of a uniform in [0, 1) is always a valid index.
+    Rows may sum to 1 only within ROW_SUM_TOL; the pin moves the entries equal
+    to the final total (the last positive-probability state onward), so a
+    uniform in a rounding gap lands on the last state that can occur."""
+    cum = np.cumsum(probs, axis=-1)
+    cum[cum >= cum[..., -1:]] = 1.0
+    return cum
 
 
 def stationary_distribution(p: np.ndarray) -> np.ndarray:

@@ -25,9 +25,23 @@ from mixreg.bounds import (
     phi_tau,
     truncation_mass_check,
 )
-from mixreg.bounds import _h_directions, _spectrum_moments, _walk_block_sums
+from mixreg import bounds
+from mixreg.bounds import (
+    PROJECTION_TILE,
+    _h_directions,
+    _projection_scratch,
+    _spectrum_moments,
+    _walk_block_sums,
+)
 from mixreg.mixing import iid_profile, markov_profile
-from mixreg.processes import BlockConstant, GaussianAR, IIDGaussian, simulate, two_state_flip
+from mixreg.processes import (
+    BlockConstant,
+    GaussianAR,
+    IIDGaussian,
+    derive_seed,
+    simulate,
+    two_state_flip,
+)
 from mixreg.regression import RegressionProblem, population_optimum
 
 
@@ -228,14 +242,17 @@ class TestNoiseSpectrum:
     @pytest.mark.parametrize("spec, n, m", [
         (IIDGaussian(covariate_dim=5), 300, 150),
         (GaussianAR((0.5, 0.2), covariate_dim=2, warmup=30), 500, 5),
+        # Three full tiles of PROJECTION_TILE // 55 = 595 rows and a partial one.
+        (IIDGaussian(covariate_dim=5), 3 * 595 + 7, 4),
     ])
     def test_moments_match_the_row_major_projection(self, spec, n, m):
         prob = population_optimum(spec)
         part = make_partition(n, m)
         dirs = _h_directions(prob.sigma_x, 3)
         traj = simulate(spec, n, 8)
-        proj = np.empty((dirs.shape[0], n))
-        _, (bs, outer, walk, p2_sum, p4_sum) = _spectrum_moments(prob, part, dirs, proj, traj)
+        scratch = _projection_scratch(dirs.shape[0], n)
+        _, (bs, outer, walk, p2_sum, p4_sum) = _spectrum_moments(prob, part, dirs, scratch,
+                                                                 traj)
         # Reference: one row per sample, one column per direction.
         ref_bs, ref_walk = _walk_block_sums(prob, part, traj)
         p2 = (traj.xs @ dirs.T) ** 2
@@ -244,6 +261,39 @@ class TestNoiseSpectrum:
         np.testing.assert_array_equal(walk, ref_walk.reshape(-1))
         np.testing.assert_allclose(p2_sum, p2.sum(axis=0), rtol=1e-13, atol=0)
         np.testing.assert_allclose(p4_sum, (p2 * p2).sum(axis=0), rtol=1e-13, atol=0)
+
+    def test_projection_scratch_holds_one_tile(self, monkeypatch):
+        spec = IIDGaussian(covariate_dim=5)
+        seen = []
+
+        def recording(prob, partition, dirs, scratch, traj):
+            seen.append(scratch.size)
+            return _spectrum_moments(prob, partition, dirs, scratch, traj)
+
+        monkeypatch.setattr(bounds, "_spectrum_moments", recording)
+        noise_spectrum(spec, population_optimum(spec), make_partition(5000, 10), 1000, 2)
+        assert len(seen) == 1000
+        assert max(seen) <= PROJECTION_TILE
+
+    def test_scalar_covariate_projects_onto_one_direction(self):
+        spec = GaussianAR((0.5, 0.2), covariate_dim=1, warmup=30)
+        prob = population_optimum(spec)
+        part = make_partition(200, 10)
+        dirs = _h_directions(prob.sigma_x, 4)
+        assert dirs.shape == (1, 1)
+        est = noise_spectrum(spec, prob, part, 1000, 4)
+        # The former grid: the eigenvector plus 10 random directions, each
+        # normalized onto v' Sigma_X v = 1, over the same trajectories.
+        _, eigvecs = np.linalg.eigh(prob.sigma_x)
+        rng = np.random.default_rng(derive_seed(4, 0xD1))
+        grid = np.concatenate([eigvecs.T, rng.standard_normal((10, 1))], axis=0)
+        grid = grid / np.sqrt(np.einsum("ij,jk,ik->i", grid, prob.sigma_x, grid))[:, None]
+        sum_p2, sum_p4 = np.zeros(11), np.zeros(11)
+        for t in range(1000):
+            p2 = (simulate(spec, 200, derive_seed(4, t)).xs @ grid.T) ** 2
+            sum_p2 += p2.sum(axis=0)
+            sum_p4 += (p2 * p2).sum(axis=0)
+        assert est.h == pytest.approx(math.sqrt(np.max(sum_p4 / sum_p2)), rel=1e-14)
 
     def test_zero_noise_spectrum(self):
         coef = np.array([[2.0, -1.0]])

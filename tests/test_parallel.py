@@ -11,7 +11,7 @@ from mixreg.bounds import estimate_r, noise_spectrum
 from mixreg.config import ExperimentConfig
 from mixreg.harness import run_coverage
 from mixreg.parallel import draw_process, map_trials
-from mixreg.processes import GaussianAR, derive_seed, simulate
+from mixreg.processes import GaussianAR, IIDGaussian, derive_seed, simulate
 from mixreg.regression import population_optimum
 
 SPEC = GaussianAR(ar_coeffs=(0.5,), warmup=20)
@@ -57,6 +57,16 @@ def serial_then_pooled(monkeypatch, run):
     return serial, run()
 
 
+def assert_spectra_agree(monkeypatch, spec, part):
+    prob = population_optimum(spec)
+    serial, pooled = serial_then_pooled(
+        monkeypatch, lambda: noise_spectrum(spec, prob, part, 1000, 4))
+    for name in ("sigma_blocks", "sigma_agg", "sigma2", "block_snorm_moments", "h",
+                 "block_moment_s", "mean_walk_norm"):
+        np.testing.assert_allclose(getattr(pooled, name), getattr(serial, name),
+                                   rtol=1e-10, err_msg=name)
+
+
 class TestTwoWorkersAgreeWithSerial:
     def test_map_trials(self, monkeypatch):
         serial, pooled = serial_then_pooled(monkeypatch, lambda: map_trials(
@@ -66,13 +76,11 @@ class TestTwoWorkersAgreeWithSerial:
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_noise_spectrum(self, monkeypatch):
-        part = make_partition(60, 3)
-        serial, pooled = serial_then_pooled(
-            monkeypatch, lambda: noise_spectrum(SPEC, PROB, part, 1000, 4))
-        for name in ("sigma_blocks", "sigma_agg", "sigma2", "block_snorm_moments", "h",
-                     "block_moment_s", "mean_walk_norm"):
-            np.testing.assert_allclose(getattr(pooled, name), getattr(serial, name),
-                                       rtol=1e-10, err_msg=name)
+        assert_spectra_agree(monkeypatch, SPEC, make_partition(60, 3))
+
+    def test_noise_spectrum_over_projection_tiles(self, monkeypatch):
+        # d = 5: the h projection of each trajectory spans several row tiles.
+        assert_spectra_agree(monkeypatch, IIDGaussian(covariate_dim=5), make_partition(2000, 10))
 
     def test_estimate_r(self, monkeypatch):
         part = make_partition(40, 2)

@@ -314,6 +314,19 @@ class TestMarkov:
         np.testing.assert_allclose(pi, pi @ p, atol=1e-12)
         np.testing.assert_allclose(pi, [0.8, 0.2], atol=1e-12)
 
+    def test_uniform_in_the_rounding_gap_draws_a_valid_state(self):
+        # The first row sums to 1 - 5e-13, inside ROW_SUM_TOL; a uniform
+        # above that total must still land on a state.
+        class StubRng:
+            def random(self, n):
+                return np.array([0.1, 1.0 - 1e-13, 0.5])
+
+        spec = FiniteMarkov(np.array([[0.3, 0.7 - 5e-13], [0.6, 0.4]]),
+                            np.array([[1.0], [2.0]]), np.array([[0.0], [1.0]]))
+        xs, ys = spec._draw(StubRng(), 3)
+        np.testing.assert_array_equal(xs.ravel(), [1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(ys.ravel(), [0.0, 1.0, 0.0])
+
     def test_determinism(self):
         spec = two_state_flip(0.3)
         a = simulate(spec, 200, 5)
