@@ -55,6 +55,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mixing(args) -> int:
+    if args.max_gap < 1:
+        raise ValueError(f"--max-gap must be >= 1, got {args.max_gap}")
     if args.markov is not None:
         key, _, val = args.markov.partition("=")
         if key.strip() != "q":

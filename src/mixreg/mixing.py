@@ -17,8 +17,8 @@ from .processes import (
     ProcessSpec,
     companion,
     gramian,
-    solve_lyapunov,
     stationary_distribution,
+    stationary_state_covariance,
 )
 
 if TYPE_CHECKING:
@@ -137,14 +137,10 @@ def expected_kl_ar(spec: GaussianAR, t: int | None, k: int) -> float:
         raise ValueError("t must be >= 0")
     ss = companion(spec.ar_coeffs)
     if t is None:
-        state_cov = _unit_stationary_state_cov(ss)
+        state_cov = stationary_state_covariance(spec) / spec.noise_std**2
     else:
         state_cov = gramian(ss, t + 1)
     return _expected_kl(ss, state_cov, k)
-
-
-def _unit_stationary_state_cov(ss) -> np.ndarray:
-    return solve_lyapunov(ss.transition, np.outer(ss.input_vec, ss.input_vec))
 
 
 def _expected_kl(ss, state_cov: np.ndarray, k: int) -> float:
@@ -173,7 +169,7 @@ def gaussian_ar_profile(spec: GaussianAR, gaps) -> MixingProfile:
     every conditioning time t of the zero-initialized process.  The
     stationary state covariance is solved once for all gaps."""
     ss = companion(spec.ar_coeffs)
-    state_cov = _unit_stationary_state_cov(ss)
+    state_cov = stationary_state_covariance(spec) / spec.noise_std**2
     coeffs = {g: _pinsker_beta(_expected_kl(ss, state_cov, g)) for g in map(int, gaps)}
     return MixingProfile(coeffs, method=GAUSSIAN_KL_BOUND)
 

@@ -67,20 +67,27 @@ def spectral_radius(coeffs) -> float:
     return float(np.abs(np.linalg.eigvals(companion(coeffs).transition)).max())
 
 
+def impulse_response(ss: StateSpace, k: int) -> np.ndarray:
+    """The dim x k matrix with columns b, A b, ..., A^(k-1) b: column i is
+    the state i steps after a unit input."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    r = np.empty((ss.dim, k))
+    col = ss.input_vec
+    for i in range(k):
+        r[:, i] = col
+        col = ss.transition @ col
+    return r
+
+
 def gramian(ss: StateSpace, k: int) -> np.ndarray:
     """k-step controllability Gramian sum_{j<k} A^j b b' (A^j)'.
 
     k = 0 returns the zero matrix.  Unit innovation variance; scale by the
     noise variance for a non-unit process.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    g = np.zeros((ss.dim, ss.dim))
-    col = ss.input_vec.copy()
-    for _ in range(k):
-        g += np.outer(col, col)
-        col = ss.transition @ col
-    return g
+    r = impulse_response(ss, k)
+    return r @ r.T
 
 
 def conditional_gaussian(ss: StateSpace, state, k: int) -> tuple[float, float]:
@@ -129,37 +136,40 @@ class ARFilter:
     response, row i of F is the first row of A^(i+1) for the p x p companion
     matrix A, G = A^c is the boundary map, and u_j holds the last p values of
     H e[chunk j], newest first.  The zero-state responses of all chunks are
-    one matrix product.  The chunk-start states are a scan of u under G, run
-    as a 32-ary tree of depth log_32(n / c): within each group of 32 states
-    the scan is one product with the block-Toeplitz matrix of
-    G^0, ..., G^31, and the group-start states are the same scan one level
-    up, over the group totals under G^32.  Nothing loops in Python over n.
-    A tree level holds two matrices of (32 p)^2 and 32 p^2 entries, built
-    when a series first reaches it.
+    one matrix product.  The chunk-start states are a scan of u under G in
+    groups of 32 states: within a group the scan is one product with the
+    block-Toeplitz matrix of G^0, ..., G^31, for all groups at once, and a
+    loop over the groups then adds each group's start state, the last state
+    of the group before, times G^1, ..., G^32.  That loop runs once per
+    group after the first, which with c = 64 is never for n <= 2,112 and
+    four times at n = 10,084.  The two scan matrices, of (32 p)^2 and
+    32 p^2 entries, are built with the chunk matrices in `__init__`.
 
-    Accuracy: the matrices are built once per filter, with the powers of A
-    in extended precision where numpy.longdouble has it, so they carry
-    rounding of a few ulps; each output then has the rounding of sums of at
-    most c + 32 p terms per tree level.  Against `scipy.signal.lfilter`, the
-    largest difference over orders 1 to 3 and n up to 10^6 was 5e-14 of
-    max |y|, with simple roots up to modulus 0.99999.  A repeated root near
-    the unit circle loses more, since the state basis then cancels: at
-    n = 10^6 a double root at 0.999 gave 1e-11 to 2e-11, one at 0.99999
-    1e-6 to 2e-6.
+    Accuracy: the matrices carry the rounding of a few ulps, since the
+    powers of A are formed in extended precision where numpy.longdouble has
+    it; each output then has the rounding of sums of at most c + 32 p terms
+    plus the carries of the groups before it.  Against
+    `scipy.signal.lfilter`, the largest difference over orders 1 to 3 and n
+    up to 10^6 was 7e-14 of max |y|, with simple real or complex roots up to
+    modulus 0.99999.  Repeated or close roots near the unit circle lose
+    more, since the state basis then cancels: at n = 10^6 a double root at
+    0.99 gave 3e-13 to 4e-13, one at 0.999 2e-11, one at 0.99999 2e-7 to
+    3e-7, and the pair of roots 0.9999, 0.999 gave 2e-10.
 
     Reproducibility: row r of a 2-D call equals the 1-D call on row r bit
     for bit, and zeros appended to a row leave its earlier outputs
     unchanged.  Every product is a BLAS gemm (see `_gemm`) with a column
     count that is a multiple of 32, for which the per-entry sums do not
     depend on the row count (tests/test_processes.py checks this on the
-    BLAS at hand), and a later sample only ever meets an earlier one through
-    an exact zero weight.
+    BLAS at hand), the group carries are elementwise sums, and a later
+    sample only ever meets an earlier one through an exact zero weight.
     """
 
     def __init__(self, coeffs):
         theta = np.asarray(coeffs, dtype=float)
         p = theta.size
         c = FILTER_CHUNK * -(-p // FILTER_CHUNK)
+        k = SCAN_GROUP
         # Powers of A are built in extended precision where the platform has
         # it: a float64 product chain would lose about k ulps in A^k.
         a = companion(theta).transition[:p, :p].astype(np.longdouble)
@@ -170,64 +180,48 @@ class ARFilter:
             row = row @ a
         h = np.concatenate([[1.0], f[:-1, 0]])  # h_i = (A^i)[0, 0]
         lag = np.subtract.outer(np.arange(c), np.arange(c))  # lag[l, i] = l - i
+        g = np.linalg.matrix_power(a, c)
+        pows = [np.eye(p, dtype=np.longdouble)]  # G^0, ..., G^k
+        for _ in range(k):
+            pows.append(pows[-1] @ g)
+        # within[(l, b), (i, a)] = (G^(i-l))[a, b] for l <= i scans a group
+        # from a zero start; carry[b, (i, a)] = (G^(i+1))[a, b] is the start
+        # state's share of the state after step i of the group.
+        within = np.zeros((k, p, k, p))
+        for d in range(k):
+            first = np.arange(k - d)
+            within[first, :, first + d, :] = pows[d].T
         self.order, self.chunk = p, c
         self._ht = np.where(lag <= 0, h[np.abs(lag)], 0.0)  # H^T: H[i, l] = h[i - l]
         self._ft = np.ascontiguousarray(f.T)
-        self._levels: list[tuple[np.ndarray, np.ndarray]] = []
-        self._next_map = np.linalg.matrix_power(a, c)  # G^(32^len(_levels))
+        self._within = within.reshape(k * p, k * p)
+        self._carry = np.stack([m.T for m in pows[1:]], axis=1).astype(float).reshape(p, k * p)
 
     def __call__(self, eps) -> np.ndarray:
         eps = np.asarray(eps, dtype=float)
         lead, n = eps.shape[:-1], eps.shape[-1]
-        t, p, c = math.prod(lead), self.order, self.chunk
+        t, p, c, k = math.prod(lead), self.order, self.chunk, SCAN_GROUP
         nch = -(-n // c)
         e = np.zeros((t, nch * c))
         e[:, :n] = eps.reshape(t, n)
         y = _gemm(e.reshape(t * nch, c), self._ht)
         if nch > 1:
-            # The state before chunk j is the state after chunk j - 1.
+            # Scan u_0, ..., u_{nch-2} in groups of k: the state before chunk
+            # j + 1 is the state after step j.
+            m = nch - 1
+            ng = -(-m // k)
+            u = np.zeros((t, ng * k, p))
+            u[:, :m] = y.reshape(t, nch, c)[:, :-1, ::-1][..., :p]
+            ends = _gemm(u.reshape(t * ng, k * p), self._within).reshape(t, ng, k * p)
+            for g in range(1, ng):
+                # Group g starts from the last state of group g - 1.  An
+                # elementwise sum, unlike a product, rounds each row alike
+                # however many rows share the call.
+                ends[:, g] += (ends[:, g - 1, -p:, None] * self._carry).sum(axis=1)
             s = np.zeros((t, nch, p))
-            s[:, 1:] = self._scan(y.reshape(t, nch, c)[:, :-1, ::-1][..., :p])
+            s[:, 1:] = ends.reshape(t, ng * k, p)[:, :m]
             y += s.reshape(t * nch, p) @ self._ft
         return y.reshape(t, nch * c)[:, :n].reshape(*lead, n)
-
-    def _scan(self, u: np.ndarray, level: int = 0) -> np.ndarray:
-        """States after each step, E_j = u_j + M E_{j-1} from E_{-1} = 0,
-        along axis 1 of u (rows, steps, p), where M = G^(32^level)."""
-        t, m, p = u.shape
-        k = SCAN_GROUP
-        ng = -(-m // k)
-        within, carry = self._level(level)
-        padded = np.zeros((t, ng * k, p))
-        padded[:, :m] = u
-        ends = _gemm(padded.reshape(t * ng, k * p), within).reshape(t, ng, k, p)
-        if ng > 1:
-            # Group g starts from the state after group g - 1: the same scan
-            # one level up, over the group totals.
-            start = np.zeros((t, ng, p))
-            start[:, 1:] = self._scan(ends[:, :-1, -1], level + 1)
-            ends += (start.reshape(t * ng, p) @ carry).reshape(t, ng, k, p)
-        return ends.reshape(t, ng * k, p)[:, :m]
-
-    def _level(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The scan matrices of one tree level, built on first use.  With
-        M = G^(32^level): within[(l, b), (i, a)] = (M^(i-l))[a, b] for
-        l <= i (a group's scan, each state a row block) and
-        carry[b, (i, a)] = (M^(i+1))[a, b] (a group-start state's share of
-        the state after step i of the group)."""
-        k, p = SCAN_GROUP, self.order
-        while len(self._levels) <= level:
-            pows = [np.eye(p, dtype=np.longdouble)]
-            for _ in range(k):
-                pows.append(pows[-1] @ self._next_map)
-            within = np.zeros((k, p, k, p))
-            for lag in range(k):
-                first = np.arange(k - lag)
-                within[first, :, first + lag, :] = pows[lag].T
-            carry = np.stack([m.T for m in pows[1:]], axis=1).astype(float)
-            self._levels.append((within.reshape(k * p, k * p), carry.reshape(p, k * p)))
-            self._next_map = pows[k]
-        return self._levels[level]
 
 
 # ---------------------------------------------------------------------------
@@ -330,40 +324,28 @@ class GaussianAR(ProcessSpec):
     def optimum(self, horizon: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """With a horizon: the exact uniform mixture over that many sample
         times of the (possibly zero-initialized) trajectory instead of the
-        stationary law."""
-        if horizon is None:
-            return self._stationary_optimum()
-        return self._zero_init_mixture_optimum(horizon)
-
-    def _zero_init_mixture_optimum(self, horizon: int):
-        """Best linear map for the uniform mixture of the sample times of a
-        zero-initialized trajectory, via the exact state-covariance recursion.
+        stationary law.
 
         The covariate at time t is the leading window of the state one step
         back, so the mixture moments follow from Cov(x_j) and Cov(x_{j+1}, x_j)
-        = A Cov(x_j)."""
+        = A Cov(x_j).  States j = warmup .. warmup + horizon - 1 feed the
+        samples, and Cov(x_j) = sigma^2 sum_{i<j} A^i b b' (A^i)', so the
+        summed covariance weighs term i by the number of those j above i."""
+        if horizon is None:
+            return self._stationary_optimum()
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
         window = self.covariate_dim
         ss = companion(self.ar_coeffs)
-        a, b = ss.transition, ss.input_vec
-        q = self.noise_std**2 * np.outer(b, b)
-        state_cov = np.zeros_like(q)
-        sum_cov = np.zeros_like(q)
-        sum_cross = np.zeros_like(q)
-        # state indices warmup .. warmup + horizon - 1 feed samples 1 .. horizon
-        for j in range(self.warmup + horizon):
-            prev = state_cov
-            state_cov = a @ state_cov @ a.T + q
-            if j >= self.warmup:
-                sum_cov += prev
-                sum_cross += a @ prev
-        sel = np.zeros((window, a.shape[0]))
-        sel[:, :window] = np.eye(window)
-        sigma_x = sel @ (sum_cov / horizon) @ sel.T
+        k = self.warmup + horizon - 1
+        r = impulse_response(ss, k)
+        weights = np.minimum(horizon, k - np.arange(k))
+        mean_cov = self.noise_std**2 * (r * weights) @ r.T / horizon
+        sigma_x = mean_cov[:window, :window]
         if min_eig(sigma_x) <= EIG_FLOOR:
             raise ValueError("mixture covariance is not positive definite")
-        cross = (sum_cross / horizon)[0] @ sel.T
-        alpha = np.linalg.solve(symmetrize(sigma_x), cross)
-        return sigma_x, alpha[None, :]
+        cross = (ss.transition @ mean_cov)[0, :window]
+        return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross)[None, :]
 
     def mixing_profile(self, gaps):
         from .mixing import gaussian_ar_profile

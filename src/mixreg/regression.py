@@ -9,10 +9,12 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import EIG_FLOOR, inv_sqrt_psd, min_eig, sqrt_psd, symmetrize
-from .processes import GaussianAR, ProcessSpec, Trajectory, companion, simulate
+from .processes import (GaussianAR, ProcessSpec, StateSpace, Trajectory, companion,
+                        impulse_response, simulate)
 
 ANALYTIC = "analytic"
 MONTE_CARLO = "monte_carlo"
+MC_BATCHES = 100  # segments of the Monte Carlo optimum's batch-means standard error
 
 
 class DegenerateDesignError(ValueError):
@@ -151,14 +153,12 @@ def error_identity_check(traj: Trajectory, prob: RegressionProblem) -> float:
 # Population optimum
 # ---------------------------------------------------------------------------
 
-def _monte_carlo_optimum(spec: ProcessSpec, n_mc: int, seed: int,
-                         batches: int = 100) -> RegressionProblem:
+def _monte_carlo_optimum(spec: ProcessSpec, n_mc: int, seed: int) -> RegressionProblem:
     traj = simulate(spec, n_mc, seed)
-    sigma_x = traj.xs.T @ traj.xs / n_mc
-    m_hat = fit_ols(traj)
     # Batch-means standard error: refit on consecutive segments.  Valid for
     # mixing data as long as segments are much longer than the mixing time.
-    edges = np.linspace(0, n_mc, batches + 1).astype(int)
+    # Below MC_BATCHES samples some segments would be empty; they are dropped.
+    edges = np.unique(np.linspace(0, n_mc, MC_BATCHES + 1).astype(int))
     fits = []
     for a, b in zip(edges[:-1], edges[1:]):
         seg = Trajectory(xs=traj.xs[a:b], ys=traj.ys[a:b], seed=traj.seed, spec=spec)
@@ -166,9 +166,13 @@ def _monte_carlo_optimum(spec: ProcessSpec, n_mc: int, seed: int,
             fits.append(fit_ols(seg))
         except DegenerateDesignError:
             continue
+    if len(fits) < 2:
+        raise ValueError(f"n_mc = {n_mc} is too small: {len(fits)} of its batch segments "
+                         "give a non-degenerate fit, and a standard error needs 2")
     fits = np.asarray(fits)
     stderr = fits.std(axis=0, ddof=1) / np.sqrt(len(fits))
-    return RegressionProblem(sigma_x=sigma_x, m_star=m_hat, source=MONTE_CARLO, stderr=stderr)
+    return RegressionProblem(sigma_x=traj.xs.T @ traj.xs / n_mc, m_star=fit_ols(traj),
+                             source=MONTE_CARLO, stderr=stderr)
 
 
 def population_optimum(spec: ProcessSpec, window: int | None = None,
@@ -210,19 +214,13 @@ def gaussian_quartic(a: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * np.sum(a * sym_b) + np.trace(a) * np.trace(b))
 
 
-def _noise_map(ss_transition: np.ndarray, input_vec: np.ndarray, j: int,
-               n_eps: int, noise_std: float) -> np.ndarray:
+def _noise_map(ss: StateSpace, j: int, n_eps: int, noise_std: float) -> np.ndarray:
     """Matrix mapping the innovation vector (eps_0..eps_{n_eps-1}) to the
-    state at time j; zero for j < 0."""
-    dim = ss_transition.shape[0]
-    mat = np.zeros((dim, n_eps))
-    if j < 0:
-        return mat
-    col = input_vec.copy()
-    for jj in range(j, -1, -1):
-        mat[:, jj] = col
-        col = ss_transition @ col
-    return noise_std * mat
+    state at time j: column i <= j is noise_std A^(j-i) b, the rest zero."""
+    cols = max(j + 1, 0)
+    mat = np.zeros((ss.dim, n_eps))
+    mat[:, :cols] = noise_std * impulse_response(ss, cols)[:, ::-1]
+    return mat
 
 
 def cross_term_expectation(spec: GaussianAR, window: int, s: int, t: int,
@@ -250,11 +248,8 @@ def cross_term_expectation(spec: GaussianAR, window: int, s: int, t: int,
     sel_v = np.zeros((tail.size, p + 1))
     sel_v[:, 1 : tail.size + 1] = np.eye(tail.size)
 
-    def noise_map(j: int) -> np.ndarray:
-        return _noise_map(ss.transition, ss.input_vec, j, n_eps, spec.noise_std)
-
-    m_s, m_t = noise_map(s), noise_map(t)
-    m_sm, m_tm = noise_map(s - window), noise_map(t - window)
+    m_s, m_t, m_sm, m_tm = (_noise_map(ss, j, n_eps, spec.noise_std)
+                            for j in (s, t, s - window, t - window))
     quad = m_s.T @ sel_u.T @ np.asarray(sigma_inv, dtype=float) @ sel_u @ m_t
     beta_outer = np.outer(tail, tail)
     misspec = m_sm.T @ sel_v.T @ beta_outer @ sel_v @ m_tm

@@ -106,6 +106,16 @@ def test_bad_markov_argument(tmp_path):
     assert cli_main(["mixing", "--markov", "p=0.3", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("max_gap", ["0", "-3"])
+def test_max_gap_below_1_exits_1(tmp_path, capsys, max_gap):
+    code = cli_main(["mixing", "--markov", "q=0.3", "--max-gap", max_gap,
+                     "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("argument error:") and "--max-gap" in err
+    assert not (tmp_path / "mixing.csv").exists()
+
+
 def test_clt_and_slope_smoke(tmp_path):
     cfg = tmp_path / "ar.cfg"
     cfg.write_text(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from mixreg import mixing
+from mixreg import processes
 from mixreg.blocking import make_partition
 from mixreg.mixing import (
     MixingProfile,
@@ -189,7 +189,7 @@ class TestBetaArKlBound:
             calls.append(1)
             return solve_lyapunov(a, q)
 
-        monkeypatch.setattr(mixing, "solve_lyapunov", counted)
+        monkeypatch.setattr(processes, "solve_lyapunov", counted)
         assert gaussian_ar_profile(spec, gaps).coefficients == want
         assert len(calls) == 1
 

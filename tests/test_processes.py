@@ -248,6 +248,7 @@ class TestARFilter:
     @pytest.mark.parametrize("coeffs", [
         (0.5,), (0.5, 0.2), (0.4, 0.1, -0.2), (-0.6, 0.3),
         (0.99999,), ar_coeffs_with_roots(0.99999, -0.3), ar_coeffs_with_roots(0.99999, 0.5, -0.4),
+        ar_coeffs_with_roots(0.99, 0.99),
     ])
     @pytest.mark.parametrize("n", [1, FILTER_CHUNK - 1, FILTER_CHUNK, FILTER_CHUNK + 1,
                                    10_084, 10**6])

@@ -118,6 +118,25 @@ class TestPopulationOptimum:
         diff = abs(mc.m_star[0, 0] - analytic.m_star[0, 0])
         assert diff <= 3 * mc.stderr[0, 0]
 
+    @pytest.mark.parametrize("spec, n_mc", [
+        (GaussianAR((0.5, 0.2), covariate_dim=1), 1),
+        (GaussianAR((0.5, 0.2), covariate_dim=1), 2),
+        (IIDGaussian(covariate_dim=3), 200),
+    ])
+    def test_monte_carlo_with_too_few_fits_names_n_mc(self, spec, n_mc):
+        # Zero-initialized AR has a zero first covariate, so its first
+        # one-sample segment is degenerate; iid d = 3 in two-sample segments
+        # is degenerate throughout.
+        with pytest.raises(ValueError, match="n_mc"):
+            population_optimum(spec, method=MONTE_CARLO, n_mc=n_mc)
+
+    @pytest.mark.parametrize("n_mc", [50, 99])
+    def test_monte_carlo_below_the_batch_count(self, n_mc):
+        # Fewer samples than batch segments: the empty segments are dropped.
+        spec = GaussianAR((0.5, 0.2), covariate_dim=1)
+        prob = population_optimum(spec, method=MONTE_CARLO, n_mc=n_mc)
+        assert np.isfinite(prob.stderr).all()
+
     def test_near_unit_root_is_exact(self):
         rho = 0.99999
         prob = population_optimum(GaussianAR((rho,)))
@@ -143,6 +162,11 @@ class TestPopulationOptimum:
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
         prob = population_optimum(spec, window=1, horizon=20_000)
         assert prob.m_star[0, 0] == pytest.approx(0.625, abs=1e-4)
+
+    def test_empty_horizon_is_rejected(self):
+        spec = GaussianAR((0.5, 0.2), covariate_dim=1)
+        with pytest.raises(ValueError, match="horizon"):
+            population_optimum(spec, window=1, horizon=0)
 
     def test_finite_horizon_against_moment_oracle(self):
         # Best map for the uniform mixture over n sample times of the
