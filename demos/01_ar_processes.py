@@ -25,16 +25,16 @@ print("sample variance:", round(traj.ys.var(), 4))
 
 # The companion form stacks (y_t, y_{t-1}, y_{t-2}); its top row carries the
 # coefficients and the sub-diagonal shifts the window.
-ss = companion(spec.ar_coeffs)
-print("companion matrix:\n", ss.transition)
-print("spectral radius:", round(np.abs(np.linalg.eigvals(ss.transition)).max(), 4))
+a = companion(spec.ar_coeffs)
+print("companion matrix:\n", a)
+print("spectral radius:", round(np.abs(np.linalg.eigvals(a)).max(), 4))
 
 # k-step Gramians give the conditional variance of the output k steps ahead.
 for k in (1, 2, 5, 20):
-    print(f"gramian({k})[0,0] =", round(gramian(ss, k)[0, 0], 6))
+    print(f"gramian({k})[0,0] =", round(gramian(a, k)[0, 0], 6))
 
 state = np.array([1.0, 0.3, -0.2])
-mean, var = conditional_gaussian(ss, state, k=3)
+mean, var = conditional_gaussian(a, state, k=3)
 print(f"y three steps ahead of {state}: N({mean:.4f}, {var:.4f})")
 
 # The stationary covariance of the covariate window solves a Lyapunov

@@ -16,8 +16,9 @@ from mixreg import (
 
 # Fit an AR(1) regressor to an AR(2) process: the best single-lag predictor
 # has coefficient a1 / (1 - a2) = 0.625, not the first AR coefficient.
+# The spec's covariate_dim is the regression window.
 spec = GaussianAR((0.5, 0.2), covariate_dim=1, warmup=100)
-prob = population_optimum(spec, window=1)
+prob = population_optimum(spec)
 print("best one-lag coefficient:", prob.m_star[0, 0])
 print("covariate covariance:", prob.sigma_x[0, 0])
 

@@ -32,7 +32,7 @@ for t in (1.0, 2.0, 4.0):
 # Estimate the block noise spectrum of a misspecified AR fit and evaluate
 # the main bound with every burn-in condition reported.
 spec = GaussianAR((0.5, 0.2), covariate_dim=1, warmup=default_warmup((0.5, 0.2)))
-prob = population_optimum(spec, window=1)
+prob = population_optimum(spec)
 n = 8000
 partition = uniform_partition(n, 40)
 spectrum = noise_spectrum(spec, prob, partition, n_mc=1500, seed=5)

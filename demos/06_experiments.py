@@ -18,10 +18,11 @@ from mixreg import (
     verify_lower_tail,
 )
 
+# The spec owns the regression window (one lag here); save_config writes it
+# as `[fit] window`.
 spec = GaussianAR((0.5, 0.2), covariate_dim=1, warmup=default_warmup((0.5, 0.2)))
 config = ExperimentConfig(
     process=spec,
-    fit_window=1,
     ns=(500, 1000, 2000, 4000),
     delta=0.1,
     trials=200,

@@ -67,7 +67,6 @@ from .processes import (
     GaussianAR,
     IIDGaussian,
     ProcessSpec,
-    StateSpace,
     Trajectory,
     autocovariances,
     companion,

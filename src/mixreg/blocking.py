@@ -115,8 +115,7 @@ def decoupled_resample(spec: ProcessSpec, partition: BlockPartition, seed: int) 
         block_traj = simulate(spec, stop, derive_seed(seed, i))
         xs_parts.append(block_traj.xs[start:stop])
         ys_parts.append(block_traj.ys[start:stop])
-    return Trajectory(xs=np.concatenate(xs_parts), ys=np.concatenate(ys_parts),
-                      seed=seed, spec=spec)
+    return Trajectory(xs=np.concatenate(xs_parts), ys=np.concatenate(ys_parts))
 
 
 def decoupling_gap_bound(profile: MixingProfile, partition: BlockPartition,

@@ -182,8 +182,6 @@ class NoiseSpectrum:
     block_moment_s: float
     block_snorm_moments: np.ndarray   # (2m,)
     h: float
-    n_mc: int
-    mean_walk_norm: float             # norm of the estimated mean of S_n
 
     def odd_even_sums(self) -> tuple[np.ndarray, np.ndarray]:
         odd = self.sigma_blocks[0::2].sum(axis=0)
@@ -219,16 +217,16 @@ def _projection_scratch(n_dirs: int, n: int) -> np.ndarray:
 
 
 def _walk_block_sums(prob: RegressionProblem, partition: BlockPartition, traj):
-    v, s_n = noise_walk(traj, prob)
-    return block_sums(v.reshape(partition.n, -1), partition), s_n
+    v, _ = noise_walk(traj, prob)
+    return block_sums(v.reshape(partition.n, -1), partition)
 
 
 def _spectrum_moments(prob, partition, dirs, scratch, traj):
-    """Pass-1 statistic: block sums, their outer products, the walk's end
-    point, and the second and fourth powers of the projections onto dirs,
-    summed over time.  The projections run in row tiles that fit the flat
-    scratch buffer; each tile is squared in place and its row sums added."""
-    bs, s_n = _walk_block_sums(prob, partition, traj)
+    """Pass-1 statistic: block sums, their outer products, and the second
+    and fourth powers of the projections onto dirs, summed over time.  The
+    projections run in row tiles that fit the flat scratch buffer; each tile
+    is squared in place and its row sums added."""
+    bs = _walk_block_sums(prob, partition, traj)
     k = dirs.shape[0]
     rows = scratch.size // k
     sum_p2, sum_p4 = np.zeros(k), np.zeros(k)
@@ -238,12 +236,12 @@ def _spectrum_moments(prob, partition, dirs, scratch, traj):
         np.square(p2, out=p2)
         sum_p2 += p2.sum(axis=1)
         sum_p4 += np.einsum("ij,ij->i", p2, p2)
-    return (), (bs, np.einsum("bi,bj->bij", bs, bs), s_n.reshape(-1), sum_p2, sum_p4)
+    return (), (bs, np.einsum("bi,bj->bij", bs, bs), sum_p2, sum_p4)
 
 
 def _block_snorms(prob, partition, mean_bs, s, traj):
     """Pass-2 statistic: s-th powers of the centered block-sum norms."""
-    bs = _walk_block_sums(prob, partition, traj)[0] - mean_bs
+    bs = _walk_block_sums(prob, partition, traj) - mean_bs
     return (), (np.linalg.norm(bs, axis=1) ** s,)
 
 
@@ -261,7 +259,7 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
     dirs = _h_directions(prob.sigma_x, seed)
     draw = partial(draw_process, spec, partition.n)
     scratch = _projection_scratch(dirs.shape[0], partition.n)
-    _, (sum_bs, sum_outer, sum_walk, sum_p2, sum_p4) = map_trials(
+    _, (sum_bs, sum_outer, sum_p2, sum_p4) = map_trials(
         partial(_spectrum_moments, prob, partition, dirs, scratch), draw, n_mc, seed)
 
     mean_bs = sum_bs / n_mc
@@ -285,8 +283,7 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
         sigma_blocks=sigma_blocks, sigma_agg=sigma_agg,
         sigma2=float(sigma2), effective_dim=float(eff),
         moment_s=float(s), block_moment_s=block_moment,
-        block_snorm_moments=block_snorm, h=h, n_mc=n_mc,
-        mean_walk_norm=float(np.linalg.norm(sum_walk / n_mc)),
+        block_snorm_moments=block_snorm, h=h,
     )
 
 
@@ -320,7 +317,6 @@ def clt_variance(spec: ProcessSpec, prob: RegressionProblem, block_lens,
 @dataclass(frozen=True)
 class REstimate:
     r: float
-    sqrt_r: float
     stderr_sqrt_r: float
     lambda_odd: float
     lambda_even: float
@@ -330,7 +326,7 @@ class REstimate:
 def _parity_sums(prob, partition, traj):
     """Odd and even block-sum totals per trial; block sums and their outer
     products as totals."""
-    bs, _ = _walk_block_sums(prob, partition, traj)
+    bs = _walk_block_sums(prob, partition, traj)
     return (np.stack([bs[0::2].sum(axis=0), bs[1::2].sum(axis=0)]),
             (bs, np.einsum("bi,bj->bij", bs, bs)))
 
@@ -368,7 +364,7 @@ def estimate_r(spec: ProcessSpec, prob: RegressionProblem,
     sqrt_r = max(ratios)
     which = int(np.argmax(ratios))
     degenerate = max(lambdas) <= 0
-    return REstimate(r=sqrt_r**2, sqrt_r=sqrt_r, stderr_sqrt_r=stderrs[which],
+    return REstimate(r=sqrt_r**2, stderr_sqrt_r=stderrs[which],
                      lambda_odd=lambdas[0], lambda_even=lambdas[1],
                      degenerate=degenerate)
 

@@ -69,10 +69,10 @@ def _check_keys(name: str, section, known) -> None:
         raise ValueError(f"unknown config section or key: [{name}] {unknown}")
 
 
-def _parse(f, name: str, key: str, sec):
-    """Parse one value; an unparsable one names its [section] and key."""
+def _parse(kind: str, name: str, key: str, sec):
+    """Parse a value of annotation `kind`, naming its [section] and key if it fails."""
     try:
-        return _FIELD_CODECS[f.type][0](sec[key])
+        return _FIELD_CODECS[kind][0](sec[key])
     except ValueError as exc:
         raise ValueError(f"[{name}] {key}: {exc}") from exc
 
@@ -84,7 +84,7 @@ def _values(cls, name: str, sec) -> dict:
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"[{name}] {', '.join(missing)}: required key missing")
-    return {f.name: _parse(f, name, f.name, sec) for f in fields(cls) if f.name in sec}
+    return {f.name: _parse(f.type, name, f.name, sec) for f in fields(cls) if f.name in sec}
 
 
 def _items(obj) -> dict[str, str]:
@@ -114,10 +114,10 @@ def spec_to_items(spec: ProcessSpec) -> dict[str, str]:
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Everything a harness run needs; parsed from one config file.  These
-    defaults are the config file's defaults."""
+    defaults are the config file's defaults.  The process spec owns the
+    regression window (its covariate_dim)."""
 
     process: ProcessSpec
-    fit_window: int
     ns: tuple[int, ...] = (1000,)
     delta: float = 0.1
     trials: int = 100
@@ -143,12 +143,16 @@ class ExperimentConfig:
             raise ValueError("at least one sample size is required")
         if self.bound_form not in ("main", "corollary"):
             raise ValueError(f"[partition] form must be main or corollary, got {self.bound_form!r}")
-        if self.tau is None and self.m is None and self.lengths is None:
+        rules = [key for key in ("tau", "m", "lengths") if getattr(self, key) is not None]
+        if len(rules) > 1:
+            raise ValueError("[partition] takes only one of tau, m and lengths, "
+                             f"got {', '.join(rules)}")
+        if not rules:
             object.__setattr__(self, "tau", 1)
 
     def partition_for(self, n: int) -> BlockPartition:
         """Resolve the partition rule at a given sample size: explicit
-        lengths win, then a fixed block count m, then the block-length tau."""
+        lengths, a fixed block count m, or the block length tau."""
         if self.lengths is not None:
             part = BlockPartition(self.lengths)
             if part.n != n:
@@ -161,7 +165,7 @@ class ExperimentConfig:
 
 # [section] key of each ExperimentConfig field that is not the [experiment]
 # key of its own name; `process` and `constants` are sections of their own.
-_RENAMED = {"fit_window": ("fit", "window"), "tau": ("partition", "tau"),
+_RENAMED = {"tau": ("partition", "tau"),
             "m": ("partition", "m"), "lengths": ("partition", "lengths"),
             "bound_form": ("partition", "form"), "moment_s": ("experiment", "s"),
             "outputs": ("experiment", "out")}
@@ -174,8 +178,8 @@ def _places() -> list:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a config file.  A key it omits keeps its field's default, except
-    that the fit window defaults to the process's covariate dimension."""
+    """Read a config file.  A key it omits keeps its field's default, and
+    `[fit] window` sets the process spec's window (see `with_window`)."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
@@ -186,24 +190,26 @@ def load_config(path) -> ExperimentConfig:
     if "process" not in sections:
         raise ValueError("config needs a [process] section")
     spec = spec_from_section(sections["process"])  # checks the [process] keys
-    known = {"process": sections["process"],
+    known = {"process": sections["process"], "fit": ["window"],
              "constants": [f.name for f in fields(UniversalConstants)]}
     values = {}
     for f, name, key in _places():
         known.setdefault(name, []).append(key)
         if key in sections.get(name, {}):
-            values[f.name] = _parse(f, name, key, sections[name])
+            values[f.name] = _parse(f.type, name, key, sections[name])
     for name, sec in sections.items():
         _check_keys(name, sec, known.get(name))
     constants = _values(UniversalConstants, "constants", sections.get("constants", {}))
-    window = values.pop("fit_window", spec.covariate_dim)
-    return ExperimentConfig(process=spec.with_window(window), fit_window=window,
-                            constants=UniversalConstants(**constants), **values)
+    if "window" in sections.get("fit", {}):
+        spec = spec.with_window(_parse("int", "fit", "window", sections["fit"]))
+    return ExperimentConfig(process=spec, constants=UniversalConstants(**constants), **values)
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    """Write every field; a partition rule left as None is left out."""
-    items = {"process": spec_to_items(config.process)}
+    """Write every field, and the spec's window as `[fit] window`; a
+    partition rule left as None is left out."""
+    items = {"process": spec_to_items(config.process),
+             "fit": {"window": str(config.process.covariate_dim)}}
     for f, name, key in _places():
         value = getattr(config, f.name)
         if value is not None:

@@ -55,7 +55,7 @@ COVERAGE_ATOL = 1e-24
 
 
 def population_for(config: ExperimentConfig) -> RegressionProblem:
-    return population_optimum(config.process, window=config.fit_window)
+    return population_optimum(config.process)
 
 
 def profile_for(config: ExperimentConfig, partition: BlockPartition) -> MixingProfile:
@@ -337,18 +337,18 @@ def evaluate_bound(config: ExperimentConfig, out_path=None) -> BoundReport:
     prob = population_for(config)
     partition = config.partition_for(n)
     spectrum = _spectrum_for(config, prob, partition, n)
-    profile = profile_for(config, partition)
     if config.bound_form == "corollary":
         tau = config.tau if config.tau is not None else partition.a_max
         # E||(tau d_x)^{-1/2} sum over a block||^s, averaged over blocks.
         block_moment = float(np.mean(spectrum.block_snorm_moments)) \
             / (tau * prob.d_x) ** (config.moment_s / 2.0)
-        prof = profile_from_spec(config.process, [tau])
         report = corollary_bound(tau, n, prob.d_x, spectrum.sigma2, spectrum.h,
-                                 config.moment_s, block_moment, prof,
+                                 config.moment_s, block_moment,
+                                 profile_from_spec(config.process, [tau]),
                                  config.delta, config.constants)
     else:
-        report = main_bound(spectrum, n, config.delta, config.constants, profile)
+        report = main_bound(spectrum, n, config.delta, config.constants,
+                            profile_for(config, partition))
     if out_path is not None:
         write_csv(out_path, report.csv_header(), [report.csv_row()])
     return report

@@ -24,11 +24,6 @@ from .processes import (
 if TYPE_CHECKING:
     from .blocking import BlockPartition
 
-EXACT_MARKOV = "exact_markov"
-GAUSSIAN_KL_BOUND = "gaussian_kl_bound"
-USER_SUPPLIED = "user_supplied"
-
-
 @dataclass(frozen=True, eq=False)
 class MixingProfile:
     """Map from time gap to a beta-mixing coefficient (or upper bound).
@@ -38,7 +33,6 @@ class MixingProfile:
     """
 
     coefficients: dict[int, float] = field(default_factory=dict)
-    method: str = USER_SUPPLIED
 
     def __post_init__(self):
         coeffs = {int(g): float(b) for g, b in self.coefficients.items()}
@@ -75,11 +69,11 @@ class MixingProfile:
                     continue
                 g, b = line.split(",")
                 coeffs[int(g)] = float(b)
-        return cls(coefficients=coeffs, method=USER_SUPPLIED)
+        return cls(coefficients=coeffs)
 
 
 def iid_profile(gaps) -> MixingProfile:
-    return MixingProfile({int(g): 0.0 for g in gaps}, method=USER_SUPPLIED)
+    return MixingProfile({int(g): 0.0 for g in gaps})
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +102,7 @@ def beta_markov_exact(transition: np.ndarray, gap: int) -> float:
 
 def markov_profile(spec: FiniteMarkov, gaps) -> MixingProfile:
     coeffs = {int(g): beta_markov_exact(spec.transition, int(g)) for g in gaps}
-    return MixingProfile(coeffs, method=EXACT_MARKOV)
+    return MixingProfile(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +129,18 @@ def expected_kl_ar(spec: GaussianAR, t: int | None, k: int) -> float:
     """
     if t is not None and t < 0:
         raise ValueError("t must be >= 0")
-    ss = companion(spec.ar_coeffs)
+    a = companion(spec.ar_coeffs)
     if t is None:
         state_cov = stationary_state_covariance(spec) / spec.noise_std**2
     else:
-        state_cov = gramian(ss, t + 1)
-    return _expected_kl(ss, state_cov, k)
+        state_cov = gramian(a, t + 1)
+    return _expected_kl(a, state_cov, k)
 
 
-def _expected_kl(ss, state_cov: np.ndarray, k: int) -> float:
+def _expected_kl(a: np.ndarray, state_cov: np.ndarray, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
-    a_k = np.linalg.matrix_power(ss.transition, k)
+    a_k = np.linalg.matrix_power(a, k)
     return float((a_k @ state_cov @ a_k.T)[0, 0])
 
 
@@ -168,10 +162,10 @@ def gaussian_ar_profile(spec: GaussianAR, gaps) -> MixingProfile:
     """Profile of KL-route bounds in the stationary limit, which dominates
     every conditioning time t of the zero-initialized process.  The
     stationary state covariance is solved once for all gaps."""
-    ss = companion(spec.ar_coeffs)
+    a = companion(spec.ar_coeffs)
     state_cov = stationary_state_covariance(spec) / spec.noise_std**2
-    coeffs = {g: _pinsker_beta(_expected_kl(ss, state_cov, g)) for g in map(int, gaps)}
-    return MixingProfile(coeffs, method=GAUSSIAN_KL_BOUND)
+    coeffs = {g: _pinsker_beta(_expected_kl(a, state_cov, g)) for g in map(int, gaps)}
+    return MixingProfile(coeffs)
 
 
 def profile_from_spec(spec: ProcessSpec, gaps) -> MixingProfile:

@@ -11,7 +11,7 @@ is plain numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,29 +28,14 @@ def derive_seed(seed: int, *keys: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Companion-form state space
+# Companion form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class StateSpace:
-    """Companion realization of an AR(p) recursion on the stacked state
-    (current value, previous p values).
-
-    transition has first row (coeffs, 0) and an identity on the sub-diagonal
-    block; input is the first standard basis vector, output its transpose.
-    """
-
-    transition: np.ndarray
-    input_vec: np.ndarray
-    output_vec: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.transition.shape[0]
-
-
-def companion(coeffs) -> StateSpace:
-    """Build the (p+1)-dimensional companion state space for AR coefficients."""
+def companion(coeffs) -> np.ndarray:
+    """The (p+1) x (p+1) companion matrix of an AR(p) recursion on the
+    stacked state (current value, previous p values): first row (coeffs, 0)
+    and an identity on the sub-diagonal block.  The innovation enters, and
+    the output is read from, the first coordinate."""
     theta = np.atleast_1d(np.asarray(coeffs, dtype=float))
     p = theta.size
     if p < 1:
@@ -58,48 +43,46 @@ def companion(coeffs) -> StateSpace:
     a = np.zeros((p + 1, p + 1))
     a[0, :p] = theta
     a[1:, :p] = np.eye(p)
-    b = np.zeros(p + 1)
-    b[0] = 1.0
-    return StateSpace(transition=a, input_vec=b, output_vec=b.copy())
+    return a
 
 
 def spectral_radius(coeffs) -> float:
-    return float(np.abs(np.linalg.eigvals(companion(coeffs).transition)).max())
+    return float(np.abs(np.linalg.eigvals(companion(coeffs))).max())
 
 
-def impulse_response(ss: StateSpace, k: int) -> np.ndarray:
-    """The dim x k matrix with columns b, A b, ..., A^(k-1) b: column i is
-    the state i steps after a unit input."""
+def impulse_response(a: np.ndarray, k: int) -> np.ndarray:
+    """The dim x k matrix with columns e1, A e1, ..., A^(k-1) e1: column i
+    is the state i steps after a unit input."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    r = np.empty((ss.dim, k))
-    col = ss.input_vec
+    r = np.empty((a.shape[0], k))
+    col = np.eye(a.shape[0])[0]
     for i in range(k):
         r[:, i] = col
-        col = ss.transition @ col
+        col = a @ col
     return r
 
 
-def gramian(ss: StateSpace, k: int) -> np.ndarray:
-    """k-step controllability Gramian sum_{j<k} A^j b b' (A^j)'.
+def gramian(a: np.ndarray, k: int) -> np.ndarray:
+    """k-step controllability Gramian sum_{j<k} A^j e1 e1' (A^j)'.
 
     k = 0 returns the zero matrix.  Unit innovation variance; scale by the
     noise variance for a non-unit process.
     """
-    r = impulse_response(ss, k)
+    r = impulse_response(a, k)
     return r @ r.T
 
 
-def conditional_gaussian(ss: StateSpace, state, k: int) -> tuple[float, float]:
+def conditional_gaussian(a: np.ndarray, state, k: int) -> tuple[float, float]:
     """Mean and variance of the output k steps ahead given the current state
     (unit innovation variance)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(state, dtype=float)
-    if x.shape != (ss.dim,):
-        raise ValueError(f"state must have dimension {ss.dim}, got {x.shape}")
-    ak_x = np.linalg.matrix_power(ss.transition, k) @ x
-    var = gramian(ss, k)[0, 0]
+    if x.shape != (a.shape[0],):
+        raise ValueError(f"state must have dimension {a.shape[0]}, got {x.shape}")
+    ak_x = np.linalg.matrix_power(a, k) @ x
+    var = gramian(a, k)[0, 0]
     return float(ak_x[0]), float(var)
 
 
@@ -172,7 +155,7 @@ class ARFilter:
         k = SCAN_GROUP
         # Powers of A are built in extended precision where the platform has
         # it: a float64 product chain would lose about k ulps in A^k.
-        a = companion(theta).transition[:p, :p].astype(np.longdouble)
+        a = companion(theta)[:p, :p].astype(np.longdouble)
         f = np.empty((c, p))
         row = a[0]
         for i in range(c):
@@ -240,7 +223,7 @@ class ProcessSpec:
         if n < 1:
             raise ValueError("n must be >= 1")
         xs, ys = self._draw(np.random.default_rng(seed), n)
-        return Trajectory(xs=xs, ys=ys, seed=seed, spec=self)
+        return Trajectory(xs=xs, ys=ys)
 
     def with_window(self, window: int) -> "ProcessSpec":
         """The same process regressed on a covariate window of this size."""
@@ -329,22 +312,22 @@ class GaussianAR(ProcessSpec):
         The covariate at time t is the leading window of the state one step
         back, so the mixture moments follow from Cov(x_j) and Cov(x_{j+1}, x_j)
         = A Cov(x_j).  States j = warmup .. warmup + horizon - 1 feed the
-        samples, and Cov(x_j) = sigma^2 sum_{i<j} A^i b b' (A^i)', so the
+        samples, and Cov(x_j) = sigma^2 sum_{i<j} A^i e1 e1' (A^i)', so the
         summed covariance weighs term i by the number of those j above i."""
         if horizon is None:
             return self._stationary_optimum()
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         window = self.covariate_dim
-        ss = companion(self.ar_coeffs)
+        a = companion(self.ar_coeffs)
         k = self.warmup + horizon - 1
-        r = impulse_response(ss, k)
+        r = impulse_response(a, k)
         weights = np.minimum(horizon, k - np.arange(k))
         mean_cov = self.noise_std**2 * (r * weights) @ r.T / horizon
         sigma_x = mean_cov[:window, :window]
         if min_eig(sigma_x) <= EIG_FLOOR:
             raise ValueError("mixture covariance is not positive definite")
-        cross = (ss.transition @ mean_cov)[0, :window]
+        cross = (a @ mean_cov)[0, :window]
         return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross)[None, :]
 
     def mixing_profile(self, gaps):
@@ -499,9 +482,8 @@ class BlockConstant(ProcessSpec):
     def mixing_profile(self, gaps):
         # Within a block the future is a deterministic copy of the past
         # (total variation 1); across blocks the draws are independent.
-        from .mixing import USER_SUPPLIED, MixingProfile
-        return MixingProfile({g: (1.0 if g < self.block_len else 0.0) for g in gaps},
-                             method=USER_SUPPLIED)
+        from .mixing import MixingProfile
+        return MixingProfile({g: (1.0 if g < self.block_len else 0.0) for g in gaps})
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,12 +529,10 @@ SPEC_KINDS = {cls.kind: cls for cls in (GaussianAR, FiniteMarkov, BlockConstant,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A simulated (covariate, target) sequence plus its provenance."""
+    """A simulated (covariate, target) sequence."""
 
     xs: np.ndarray
     ys: np.ndarray
-    seed: int
-    spec: ProcessSpec = field(repr=False)
 
     def __post_init__(self):
         xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
@@ -614,9 +594,10 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 def stationary_state_covariance(spec: GaussianAR) -> np.ndarray:
     """Stationary covariance of the stacked state; entry (i, j) is the
     autocovariance at lag |i - j|."""
-    ss = companion(spec.ar_coeffs)
-    q = spec.noise_std**2 * np.outer(ss.input_vec, ss.input_vec)
-    return solve_lyapunov(ss.transition, q)
+    a = companion(spec.ar_coeffs)
+    q = np.zeros_like(a)
+    q[0, 0] = spec.noise_std**2
+    return solve_lyapunov(a, q)
 
 
 def autocovariances(spec: GaussianAR, max_lag: int) -> np.ndarray:

@@ -9,12 +9,12 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import EIG_FLOOR, inv_sqrt_psd, min_eig, sqrt_psd, symmetrize
-from .processes import (GaussianAR, ProcessSpec, StateSpace, Trajectory, companion,
-                        impulse_response, simulate)
+from .processes import (GaussianAR, ProcessSpec, Trajectory, companion, impulse_response,
+                        simulate)
 
 ANALYTIC = "analytic"
 MONTE_CARLO = "monte_carlo"
-MC_BATCHES = 100  # segments of the Monte Carlo optimum's batch-means standard error
+MC_BATCHES = 100  # most segments of the Monte Carlo optimum's batch-means standard error
 
 
 class DegenerateDesignError(ValueError):
@@ -157,13 +157,14 @@ def _monte_carlo_optimum(spec: ProcessSpec, n_mc: int, seed: int) -> RegressionP
     traj = simulate(spec, n_mc, seed)
     # Batch-means standard error: refit on consecutive segments.  Valid for
     # mixing data as long as segments are much longer than the mixing time.
-    # Below MC_BATCHES samples some segments would be empty; they are dropped.
-    edges = np.unique(np.linspace(0, n_mc, MC_BATCHES + 1).astype(int))
+    # A fit on a few times d_X samples is heavy-tailed, so each segment
+    # holds at least 10 d_X samples.
+    batches = min(MC_BATCHES, n_mc // (10 * traj.xs.shape[1]))
+    edges = np.linspace(0, n_mc, batches + 1).astype(int)
     fits = []
     for a, b in zip(edges[:-1], edges[1:]):
-        seg = Trajectory(xs=traj.xs[a:b], ys=traj.ys[a:b], seed=traj.seed, spec=spec)
         try:
-            fits.append(fit_ols(seg))
+            fits.append(fit_ols(Trajectory(xs=traj.xs[a:b], ys=traj.ys[a:b])))
         except DegenerateDesignError:
             continue
     if len(fits) < 2:
@@ -175,22 +176,19 @@ def _monte_carlo_optimum(spec: ProcessSpec, n_mc: int, seed: int) -> RegressionP
                              source=MONTE_CARLO, stderr=stderr)
 
 
-def population_optimum(spec: ProcessSpec, window: int | None = None,
-                       method: str = ANALYTIC, n_mc: int = 10**6,
+def population_optimum(spec: ProcessSpec, method: str = ANALYTIC, n_mc: int = 10**6,
                        seed: int = 0, horizon: int | None = None) -> RegressionProblem:
-    """Best linear predictor of the target from the covariate window, plus the
-    averaged covariate covariance.
+    """Best linear predictor of the target from the spec's covariate window,
+    plus the averaged covariate covariance.
 
     The analytic path solves the stationary normal equations (Yule-Walker for
     AR specs, exact enumeration for Markov chains); the Monte Carlo path fits
     one long simulated trajectory and reports batch-means standard errors.
-    For an AR spec of order p fit with window < p the problem is
-    misspecified by construction.  For AR specs a horizon selects the exact
-    uniform mixture over that many sample times of the (possibly
+    For an AR spec of order p with covariate_dim < p (see `with_window`) the
+    problem is misspecified by construction.  For AR specs a horizon selects
+    the exact uniform mixture over that many sample times of the (possibly
     zero-initialized) trajectory instead of the stationary law.
     """
-    if window is not None:
-        spec = spec.with_window(window)
     if method == ANALYTIC:
         sigma_x, m_star = spec.optimum(horizon)
         return RegressionProblem(sigma_x=sigma_x, m_star=m_star, source=ANALYTIC)
@@ -214,12 +212,12 @@ def gaussian_quartic(a: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * np.sum(a * sym_b) + np.trace(a) * np.trace(b))
 
 
-def _noise_map(ss: StateSpace, j: int, n_eps: int, noise_std: float) -> np.ndarray:
+def _noise_map(a: np.ndarray, j: int, n_eps: int, noise_std: float) -> np.ndarray:
     """Matrix mapping the innovation vector (eps_0..eps_{n_eps-1}) to the
-    state at time j: column i <= j is noise_std A^(j-i) b, the rest zero."""
+    state at time j: column i <= j is noise_std A^(j-i) e1, the rest zero."""
     cols = max(j + 1, 0)
-    mat = np.zeros((ss.dim, n_eps))
-    mat[:, :cols] = noise_std * impulse_response(ss, cols)[:, ::-1]
+    mat = np.zeros((a.shape[0], n_eps))
+    mat[:, :cols] = noise_std * impulse_response(a, cols)[:, ::-1]
     return mat
 
 
@@ -240,7 +238,7 @@ def cross_term_expectation(spec: GaussianAR, window: int, s: int, t: int,
     tail = theta[window:]
     if tail.size == 0:
         return 0.0  # realizable fit: the noise is a martingale difference
-    ss = companion(spec.ar_coeffs)
+    a = companion(spec.ar_coeffs)
     p = spec.order
     n_eps = t + 1
     sel_u = np.zeros((window, p + 1))
@@ -248,7 +246,7 @@ def cross_term_expectation(spec: GaussianAR, window: int, s: int, t: int,
     sel_v = np.zeros((tail.size, p + 1))
     sel_v[:, 1 : tail.size + 1] = np.eye(tail.size)
 
-    m_s, m_t, m_sm, m_tm = (_noise_map(ss, j, n_eps, spec.noise_std)
+    m_s, m_t, m_sm, m_tm = (_noise_map(a, j, n_eps, spec.noise_std)
                             for j in (s, t, s - window, t - window))
     quad = m_s.T @ sel_u.T @ np.asarray(sigma_inv, dtype=float) @ sel_u @ m_t
     beta_outer = np.outer(tail, tail)

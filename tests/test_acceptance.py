@@ -128,10 +128,10 @@ def test_03_gaussian_quartic_identity():
 
 
 def test_04_misspecification_oracle():
-    analytic = population_optimum(ar2_misspecified(), window=1)
+    analytic = population_optimum(ar2_misspecified())
     exact_ok = abs(analytic.m_star[0, 0] - 0.625) <= 1e-10
-    mc = population_optimum(ar2_misspecified(), window=1, method=MONTE_CARLO,
-                            n_mc=10**6, seed=404)
+    mc = population_optimum(ar2_misspecified(), method=MONTE_CARLO, n_mc=10**6,
+                            seed=404)
     gap = abs(mc.m_star[0, 0] - 0.625)
     mc_ok = gap <= 3 * mc.stderr[0, 0]
     ok = exact_ok and mc_ok
@@ -143,8 +143,7 @@ def test_04_misspecification_oracle():
 def test_05_rate_slope():
     start = time.time()
     config = ExperimentConfig(
-        process=ar2_misspecified(), fit_window=1,
-        ns=(1000, 3000, 10_000, 30_000, 100_000),
+        process=ar2_misspecified(), ns=(1000, 3000, 10_000, 30_000, 100_000),
         delta=0.1, trials=500, seed=505, n_mc=1000, tau=1)
     rep = rate_slope(config)
     elapsed = time.time() - start
@@ -157,10 +156,10 @@ def test_06_bound_coverage():
     delta, trials = 0.1, 1000
     budget = delta + 3 * math.sqrt(delta / trials)
     iid_config = ExperimentConfig(
-        process=IIDGaussian(covariate_dim=5), fit_window=5, ns=(5000,),
+        process=IIDGaussian(covariate_dim=5), ns=(5000,),
         delta=delta, trials=trials, seed=606, n_mc=2000, tau=1)
     ar_config = ExperimentConfig(
-        process=ar2_misspecified(), fit_window=1, ns=(10_000,),
+        process=ar2_misspecified(), ns=(10_000,),
         delta=delta, trials=trials, seed=607, n_mc=2000, tau=50)
     ok = True
     for label, config in (("iid d=5", iid_config), ("AR(2)->AR(1)", ar_config)):
@@ -182,7 +181,7 @@ def test_06_bound_coverage():
 
 def test_07_lower_uniform_law():
     config = ExperimentConfig(
-        process=IIDGaussian(covariate_dim=5), fit_window=5, ns=(500,),
+        process=IIDGaussian(covariate_dim=5), ns=(500,),
         delta=0.1, trials=1000, seed=707, n_mc=1000, tau=1)
     rep = verify_lower_tail(config)[0]
     ok = rep.frequency >= 0.9
@@ -212,7 +211,7 @@ def test_08_cauchy_schwarz_gap():
 
 def test_09_clt_consistency():
     config = ExperimentConfig(
-        process=ar2_misspecified(), fit_window=1, ns=(1000,), delta=0.1,
+        process=ar2_misspecified(), ns=(1000,), delta=0.1,
         trials=100, seed=909, n_mc=3000, tau=1,
         block_lens=(1, 2, 4, 8, 16, 32, 64, 128))
     rep = clt_consistency(config)
@@ -254,7 +253,7 @@ def test_10_truncation_mass():
 
 def test_11_reproducibility(tmp_path):
     config = ExperimentConfig(
-        process=IIDGaussian(covariate_dim=2), fit_window=2, ns=(300,),
+        process=IIDGaussian(covariate_dim=2), ns=(300,),
         delta=0.1, trials=100, seed=1111, n_mc=1000, tau=1,
         outputs=str(tmp_path))
     out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"

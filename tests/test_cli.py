@@ -177,7 +177,7 @@ def rounding_chain(q=0.3):
 
 def test_slope_of_rounding_noise_exits_2(tmp_path, capsys):
     cfg = tmp_path / "chain.cfg"
-    save_config(ExperimentConfig(rounding_chain(), fit_window=2, ns=(200, 300, 400, 500, 600),
+    save_config(ExperimentConfig(rounding_chain(), ns=(200, 300, 400, 500, 600),
                                  trials=100, seed=3, outputs=str(tmp_path)), cfg)
     assert cli_main(["slope", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -187,7 +187,7 @@ def test_slope_of_rounding_noise_exits_2(tmp_path, capsys):
 
 def test_noisy_slope_still_fits(tmp_path, capsys):
     cfg = tmp_path / "iid.cfg"
-    save_config(ExperimentConfig(IIDGaussian(2), fit_window=2, ns=(200, 300, 400, 600),
+    save_config(ExperimentConfig(IIDGaussian(2), ns=(200, 300, 400, 600),
                                  trials=100, seed=3, outputs=str(tmp_path)), cfg)
     assert cli_main(["slope", "--config", str(cfg)]) == 0
     slope = float(capsys.readouterr().out.split("slope=")[1].split()[0])
@@ -196,7 +196,7 @@ def test_noisy_slope_still_fits(tmp_path, capsys):
 
 def test_noiseless_chain_slope_exits_2(tmp_path, capsys):
     cfg = tmp_path / "flip.cfg"
-    save_config(ExperimentConfig(two_state_flip(0.3), fit_window=1, ns=(200, 300, 400, 500),
+    save_config(ExperimentConfig(two_state_flip(0.3), ns=(200, 300, 400, 500),
                                  trials=100, outputs=str(tmp_path)), cfg)
     assert cli_main(["slope", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixreg import harness
 from mixreg.cli import cli_main
 from mixreg.config import ExperimentConfig, load_config, save_config
-from mixreg.bounds import UniversalConstants
+from mixreg.bounds import UniversalConstants, corollary_bound, noise_spectrum
+from mixreg.csvfile import write_csv
 from mixreg.harness import (
     clt_consistency,
     evaluate_bound,
@@ -28,15 +30,16 @@ from mixreg.processes import (
     GaussianAR,
     IIDGaussian,
     default_warmup,
+    derive_seed,
     two_state_flip,
 )
+from mixreg.mixing import profile_from_spec
 from mixreg.regression import population_optimum
 
 
 def iid_config(tmp_path, **overrides):
     fields = dict(
         process=IIDGaussian(covariate_dim=2),
-        fit_window=2,
         ns=(400,),
         delta=0.1,
         trials=100,
@@ -90,7 +93,7 @@ def any_config(draw):
     sizes = st.lists(st.integers(1, 10**6), min_size=1, max_size=4).map(tuple)
     rule = draw(st.sampled_from(["tau", "m", "lengths"]))
     return ExperimentConfig(
-        process=spec, fit_window=spec.covariate_dim, ns=draw(sizes),
+        process=spec, ns=draw(sizes),
         delta=draw(st.floats(0.001, 0.999)), trials=draw(st.integers(1, 10**5)),
         seed=draw(st.integers(0, 2**63)), n_mc=draw(st.integers(2, 10**5)),
         moment_s=draw(st.floats(2.0, 8.0)),
@@ -108,11 +111,51 @@ VALID_SECTIONS = {"process": {"kind": "iid_gaussian", "covariate_dim": "2"},
                   "experiment": {"ns": "300"}, "constants": {"c1": "2"}}
 
 
+# save_config's text for an AR(2) spec fit with one lag, n_mc and the
+# constants at their defaults.
+SAVED_AR = """\
+[process]
+kind = gaussian_ar
+ar_coeffs = 0.5, 0.20000000000000001
+noise_std = 1
+covariate_dim = 1
+warmup = 85
+
+[fit]
+window = 1
+
+[experiment]
+ns = 400, 1000
+delta = 0.10000000000000001
+trials = 200
+seed = 3
+out = runs
+n_mc = 1000
+s = 4
+block_lens = 1, 2, 4, 8, 16, 32, 64, 128
+eps = 0.10000000000000001
+eta = 0.10000000000000001
+
+[partition]
+tau = 10
+form = main
+
+[constants]
+c1 = 2
+c2 = 20
+c3 = 20
+c4 = 2
+c5 = 2
+c6 = 1
+c_lower = 20
+
+"""
+
+
 class TestConfig:
     def test_roundtrip_gaussian_ar(self, tmp_path):
         config = ExperimentConfig(
             process=GaussianAR((0.5, 0.2), noise_std=1.5, covariate_dim=1, warmup=85),
-            fit_window=1,
             ns=(1000, 3000),
             delta=0.05,
             trials=200,
@@ -127,7 +170,7 @@ class TestConfig:
         loaded = load_config(path)
         assert loaded.process.ar_coeffs == config.process.ar_coeffs
         assert loaded.process.warmup == 85
-        assert loaded.fit_window == 1
+        assert loaded.process.covariate_dim == 1
         assert loaded.ns == (1000, 3000)
         assert loaded.delta == 0.05
         assert loaded.constants.c1 == 3.0 and loaded.constants.c6 == 0.5
@@ -135,9 +178,8 @@ class TestConfig:
         assert loaded.n_mc == 1500
 
     def test_roundtrip_markov(self, tmp_path):
-        config = ExperimentConfig(process=two_state_flip(0.3), fit_window=1,
-                                  ns=(100,), delta=0.1, trials=100, seed=1,
-                                  outputs=str(tmp_path))
+        config = ExperimentConfig(process=two_state_flip(0.3), ns=(100,), delta=0.1,
+                                  trials=100, seed=1, outputs=str(tmp_path))
         path = tmp_path / "m.cfg"
         save_config(config, path)
         loaded = load_config(path)
@@ -153,6 +195,31 @@ class TestConfig:
         assert explicit.partition_for(10).lengths == (3, 3, 2, 2)
         with pytest.raises(ValueError):
             explicit.partition_for(11)
+
+    @pytest.mark.parametrize("rules, named", [
+        (dict(tau=5, m=3), "tau, m"),
+        (dict(tau=None, m=3, lengths=(5, 5)), "m, lengths"),
+        (dict(tau=2, m=3, lengths=(5, 5)), "tau, m, lengths"),
+    ])
+    def test_one_partition_rule(self, tmp_path, rules, named):
+        with pytest.raises(ValueError, match=re.escape("[partition] takes only one of "
+                                                       f"tau, m and lengths, got {named}")):
+            iid_config(tmp_path, **rules)
+
+    def test_two_partition_rules_in_a_file_are_argument_errors(self, tmp_path, capsys):
+        path = tmp_path / "two.cfg"
+        path.write_text("[process]\nkind = iid_gaussian\ncovariate_dim = 2\n"
+                        "[partition]\ntau = 5\nm = 3\n[experiment]\nns = 60\n")
+        assert cli_main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "got tau, m" in capsys.readouterr().err
+        assert not (tmp_path / "bound.csv").exists()
+
+    def test_saved_format(self, tmp_path):
+        config = ExperimentConfig(
+            process=GaussianAR((0.5, 0.2), covariate_dim=1, warmup=85),
+            ns=(400, 1000), trials=200, seed=3, outputs="runs", tau=10)
+        save_config(config, tmp_path / "ar.cfg")
+        assert (tmp_path / "ar.cfg").read_text() == SAVED_AR
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -184,13 +251,13 @@ class TestConfig:
         path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
         config = load_config(path)
         assert config.process.ar_coeffs == (0.5, 0.2)
-        assert (config.fit_window, config.tau, config.bound_form) == (1, 50, "main")
+        assert (config.process.covariate_dim, config.tau, config.bound_form) == (1, 50, "main")
         assert config.ns == (1000, 3000, 10000)
 
     def test_defaults_come_from_the_dataclass(self, tmp_path):
         path = tmp_path / "min.cfg"
         path.write_text("[process]\nkind = iid_gaussian\ncovariate_dim = 3\n")
-        loaded, default = load_config(path), ExperimentConfig(IIDGaussian(3), fit_window=3)
+        loaded, default = load_config(path), ExperimentConfig(IIDGaussian(3))
         for f in dataclasses.fields(default)[1:]:
             assert getattr(loaded, f.name) == getattr(default, f.name), f.name
 
@@ -232,7 +299,7 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("argument error:")
 
     def test_percent_in_outputs_roundtrips(self, tmp_path):
-        config = ExperimentConfig(IIDGaussian(2), fit_window=2, outputs="runs/50%")
+        config = ExperimentConfig(IIDGaussian(2), outputs="runs/50%")
         save_config(config, tmp_path / "pct.cfg")
         assert load_config(tmp_path / "pct.cfg").outputs == "runs/50%"
 
@@ -264,14 +331,17 @@ class TestConfig:
         assert spec.with_window(spec.covariate_dim) is spec
         with pytest.raises(ValueError, match="window"):
             spec.with_window(2)
-        with pytest.raises(ValueError, match="window"):
-            population_optimum(spec, window=2)
-        config = ExperimentConfig(process=spec, fit_window=2, ns=(100,), delta=0.1,
+        config = ExperimentConfig(process=spec, ns=(100,), delta=0.1,
                                   trials=100, seed=1, outputs=str(tmp_path))
-        save_config(config, tmp_path / "w.cfg")
+        path = tmp_path / "w.cfg"
+        save_config(config, path)
+        text = path.read_text()
+        assert f"[fit]\nwindow = {spec.covariate_dim}\n" in text
+        path.write_text(text.replace(f"[fit]\nwindow = {spec.covariate_dim}\n",
+                                     "[fit]\nwindow = 2\n"))
         with pytest.raises(ValueError, match="window"):
-            load_config(tmp_path / "w.cfg")
-        assert cli_main(["bound", "--config", str(tmp_path / "w.cfg")]) == 1
+            load_config(path)
+        assert cli_main(["bound", "--config", str(path)]) == 1
 
     def test_misspecified_window_from_file(self, tmp_path):
         path = tmp_path / "ar.cfg"
@@ -356,13 +426,13 @@ class TestRateSlope:
     def test_all_degenerate_sample_size_raises(self, tmp_path):
         # Ten covariates and at most eight samples: every design is singular.
         config = iid_config(tmp_path, process=IIDGaussian(covariate_dim=10),
-                            fit_window=10, ns=(5, 6, 7, 8), trials=3)
+                            ns=(5, 6, 7, 8), trials=3)
         with pytest.raises(RuntimeError, match="n=5"):
             rate_slope(config)
 
     def test_zero_median_raises_naming_n(self, tmp_path):
         # Noiseless realizable chain: every fit is exact, every risk is 0.
-        config = iid_config(tmp_path, process=two_state_flip(0.3), fit_window=1,
+        config = iid_config(tmp_path, process=two_state_flip(0.3),
                             ns=(200, 300, 400, 500), trials=100)
         with pytest.raises(RuntimeError, match="n=200"):
             rate_slope(config)
@@ -380,7 +450,7 @@ class TestLowerTail:
     def test_iid_healthy_regime(self, tmp_path):
         config = iid_config(tmp_path,
                             process=IIDGaussian(covariate_dim=5),
-                            fit_window=5, ns=(500,), trials=200)
+                            ns=(500,), trials=200)
         reports = verify_lower_tail(config, out_path=tmp_path / "lt.csv")
         assert reports[0].frequency >= 0.9
         header = (tmp_path / "lt.csv").read_text().splitlines()[0]
@@ -388,7 +458,7 @@ class TestLowerTail:
 
     def test_degenerate_regime(self, tmp_path):
         config = iid_config(tmp_path, process=IIDGaussian(covariate_dim=5),
-                            fit_window=5, ns=(5,), trials=100)
+                            ns=(5,), trials=100)
         reports = verify_lower_tail(config)
         assert reports[0].frequency <= 0.1
 
@@ -417,7 +487,7 @@ class TestNoiseWalk:
         # Same per-sample noise variance, but the worst case inflates the
         # threshold by about sqrt(block length).
         k, n = 16, 512
-        common = dict(fit_window=1, ns=(n,), trials=100, tau=k, n_mc=1000)
+        common = dict(ns=(n,), trials=100, tau=k, n_mc=1000)
         worst = iid_config(tmp_path, process=BlockConstant(k), **common)
         plain = iid_config(tmp_path, process=IIDGaussian(covariate_dim=1), **common)
         t_worst = verify_noise_walk(worst)[0].threshold
@@ -445,14 +515,14 @@ class TestClt:
 
     def test_iid_stabilizes_immediately(self, tmp_path):
         config = iid_config(tmp_path, process=IIDGaussian(covariate_dim=1),
-                            fit_window=1, n_mc=3000, block_lens=(1, 2, 4, 8))
+                            n_mc=3000, block_lens=(1, 2, 4, 8))
         report = clt_consistency(config, out_path=tmp_path / "clt.csv")
         assert report.stable_from == 1
         lines = (tmp_path / "clt.csv").read_text().splitlines()
         assert lines[0] == "block_len,sigma2"
 
     def test_block_constant_stabilizes_at_its_length(self, tmp_path):
-        config = iid_config(tmp_path, process=BlockConstant(16), fit_window=1,
+        config = iid_config(tmp_path, process=BlockConstant(16),
                             n_mc=2500, block_lens=(2, 4, 8, 16, 32, 64))
         report = clt_consistency(config)
         assert report.stable_from is not None and report.stable_from >= 16
@@ -471,3 +541,26 @@ class TestEvaluateBound:
         assert report.bound_value > 0
         assert len(report.checks) == 3
         assert report.check("mixing").holds
+
+    def test_corollary_form_computes_one_profile(self, tmp_path, monkeypatch):
+        config = iid_config(tmp_path, ns=(256,), tau=2, bound_form="corollary")
+        calls = []
+
+        def counted(spec, gaps):
+            calls.append(list(gaps))
+            return profile_from_spec(spec, gaps)
+
+        monkeypatch.setattr(harness, "profile_from_spec", counted)
+        evaluate_bound(config, out_path=tmp_path / "bound.csv")
+        assert calls == [[2]]
+        # The same report from its parts, written by the same writer.
+        prob = population_optimum(config.process)
+        partition = config.partition_for(256)
+        spectrum = noise_spectrum(config.process, prob, partition, config.n_mc,
+                                  derive_seed(config.seed, 256, harness.SPECTRUM_STREAM))
+        block_moment = float(np.mean(spectrum.block_snorm_moments)) / (2 * prob.d_x) ** 2.0
+        want = corollary_bound(2, 256, prob.d_x, spectrum.sigma2, spectrum.h, 4.0, block_moment,
+                               profile_from_spec(config.process, [2]), config.delta,
+                               config.constants)
+        write_csv(tmp_path / "want.csv", want.csv_header(), [want.csv_row()])
+        assert (tmp_path / "bound.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

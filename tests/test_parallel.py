@@ -62,7 +62,7 @@ def assert_spectra_agree(monkeypatch, spec, part):
     serial, pooled = serial_then_pooled(
         monkeypatch, lambda: noise_spectrum(spec, prob, part, 1000, 4))
     for name in ("sigma_blocks", "sigma_agg", "sigma2", "block_snorm_moments", "h",
-                 "block_moment_s", "mean_walk_norm"):
+                 "block_moment_s"):
         np.testing.assert_allclose(getattr(pooled, name), getattr(serial, name),
                                    rtol=1e-10, err_msg=name)
 
@@ -90,7 +90,7 @@ class TestTwoWorkersAgreeWithSerial:
             assert getattr(pooled, name) == pytest.approx(getattr(serial, name), rel=1e-10)
 
     def test_run_coverage(self, monkeypatch, tmp_path):
-        config = ExperimentConfig(process=SPEC, fit_window=1, ns=(100,), delta=0.1,
+        config = ExperimentConfig(process=SPEC, ns=(100,), delta=0.1,
                                   trials=100, seed=2, outputs=str(tmp_path), n_mc=1000,
                                   tau=10)
         serial, pooled = serial_then_pooled(monkeypatch, lambda: run_coverage(config)[0])

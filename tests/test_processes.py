@@ -34,21 +34,16 @@ def lag1_corr(y):
 
 class TestCompanion:
     def test_scalar_coefficient(self):
-        ss = companion((0.7,))
-        np.testing.assert_allclose(ss.transition, [[0.7, 0.0], [1.0, 0.0]])
-        np.testing.assert_allclose(ss.input_vec, [1.0, 0.0])
-        np.testing.assert_allclose(ss.output_vec, [1.0, 0.0])
+        np.testing.assert_allclose(companion((0.7,)), [[0.7, 0.0], [1.0, 0.0]])
 
     def test_square_entry(self):
-        ss = companion((0.5,))
-        a2 = np.linalg.matrix_power(ss.transition, 2)
+        a2 = np.linalg.matrix_power(companion((0.5,)), 2)
         assert a2[0, 0] == pytest.approx(0.25)
 
     def test_zero_coeffs_nilpotent(self):
         for p in (1, 2, 4):
-            ss = companion((0.0,) * p)
             np.testing.assert_allclose(
-                np.linalg.matrix_power(ss.transition, p + 1), 0.0, atol=0.0)
+                np.linalg.matrix_power(companion((0.0,) * p), p + 1), 0.0, atol=0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -56,72 +51,70 @@ class TestCompanion:
 
     def test_structure_general(self):
         theta = (0.3, -0.2, 0.1)
-        ss = companion(theta)
-        assert ss.dim == 4
-        np.testing.assert_allclose(ss.transition[0], [0.3, -0.2, 0.1, 0.0])
-        np.testing.assert_allclose(ss.transition[1:, :3], np.eye(3))
+        a = companion(theta)
+        assert a.shape == (4, 4)
+        np.testing.assert_allclose(a[0], [0.3, -0.2, 0.1, 0.0])
+        np.testing.assert_allclose(a[1:, :3], np.eye(3))
 
 
 class TestGramian:
     def test_three_step_value(self):
         # 1 + 0.25 + 0.0625 by direct matrix multiplication
-        ss = companion((0.5,))
-        assert gramian(ss, 3)[0, 0] == pytest.approx(1.3125, abs=1e-12)
+        a = companion((0.5,))
+        assert gramian(a, 3)[0, 0] == pytest.approx(1.3125, abs=1e-12)
 
     def test_single_step_is_outer_input(self):
-        ss = companion((0.3, 0.1))
-        np.testing.assert_allclose(gramian(ss, 1),
-                                   np.outer(ss.input_vec, ss.input_vec))
+        e1 = np.array([1.0, 0.0, 0.0])
+        np.testing.assert_allclose(gramian(companion((0.3, 0.1)), 1), np.outer(e1, e1))
 
     def test_zero_steps(self):
-        ss = companion((0.5,))
-        np.testing.assert_allclose(gramian(ss, 0), np.zeros((2, 2)))
+        a = companion((0.5,))
+        np.testing.assert_allclose(gramian(a, 0), np.zeros((2, 2)))
 
     def test_geometric_limit(self):
-        ss = companion((0.9,))
-        assert gramian(ss, 500)[0, 0] == pytest.approx(1.0 / (1.0 - 0.81), rel=1e-9)
+        a = companion((0.9,))
+        assert gramian(a, 500)[0, 0] == pytest.approx(1.0 / (1.0 - 0.81), rel=1e-9)
 
     def test_recursion(self):
-        ss = companion((0.6, -0.3))
-        a, b = ss.transition, ss.input_vec
+        a = companion((0.6, -0.3))
+        b = np.array([1.0, 0.0, 0.0])
         for k in range(1, 12):
-            lhs = gramian(ss, k + 1)
-            rhs = a @ gramian(ss, k) @ a.T + np.outer(b, b)
+            lhs = gramian(a, k + 1)
+            rhs = a @ gramian(a, k) @ a.T + np.outer(b, b)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_conditional_law_identity(self):
         # Gramian difference equals the propagated covariance.
-        ss = companion((0.5, 0.2))
-        a = ss.transition
+        a = companion((0.5, 0.2))
         for t in (0, 3, 7):
             for k in (1, 2, 5):
                 ak = np.linalg.matrix_power(a, k)
-                lhs = gramian(ss, t + k + 1) - gramian(ss, k)
-                rhs = ak @ gramian(ss, t + 1) @ ak.T
+                lhs = gramian(a, t + k + 1) - gramian(a, k)
+                rhs = ak @ gramian(a, t + 1) @ ak.T
                 np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestConditionalGaussian:
     def test_zero_state_zero_mean(self):
-        ss = companion((0.4, 0.3))
-        mean, _ = conditional_gaussian(ss, np.zeros(3), 4)
+        a = companion((0.4, 0.3))
+        mean, _ = conditional_gaussian(a, np.zeros(3), 4)
         assert mean == 0.0
 
     def test_hand_instance(self):
-        ss = companion((0.5,))
-        mean, var = conditional_gaussian(ss, (1.0, 0.0), 2)
+        a = companion((0.5,))
+        mean, var = conditional_gaussian(a, (1.0, 0.0), 2)
         assert mean == pytest.approx(0.25)
         assert var == pytest.approx(1.25)
 
     def test_dimension_mismatch(self):
-        ss = companion((0.5,))
+        a = companion((0.5,))
         with pytest.raises(ValueError):
-            conditional_gaussian(ss, (1.0, 0.0, 0.0), 2)
+            conditional_gaussian(a, (1.0, 0.0, 0.0), 2)
 
     def test_against_simulated_continuations(self):
         # Simulate 1e5 k-step continuations from a fixed state.
         theta = np.array([0.5, 0.2])
-        ss = companion(theta)
+        a = companion(theta)
         state = np.array([0.8, -0.4, 0.3])
         k, n_paths = 3, 100_000
         rng = np.random.default_rng(11)
@@ -130,7 +123,7 @@ class TestConditionalGaussian:
         for _ in range(k):
             new = paths[:, :2] @ theta + rng.standard_normal(n_paths)
             paths = np.column_stack([new, paths[:, :2]])
-        mean, var = conditional_gaussian(ss, state, k)
+        mean, var = conditional_gaussian(a, state, k)
         y = paths[:, 0]
         se_mean = y.std() / np.sqrt(n_paths)
         assert abs(y.mean() - mean) <= 3 * se_mean
@@ -377,10 +370,10 @@ class TestStationaryCovariance:
     def test_lyapunov_fixed_point_residual(self):
         spec = GaussianAR((0.6, -0.2, 0.1))
         from mixreg.processes import companion as comp
-        ss = comp(spec.ar_coeffs)
+        a = comp(spec.ar_coeffs)
+        e1 = np.eye(a.shape[0])[0]
         cov = stationary_state_covariance(spec)
-        resid = cov - (ss.transition @ cov @ ss.transition.T
-                       + np.outer(ss.input_vec, ss.input_vec))
+        resid = cov - (a @ cov @ a.T + np.outer(e1, e1))
         assert np.abs(resid).max() <= 1e-10
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
@@ -423,8 +416,7 @@ class TestTrajectory:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             from mixreg.processes import Trajectory
-            Trajectory(xs=np.zeros((3, 1)), ys=np.zeros((2, 1)), seed=0,
-                       spec=IIDGaussian(covariate_dim=1))
+            Trajectory(xs=np.zeros((3, 1)), ys=np.zeros((2, 1)))
 
 
 def test_derive_seed_deterministic_and_distinct():

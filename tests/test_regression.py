@@ -51,8 +51,7 @@ class TestFitOls:
         np.testing.assert_allclose(fit_ols(traj), coef, atol=1e-10)
 
     def test_scalar_hand_instance(self):
-        traj = Trajectory(xs=np.array([[1.0], [2.0]]), ys=np.array([[1.0], [2.0]]),
-                          seed=0, spec=IIDGaussian(covariate_dim=1))
+        traj = Trajectory(xs=np.array([[1.0], [2.0]]), ys=np.array([[1.0], [2.0]]))
         assert fit_ols(traj)[0, 0] == pytest.approx(1.0)
 
     def test_classical_risk_scale(self):
@@ -69,7 +68,7 @@ class TestFitOls:
     def test_singular_design_error_carries_eigenvalue(self):
         xs = np.ones((10, 2))  # rank one
         ys = np.ones((10, 1))
-        traj = Trajectory(xs=xs, ys=ys, seed=0, spec=IIDGaussian(covariate_dim=2))
+        traj = Trajectory(xs=xs, ys=ys)
         with pytest.raises(DegenerateDesignError) as exc:
             fit_ols(traj)
         assert exc.value.min_eigenvalue <= 1e-10
@@ -101,18 +100,18 @@ class TestFitOls:
 
 class TestPopulationOptimum:
     def test_ar1_realizable(self):
-        prob = population_optimum(GaussianAR((0.5,)), window=1)
+        prob = population_optimum(GaussianAR((0.5,), covariate_dim=1))
         assert prob.m_star[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert prob.source == ANALYTIC
 
     def test_ar2_misspecified_window1(self):
-        prob = population_optimum(GaussianAR((0.5, 0.2)), window=1)
+        prob = population_optimum(GaussianAR((0.5, 0.2), covariate_dim=1))
         assert prob.m_star[0, 0] == pytest.approx(0.625, abs=1e-10)
 
     def test_analytic_vs_monte_carlo(self):
         spec = GaussianAR((0.5, 0.2), covariate_dim=1, warmup=100)
-        analytic = population_optimum(spec, window=1)
-        mc = population_optimum(spec, window=1, method=MONTE_CARLO,
+        analytic = population_optimum(spec)
+        mc = population_optimum(spec, method=MONTE_CARLO,
                                 n_mc=200_000, seed=11)
         assert mc.source == MONTE_CARLO
         diff = abs(mc.m_star[0, 0] - analytic.m_star[0, 0])
@@ -121,18 +120,28 @@ class TestPopulationOptimum:
     @pytest.mark.parametrize("spec, n_mc", [
         (GaussianAR((0.5, 0.2), covariate_dim=1), 1),
         (GaussianAR((0.5, 0.2), covariate_dim=1), 2),
-        (IIDGaussian(covariate_dim=3), 200),
+        (IIDGaussian(covariate_dim=3), 50),
     ])
     def test_monte_carlo_with_too_few_fits_names_n_mc(self, spec, n_mc):
-        # Zero-initialized AR has a zero first covariate, so its first
-        # one-sample segment is degenerate; iid d = 3 in two-sample segments
-        # is degenerate throughout.
+        # Segments hold at least 10 d_X samples: n_mc = 1 or 2 with d_X = 1,
+        # and n_mc = 50 with d_X = 3, leave fewer than two segments.
         with pytest.raises(ValueError, match="n_mc"):
             population_optimum(spec, method=MONTE_CARLO, n_mc=n_mc)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_monte_carlo_stderr_matches_the_sampling_error(self, seed):
+        # iid d = 3, unit noise: each coefficient's sampling error is about
+        # 1 / sqrt(n_mc).  Segments of 10 d_X samples report it within a
+        # factor of 2; three-sample segments reported up to 100 times more.
+        n_mc = 300
+        prob = population_optimum(IIDGaussian(covariate_dim=3), method=MONTE_CARLO,
+                                  n_mc=n_mc, seed=seed)
+        scale = 1.0 / np.sqrt(n_mc)
+        assert ((prob.stderr >= 0.5 * scale) & (prob.stderr <= 2.0 * scale)).all()
+
     @pytest.mark.parametrize("n_mc", [50, 99])
     def test_monte_carlo_below_the_batch_count(self, n_mc):
-        # Fewer samples than batch segments: the empty segments are dropped.
+        # Fewer samples than 10 d_X per batch segment: fewer, longer segments.
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
         prob = population_optimum(spec, method=MONTE_CARLO, n_mc=n_mc)
         assert np.isfinite(prob.stderr).all()
@@ -156,24 +165,24 @@ class TestPopulationOptimum:
 
     def test_window_only_for_ar(self):
         with pytest.raises(ValueError):
-            population_optimum(IIDGaussian(covariate_dim=3), window=2)
+            IIDGaussian(covariate_dim=3).with_window(2)
 
     def test_finite_horizon_reaches_stationary(self):
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
-        prob = population_optimum(spec, window=1, horizon=20_000)
+        prob = population_optimum(spec, horizon=20_000)
         assert prob.m_star[0, 0] == pytest.approx(0.625, abs=1e-4)
 
     def test_empty_horizon_is_rejected(self):
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
         with pytest.raises(ValueError, match="horizon"):
-            population_optimum(spec, window=1, horizon=0)
+            population_optimum(spec, horizon=0)
 
     def test_finite_horizon_against_moment_oracle(self):
         # Best map for the uniform mixture over n sample times of the
         # zero-initialized trajectory: ratio of summed exact moments.
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
         n = 6
-        prob = population_optimum(spec, window=1, horizon=n)
+        prob = population_optimum(spec, horizon=n)
         trials = 300_000
         g = np.random.default_rng(31).standard_normal((trials, n))
         y = lfilter([1.0], [1.0, -0.5, -0.2], g, axis=1)
@@ -190,8 +199,8 @@ class TestPopulationOptimum:
         # optimum leaves a visible bias at this horizon.
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
         n, trials = 6, 20_000
-        mixture = population_optimum(spec, window=1, horizon=n)
-        stationary = population_optimum(spec, window=1)
+        mixture = population_optimum(spec, horizon=n)
+        stationary = population_optimum(spec)
         walks_mix = np.empty(trials)
         walks_stat = np.empty(trials)
         for t in range(trials):
@@ -307,13 +316,12 @@ class TestErrorIdentity:
         ys = np.array([[3.0], [5.0]])
         # Best map from this sample's own normal equations: 13/5.
         m_star = np.array([[13.0 / 5.0]])
-        traj = Trajectory(xs=xs, ys=ys, seed=0, spec=IIDGaussian(covariate_dim=1))
+        traj = Trajectory(xs=xs, ys=ys)
         prob = RegressionProblem(sigma_x=np.array([[2.5]]), m_star=m_star)
         assert error_identity_check(traj, prob) <= 1e-12
 
     def test_singular_design_raises(self):
-        traj = Trajectory(xs=np.zeros((5, 2)) + 1.0, ys=np.ones((5, 1)), seed=0,
-                          spec=IIDGaussian(covariate_dim=2))
+        traj = Trajectory(xs=np.zeros((5, 2)) + 1.0, ys=np.ones((5, 1)))
         prob = RegressionProblem(sigma_x=np.eye(2), m_star=np.zeros((1, 2)))
         with pytest.raises(DegenerateDesignError):
             error_identity_check(traj, prob)
