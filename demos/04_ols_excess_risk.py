@@ -45,5 +45,5 @@ print("E[g'Ag g'Bg] =", gaussian_quartic(a, b))
 
 sigma_inv = np.linalg.inv(prob.sigma_x)
 for s, t in ((3, 5), (5, 9), (5, 15)):
-    val = cross_term_expectation(spec, 1, s, t, sigma_inv)
+    val = cross_term_expectation(spec, s, t, sigma_inv)
     print(f"cross term (s={s}, t={t}):", f"{val:.5f}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -163,30 +163,42 @@ def noise_term_failure_budget(block_moments_odd, block_moments_even,
 class NoiseSpectrum:
     """Second-order statistics of the whitened noise walk over a partition.
 
-    sigma_blocks[i] is the covariance of the vectorized centered block sum;
-    sigma_agg their sum divided by n; sigma2 and effective_dim its operator
-    norm and trace ratio.  block_moment_s is the average (normalized by
-    sqrt(max block length)) s-th block moment entering the moment burn-in,
-    and block_snorm_moments the raw per-block s-th moments of the block sums.
+    Estimated by Monte Carlo: sigma_odd and sigma_even, the odd-block and
+    even-block sums of the covariance of the vectorized centered block sum;
+    block_snorm_moments, the per-block s-th moments of its norm; and h.
+    Derived: sigma_agg = (sigma_odd + sigma_even) / n, its operator norm
+    sigma2 and trace ratio effective_dim, and block_moment_s, the mean s-th
+    block moment over a_max^(s/2), which enters the moment burn-in.
     Centering uses the Monte Carlo mean (bias O(1/n_mc)).
     """
 
     partition: BlockPartition
     d_x: int
     d_y: int
-    sigma_blocks: np.ndarray          # (2m, D, D) with D = d_x * d_y
-    sigma_agg: np.ndarray             # (D, D)
-    sigma2: float
-    effective_dim: float
+    sigma_odd: np.ndarray             # (D, D) with D = d_x * d_y
+    sigma_even: np.ndarray            # (D, D)
     moment_s: float
-    block_moment_s: float
     block_snorm_moments: np.ndarray   # (2m,)
     h: float
 
-    def odd_even_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        odd = self.sigma_blocks[0::2].sum(axis=0)
-        even = self.sigma_blocks[1::2].sum(axis=0)
-        return odd, even
+    @cached_property
+    def sigma_agg(self) -> np.ndarray:
+        return symmetrize((self.sigma_odd + self.sigma_even) / self.partition.n)
+
+    @cached_property
+    def sigma2(self) -> float:
+        return opnorm_psd(self.sigma_agg)
+
+    @cached_property
+    def effective_dim(self) -> float:
+        # A fully noiseless problem has an empty spectrum; report dimension 0
+        # rather than 0/0 so the bound degrades to 0.
+        return edim(self.sigma_agg) if self.sigma2 > 0 else 0.0
+
+    @cached_property
+    def block_moment_s(self) -> float:
+        norm_factor = self.partition.a_max ** (self.moment_s / 2.0)
+        return float(np.sum(self.block_snorm_moments / norm_factor) / self.partition.m)
 
 
 def _h_directions(sigma_x: np.ndarray, seed: int) -> np.ndarray:
@@ -245,14 +257,23 @@ def _block_snorms(prob, partition, mean_bs, s, traj):
     return (), (np.linalg.norm(bs, axis=1) ** s,)
 
 
+def _parity_covariances(sum_bs, sum_outer, n_mc: int):
+    """Per-block means, and the odd-block and even-block sums of the per-block
+    covariances, from Monte Carlo totals of block sums and outer products."""
+    mean_bs = sum_bs / n_mc
+    cov = sum_outer / n_mc - np.einsum("bi,bj->bij", mean_bs, mean_bs)
+    return mean_bs, symmetrize(cov[0::2].sum(axis=0)), symmetrize(cov[1::2].sum(axis=0))
+
+
 def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
                    partition: BlockPartition, n_mc: int, seed: int,
                    s: float = 4.0) -> NoiseSpectrum:
     """Monte Carlo estimate of the block noise spectrum over n_mc independent
-    trajectories, including the fourth-moment constant h (maximized over an
-    eigenvector grid plus random directions, or the eigenvector alone when
-    d_X = 1; for d_X > 1 a lower estimate of the true supremum) and the s-th
-    block moments."""
+    trajectories: the odd and even block covariance sums, the s-th block
+    moments and the fourth-moment constant h (maximized over an eigenvector
+    grid plus random directions, or the eigenvector alone when d_X = 1; for
+    d_X > 1 a lower estimate of the true supremum).  Its derived numbers are
+    computed from these on first read."""
     _require_trials(n_mc, MIN_MC_TRIALS)
     if s < 2:
         raise ValueError("s must be >= 2")
@@ -261,29 +282,15 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
     scratch = _projection_scratch(dirs.shape[0], partition.n)
     _, (sum_bs, sum_outer, sum_p2, sum_p4) = map_trials(
         partial(_spectrum_moments, prob, partition, dirs, scratch), draw, n_mc, seed)
-
-    mean_bs = sum_bs / n_mc
-    sigma_blocks = sum_outer / n_mc - np.einsum("bi,bj->bij", mean_bs, mean_bs)
-    sigma_blocks = 0.5 * (sigma_blocks + sigma_blocks.transpose(0, 2, 1))
-    sigma_agg = symmetrize(sigma_blocks.sum(axis=0) / partition.n)
-    sigma2 = opnorm_psd(sigma_agg)
-    # A fully noiseless problem has an empty spectrum; report dimension 0
-    # rather than 0/0 so the bound degrades to 0.
-    eff = edim(sigma_agg) if sigma2 > 0 else 0.0
+    mean_bs, sigma_odd, sigma_even = _parity_covariances(sum_bs, sum_outer, n_mc)
     h = float(np.sqrt(np.max(sum_p4 / np.maximum(sum_p2, 1e-300))))
 
     _, (sum_snorm,) = map_trials(partial(_block_snorms, prob, partition, mean_bs, s),
                                  draw, n_mc, seed)
-    block_snorm = sum_snorm / n_mc
-    norm_factor = partition.a_max ** (s / 2.0)
-    block_moment = float(np.sum(block_snorm / norm_factor) / partition.m)
-
     return NoiseSpectrum(
         partition=partition, d_x=prob.d_x, d_y=prob.d_y,
-        sigma_blocks=sigma_blocks, sigma_agg=sigma_agg,
-        sigma2=float(sigma2), effective_dim=float(eff),
-        moment_s=float(s), block_moment_s=block_moment,
-        block_snorm_moments=block_snorm, h=h,
+        sigma_odd=sigma_odd, sigma_even=sigma_even, moment_s=float(s),
+        block_snorm_moments=sum_snorm / n_mc, h=h,
     )
 
 
@@ -320,7 +327,10 @@ class REstimate:
     stderr_sqrt_r: float
     lambda_odd: float
     lambda_even: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return max(self.lambda_odd, self.lambda_even) <= 0
 
 
 def _parity_sums(prob, partition, traj):
@@ -341,32 +351,21 @@ def estimate_r(spec: ProcessSpec, prob: RegressionProblem,
     sgn_sums, (sum_bs, sum_outer) = map_trials(
         partial(_parity_sums, prob, partition), partial(draw_decoupled, spec, partition),
         n_mc, seed)
-    mean_bs = sum_bs / n_mc
-    sigma_blocks = sum_outer / n_mc - np.einsum("bi,bj->bij", mean_bs, mean_bs)
+    _, sigma_odd, sigma_even = _parity_covariances(sum_bs, sum_outer, n_mc)
 
-    sizes = (len(partition.odd_union), len(partition.even_union))
-    lambdas = []
-    ratios, stderrs = [], []
-    for side, size in enumerate(sizes):
-        blocks = sigma_blocks[side::2]
-        lam = opnorm_psd(symmetrize(blocks.sum(axis=0))) / size
-        lambdas.append(lam)
+    sizes = (sum(partition.lengths[0::2]), sum(partition.lengths[1::2]))
+    lambdas, ratios, stderrs = [], [], []
+    for side, (cov, size) in enumerate(zip((sigma_odd, sigma_even), sizes)):
+        lam = opnorm_psd(cov) / size
         centered = sgn_sums[:, side, :] - sgn_sums[:, side, :].mean(axis=0)
         norms = np.linalg.norm(centered, axis=1) / math.sqrt(size)
-        mean_norm = norms.mean()
-        se_norm = norms.std(ddof=1) / math.sqrt(n_mc)
-        if lam <= 0:
-            ratios.append(0.0)
-            stderrs.append(0.0)
-        else:
-            ratios.append(mean_norm / math.sqrt(lam))
-            stderrs.append(se_norm / math.sqrt(lam))
-    sqrt_r = max(ratios)
+        root = math.sqrt(lam) if lam > 0 else math.inf  # a zero variance gives ratio 0
+        lambdas.append(lam)
+        ratios.append(norms.mean() / root)
+        stderrs.append(norms.std(ddof=1) / math.sqrt(n_mc) / root)
     which = int(np.argmax(ratios))
-    degenerate = max(lambdas) <= 0
-    return REstimate(r=sqrt_r**2, stderr_sqrt_r=stderrs[which],
-                     lambda_odd=lambdas[0], lambda_even=lambdas[1],
-                     degenerate=degenerate)
+    return REstimate(r=ratios[which]**2, stderr_sqrt_r=stderrs[which],
+                     lambda_odd=lambdas[0], lambda_even=lambdas[1])
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,7 @@ class BoundReport:
 
 def _shared_burnins(ratio_n: float, d_x: int, h: float, s: float, block_moment: float,
                     noise_scale: float, mix: float, delta: float,
-                    c: UniversalConstants, mix_note: str = "") -> tuple[BurninCheck, ...]:
+                    c: UniversalConstants) -> tuple[BurninCheck, ...]:
     """Sample-size, block-moment and mixing-budget burn-ins, shared by both
     bound forms.  ratio_n is n over the block length; the block moment is
     compared against noise_scale, and a zero scale passes only a zero
@@ -467,15 +466,14 @@ def _shared_burnins(ratio_n: float, d_x: int, h: float, s: float, block_moment: 
         thr_moment = 0.0 if block_moment == 0 else math.inf
     return (BurninCheck("sample_size", ratio_n, thr_n, ratio_n >= thr_n),
             BurninCheck("block_moment", lhs_moment, thr_moment, lhs_moment >= thr_moment),
-            BurninCheck("mixing", mix, c.c6 * delta, mix <= c.c6 * delta, note=mix_note))
+            BurninCheck("mixing", mix, c.c6 * delta, mix <= c.c6 * delta))
 
 
-def main_bound(spectrum: NoiseSpectrum, n: int, delta: float,
-               constants: UniversalConstants | None = None,
-               profile: MixingProfile | None = None) -> BoundReport:
+def main_bound(spectrum: NoiseSpectrum, n: int, delta: float, profile: MixingProfile,
+               constants: UniversalConstants | None = None) -> BoundReport:
     """Evaluate the excess-risk bound c1 sigma^2 (edim + log(1/delta)) / n and
-    all five burn-in predicates; a report is always produced, with failed
-    predicates marked rather than raised."""
+    all five burn-in predicates, mixing on the given profile; a report is
+    always produced, with failed predicates marked rather than raised."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     c = constants or DEFAULT_CONSTANTS
@@ -483,23 +481,18 @@ def main_bound(spectrum: NoiseSpectrum, n: int, delta: float,
     log_term = math.log(1.0 / delta)
     bound = c.c1 * spectrum.sigma2 * (spectrum.effective_dim + log_term) / n
 
-    mix = float("nan") if profile is None else mixing_sum(profile, part)
+    mix = mixing_sum(profile, part)
     check_1a, check_1b, check_3 = _shared_burnins(
         n / part.a_max, spectrum.d_x, spectrum.h, spectrum.moment_s,
-        spectrum.block_moment_s, spectrum.effective_dim * spectrum.sigma2, mix, delta, c,
-        mix_note="no mixing profile supplied" if profile is None else "")
+        spectrum.block_moment_s, spectrum.effective_dim * spectrum.sigma2, mix, delta, c)
 
-    odd_len = sum(part.lengths[0::2])
-    even_len = sum(part.lengths[1::2])
-    len_ratio = even_len / odd_len
-    ok_2a = 1.0 / c.c4 < len_ratio < c.c4
-    check_2a = BurninCheck("length_balance", len_ratio, c.c4, ok_2a,
+    len_ratio = sum(part.lengths[1::2]) / sum(part.lengths[0::2])
+    check_2a = BurninCheck("length_balance", len_ratio, c.c4, 1.0 / c.c4 < len_ratio < c.c4,
                            note=f"must lie in (1/{c.c4:g}, {c.c4:g})")
 
-    odd_sum, even_sum = spectrum.odd_even_sums()
-    tol = 1e-8 * max(np.trace(odd_sum), np.trace(even_sum), 1e-300)
-    margin = min(min_eig(c.c5 * odd_sum - even_sum),
-                 min_eig(c.c5 * even_sum - odd_sum))
+    odd, even = spectrum.sigma_odd, spectrum.sigma_even
+    tol = 1e-8 * max(np.trace(odd), np.trace(even), 1e-300)
+    margin = min(min_eig(c.c5 * odd - even), min_eig(c.c5 * even - odd))
     check_2b = BurninCheck("spectrum_balance", margin, -tol, margin >= -tol,
                            note="min eigenvalue of the two-sided PSD comparison")
 

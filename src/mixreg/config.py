@@ -179,7 +179,8 @@ def _places() -> list:
 
 def load_config(path) -> ExperimentConfig:
     """Read a config file.  A key it omits keeps its field's default, and
-    `[fit] window` sets the process spec's window (see `with_window`)."""
+    `[fit] window` sets the process spec's window (see `with_window`); a
+    `[process] covariate_dim` that names another window is an error."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
@@ -201,7 +202,11 @@ def load_config(path) -> ExperimentConfig:
         _check_keys(name, sec, known.get(name))
     constants = _values(UniversalConstants, "constants", sections.get("constants", {}))
     if "window" in sections.get("fit", {}):
-        spec = spec.with_window(_parse("int", "fit", "window", sections["fit"]))
+        window = _parse("int", "fit", "window", sections["fit"])
+        if "covariate_dim" in sections["process"] and window != spec.covariate_dim:
+            raise ValueError(f"[process] covariate_dim = {sections['process']['covariate_dim']} "
+                             f"and [fit] window = {window} set two regression windows")
+        spec = spec.with_window(window)
     return ExperimentConfig(process=spec, constants=UniversalConstants(**constants), **values)
 
 

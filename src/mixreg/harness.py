@@ -92,12 +92,15 @@ def _spectrum_for(config: ExperimentConfig, prob: RegressionProblem,
 @dataclass(frozen=True, eq=False)
 class CoverageReport:
     n: int
-    bound_value: float
     quantile: float            # empirical (1 - delta) quantile of excess risk
     coverage: float            # fraction of trials with risk <= bound
     bound_report: BoundReport
     trials: int
     degenerate_trials: int
+
+    @property
+    def bound_value(self) -> float:
+        return self.bound_report.bound_value
 
     @property
     def burnins_pass(self) -> bool:
@@ -123,15 +126,14 @@ def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageReport
         partition = config.partition_for(n)
         spectrum = _spectrum_for(config, prob, partition, n)
         profile = profile_for(config, partition)
-        bound = main_bound(spectrum, n, config.delta, config.constants, profile)
+        bound = main_bound(spectrum, n, config.delta, profile, config.constants)
         risks, (degenerate,) = _run_trials(_trial_risk, config, prob, n)
         coverage = float(np.mean(risks <= bound.bound_value + COVERAGE_ATOL))
         finite = risks[np.isfinite(risks)]
         quantile = float(np.quantile(finite, 1.0 - config.delta)) if finite.size else math.inf
         reports.append(CoverageReport(
-            n=n, bound_value=bound.bound_value, quantile=quantile,
-            coverage=coverage, bound_report=bound, trials=config.trials,
-            degenerate_trials=int(degenerate),
+            n=n, quantile=quantile, coverage=coverage, bound_report=bound,
+            trials=config.trials, degenerate_trials=int(degenerate),
         ))
     if out_path is not None:
         write_csv(out_path, COVERAGE_HEADER, (
@@ -262,7 +264,7 @@ def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalk
         r_est = estimate_r(config.process, prob, partition, config.n_mc,
                            derive_seed(config.seed, n, DECOUPLED_STREAM))
         spectrum = _spectrum_for(config, prob, partition, n)
-        size_o, size_e = len(partition.odd_union), len(partition.even_union)
+        size_o, size_e = sum(partition.lengths[0::2]), sum(partition.lengths[1::2])
         threshold = noise_term_threshold(r_est.lambda_odd, r_est.lambda_even,
                                          size_o, size_e, r_est.r,
                                          config.eps, config.eta, config.delta)
@@ -347,8 +349,8 @@ def evaluate_bound(config: ExperimentConfig, out_path=None) -> BoundReport:
                                  profile_from_spec(config.process, [tau]),
                                  config.delta, config.constants)
     else:
-        report = main_bound(spectrum, n, config.delta, config.constants,
-                            profile_for(config, partition))
+        report = main_bound(spectrum, n, config.delta, profile_for(config, partition),
+                            config.constants)
     if out_path is not None:
         write_csv(out_path, report.csv_header(), [report.csv_row()])
     return report

@@ -221,10 +221,10 @@ def _noise_map(a: np.ndarray, j: int, n_eps: int, noise_std: float) -> np.ndarra
     return mat
 
 
-def cross_term_expectation(spec: GaussianAR, window: int, s: int, t: int,
+def cross_term_expectation(spec: GaussianAR, s: int, t: int,
                            sigma_inv: np.ndarray) -> float:
     """Exact cross correlation E[u_s' Sigma^{-1} u_t w_s w_t] of the noise
-    walk increments of a misspecified AR fit, for sample times s < t.
+    walk increments of an AR fit on covariate_dim lags, for sample times s < t.
 
     Writes the states as linear images of the innovation vector and reduces
     both terms (the squared misspecification part and the innovation cross
@@ -232,8 +232,7 @@ def cross_term_expectation(spec: GaussianAR, window: int, s: int, t: int,
     """
     if not 0 <= s < t:
         raise ValueError("need 0 <= s < t")
-    if window < 1 or window > spec.order:
-        raise ValueError("window must be in [1, order]")
+    window = spec.covariate_dim
     theta = np.asarray(spec.ar_coeffs)
     tail = theta[window:]
     if tail.size == 0:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mixreg.blocking import make_partition, uniform_partition
+from mixreg.blocking import block_sums, make_partition, uniform_partition
 from mixreg.bounds import (
     NoiseSpectrum,
     UniversalConstants,
@@ -42,25 +43,15 @@ from mixreg.processes import (
     simulate,
     two_state_flip,
 )
-from mixreg.regression import RegressionProblem, population_optimum
+from mixreg.regression import RegressionProblem, noise_walk, population_optimum
 
 
-def synthetic_spectrum(partition, sigma2=1.0, eff=5.0, h=math.sqrt(3.0),
-                       s=4.0, block_moment=1.0, d_x=5, d_y=1):
-    d = d_x * d_y
-    agg = np.zeros((d, d))
-    agg[0, 0] = sigma2
-    extra = min(int(eff), d) - 1
-    for j in range(1, extra + 1):
-        agg[j, j] = sigma2 * (eff - 1) / extra if extra else 0.0
-    per_block = np.repeat(agg[None, :, :] * (partition.n / partition.n_blocks),
-                          partition.n_blocks, axis=0)
+def synthetic_spectrum(partition, sigma2=1.0, h=math.sqrt(3.0), s=4.0, d_x=5, d_y=1):
+    """Isotropic spectrum: sigma_agg = sigma2 I, so effective_dim = d_x d_y."""
+    half = 0.5 * partition.n * sigma2 * np.eye(d_x * d_y)
     return NoiseSpectrum(
-        partition=partition, d_x=d_x, d_y=d_y,
-        sigma_blocks=per_block, sigma_agg=agg, sigma2=sigma2,
-        effective_dim=eff, moment_s=s, block_moment_s=block_moment,
-        block_snorm_moments=np.full(partition.n_blocks, block_moment),
-        h=h,
+        partition=partition, d_x=d_x, d_y=d_y, sigma_odd=half, sigma_even=half,
+        moment_s=s, block_snorm_moments=np.ones(partition.n_blocks), h=h,
     )
 
 
@@ -293,6 +284,39 @@ class TestNoiseSpectrum:
             sum_p4 += (p2 * p2).sum(axis=0)
         assert est.h == pytest.approx(math.sqrt(np.max(sum_p4 / sum_p2)), rel=1e-14)
 
+    @pytest.mark.parametrize("spec, n, m", [
+        (GaussianAR((0.5, 0.2), covariate_dim=1, warmup=30), 60, 3),   # D = 1
+        (IIDGaussian(covariate_dim=2), 40, 4),                          # D = 2
+    ])
+    def test_parity_sums_match_the_per_block_covariances(self, spec, n, m):
+        prob = population_optimum(spec)
+        part = make_partition(n, m)
+        n_mc, seed = 1000, 6
+        est = noise_spectrum(spec, prob, part, n_mc, seed)
+        # Reference: per-block population (ddof 0) covariances of the block
+        # sums over the same trajectories, summed over odd and even blocks.
+        bs = np.stack([
+            block_sums(noise_walk(simulate(spec, n, derive_seed(seed, t)), prob)[0]
+                       .reshape(n, -1), part)
+            for t in range(n_mc)])
+        centered = bs - bs.mean(axis=0)
+        cov = np.einsum("tbi,tbj->bij", centered, centered) / n_mc
+        odd, even = cov[0::2].sum(axis=0), cov[1::2].sum(axis=0)
+        for got, want in ((est.sigma_odd, odd), (est.sigma_even, even)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        sigma2 = np.linalg.eigvalsh((odd + even) / n).max()
+        assert est.sigma2 == pytest.approx(sigma2, rel=1e-12)
+
+    def test_stores_only_its_estimates(self):
+        names = [f.name for f in dataclasses.fields(NoiseSpectrum)]
+        assert names == ["partition", "d_x", "d_y", "sigma_odd", "sigma_even",
+                         "moment_s", "block_snorm_moments", "h"]
+        spectrum = synthetic_spectrum(make_partition(40, 4), sigma2=2.0)
+        np.testing.assert_array_equal(spectrum.sigma_agg, 2.0 * np.eye(5))
+        assert (spectrum.sigma2, spectrum.effective_dim) == (2.0, 5.0)
+        # Eight unit block moments over m = 4, normalized by a_max^(s/2) = 25.
+        assert spectrum.block_moment_s == pytest.approx(8 / 25 / 4, rel=1e-15)
+
     def test_zero_noise_spectrum(self):
         coef = np.array([[2.0, -1.0]])
         spec = IIDGaussian(covariate_dim=2, coef=coef, noise_std=0.0)
@@ -356,40 +380,38 @@ class TestEstimateR:
 class TestMainBound:
     def test_arithmetic(self):
         part = make_partition(1000, 250)
-        spectrum = synthetic_spectrum(part, sigma2=1.0, eff=5.0)
-        report = main_bound(spectrum, 1000, math.exp(-1.0),
-                            UniversalConstants(c1=2.0),
-                            iid_profile(part.lengths))
+        spectrum = synthetic_spectrum(part, sigma2=1.0)
+        report = main_bound(spectrum, 1000, math.exp(-1.0), iid_profile(part.lengths),
+                            UniversalConstants(c1=2.0))
         assert report.bound_value == pytest.approx(0.012, rel=1e-12)
 
     def test_uniform_partition_balance_any_c4(self):
         part = make_partition(512, 64)
         spectrum = synthetic_spectrum(part)
         for c4 in (1.001, 2.0, 10.0):
-            report = main_bound(spectrum, 512, 0.1,
-                                UniversalConstants(c4=c4), iid_profile(part.lengths))
+            report = main_bound(spectrum, 512, 0.1, iid_profile(part.lengths),
+                                UniversalConstants(c4=c4))
             assert report.check("length_balance").holds
 
     def test_iid_mixing_always_holds(self):
         part = make_partition(128, 16)
         spectrum = synthetic_spectrum(part)
         for delta in (0.5, 0.1, 0.01, 1e-6):
-            report = main_bound(spectrum, 128, delta, None, iid_profile(part.lengths))
+            report = main_bound(spectrum, 128, delta, iid_profile(part.lengths))
             assert report.check("mixing").holds
 
     def test_monotonicity(self):
         part = make_partition(100, 25)
         profile = iid_profile(part.lengths)
-        base = main_bound(synthetic_spectrum(part), 100, 0.1, None, profile).bound_value
-        assert main_bound(synthetic_spectrum(part), 200, 0.1, None, profile).bound_value < base
+        base = main_bound(synthetic_spectrum(part), 100, 0.1, profile).bound_value
+        assert main_bound(synthetic_spectrum(part), 200, 0.1, profile).bound_value < base
         bigger_noise = synthetic_spectrum(part, sigma2=2.0)
-        assert main_bound(bigger_noise, 100, 0.1, None, profile).bound_value > base
-        assert main_bound(synthetic_spectrum(part), 100, 0.01, None, profile).bound_value > base
+        assert main_bound(bigger_noise, 100, 0.1, profile).bound_value > base
+        assert main_bound(synthetic_spectrum(part), 100, 0.01, profile).bound_value > base
 
     def test_all_checks_reported(self):
         part = make_partition(60, 10)
-        report = main_bound(synthetic_spectrum(part), 60, 0.1, None,
-                            iid_profile(part.lengths))
+        report = main_bound(synthetic_spectrum(part), 60, 0.1, iid_profile(part.lengths))
         names = [c.name for c in report.checks]
         assert names == ["sample_size", "block_moment", "length_balance",
                          "spectrum_balance", "mixing"]
@@ -401,15 +423,15 @@ class TestMainBound:
     def test_delta_domain(self):
         part = make_partition(16, 4)
         with pytest.raises(ValueError):
-            main_bound(synthetic_spectrum(part), 16, 0.0, None, iid_profile(part.lengths))
+            main_bound(synthetic_spectrum(part), 16, 0.0, iid_profile(part.lengths))
 
 
 class TestCorollaryBound:
     def test_reduces_to_main_for_unit_blocks(self):
         part = make_partition(64, 32)
-        spectrum = synthetic_spectrum(part, sigma2=1.5, eff=5.0, d_x=5)
+        spectrum = synthetic_spectrum(part, sigma2=1.5, d_x=5)
         profile = iid_profile([1])
-        main = main_bound(spectrum, 64, 0.2, None, iid_profile(part.lengths))
+        main = main_bound(spectrum, 64, 0.2, iid_profile(part.lengths))
         cor = corollary_bound(1, 64, 5, 1.5, math.sqrt(3), 4.0, 1.0, profile, 0.2)
         assert cor.bound_value == pytest.approx(main.bound_value, rel=1e-12)
 

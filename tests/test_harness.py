@@ -354,6 +354,24 @@ class TestConfig:
         assert config.process.covariate_dim == 1
         assert config.process.warmup > 0
 
+    @pytest.mark.parametrize("covariate_dim, window, loads", [(2, 1, False), (0, 1, False),
+                                                              (2, 2, True), (1, 1, True)])
+    def test_two_windows_must_agree(self, tmp_path, capsys, covariate_dim, window, loads):
+        path = tmp_path / "ar.cfg"
+        path.write_text(
+            "[process]\nkind = gaussian_ar\nar_coeffs = 0.5, 0.2\nwarmup = auto\n"
+            f"covariate_dim = {covariate_dim}\n[fit]\nwindow = {window}\n"
+            "[experiment]\nns = 500\n")
+        if loads:
+            assert load_config(path).process.covariate_dim == window
+            return
+        message = (f"[process] covariate_dim = {covariate_dim} and [fit] window = {window} "
+                   "set two regression windows")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+        assert cli_main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestCoverage:
     def test_iid_small(self, tmp_path):

@@ -61,8 +61,8 @@ def assert_spectra_agree(monkeypatch, spec, part):
     prob = population_optimum(spec)
     serial, pooled = serial_then_pooled(
         monkeypatch, lambda: noise_spectrum(spec, prob, part, 1000, 4))
-    for name in ("sigma_blocks", "sigma_agg", "sigma2", "block_snorm_moments", "h",
-                 "block_moment_s"):
+    for name in ("sigma_odd", "sigma_even", "sigma_agg", "sigma2", "block_snorm_moments",
+                 "h", "block_moment_s"):
         np.testing.assert_allclose(getattr(pooled, name), getattr(serial, name),
                                    rtol=1e-10, err_msg=name)
 

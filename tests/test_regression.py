@@ -373,18 +373,27 @@ class TestCrossTermExpectation:
     def test_realizable_zero(self):
         spec = GaussianAR((0.5,), covariate_dim=1)
         for s, t in ((0, 1), (2, 5), (3, 9)):
-            assert cross_term_expectation(spec, 1, s, t, np.eye(1)) == 0.0
+            assert cross_term_expectation(spec, s, t, np.eye(1)) == 0.0
+
+    def test_window_comes_from_the_spec(self):
+        # A window at or above the order is a realizable fit.
+        for window in (2, 3):
+            spec = GaussianAR((0.5, 0.2), covariate_dim=window)
+            assert cross_term_expectation(spec, 3, 5, np.eye(1)) == 0.0
+        spec = GaussianAR((0.5, 0.2), covariate_dim=1)
+        assert cross_term_expectation(spec, 3, 5, np.eye(1)) == pytest.approx(
+            0.2935121875, rel=1e-12)
 
     def test_argument_order(self):
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
         with pytest.raises(ValueError):
-            cross_term_expectation(spec, 1, 5, 5, np.eye(1))
+            cross_term_expectation(spec, 5, 5, np.eye(1))
 
     def test_against_monte_carlo(self):
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
         sigma_inv = np.array([[1.0 / 1.5]])
         s, t = 6, 9
-        exact = cross_term_expectation(spec, 1, s, t, sigma_inv)
+        exact = cross_term_expectation(spec, s, t, sigma_inv)
         n_paths = 600_000
         g = np.random.default_rng(10).standard_normal((n_paths, t + 1))
         y = lfilter([1.0], [1.0, -0.5, -0.2], g, axis=1)
@@ -399,12 +408,12 @@ class TestCrossTermExpectation:
         base = GaussianAR((0.4, 0.3), covariate_dim=1)
         scaled = GaussianAR((0.4, 0.3), noise_std=2.0, covariate_dim=1)
         sigma_inv = np.array([[0.7]])
-        v1 = cross_term_expectation(base, 1, 4, 7, sigma_inv)
-        v2 = cross_term_expectation(scaled, 1, 4, 7, sigma_inv / 4.0)
+        v1 = cross_term_expectation(base, 4, 7, sigma_inv)
+        v2 = cross_term_expectation(scaled, 4, 7, sigma_inv / 4.0)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-10)
 
     def test_early_times_with_zero_history(self):
         # s < window makes the misspecified lag window reach before time 0.
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
-        val = cross_term_expectation(spec, 1, 0, 2, np.eye(1))
+        val = cross_term_expectation(spec, 0, 2, np.eye(1))
         assert np.isfinite(val)
