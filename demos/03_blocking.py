@@ -16,7 +16,7 @@ from mixreg import (
 # blocks come first so lengths differ by at most one.
 part = make_partition(22, 3)
 print("lengths:", part.lengths)
-print("odd-union indices:", part.odd_union)
+print("odd blocks (start, stop):", part.blocks[0::2])
 print("max block length:", part.a_max)
 
 values = np.arange(22.0)

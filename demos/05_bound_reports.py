@@ -41,11 +41,11 @@ print("effective dimension:", round(spectrum.effective_dim, 4))
 print("fourth-moment constant h^2:", round(spectrum.h**2, 3))
 
 profile = profile_from_spec(spec, sorted(set(partition.lengths)))
-report = main_bound(spectrum, n, delta=0.1, profile=profile)
+report = main_bound(spectrum, delta=0.1, profile=profile)
 print("\n" + report.to_text())
 
 # The lower uniform law needs a sample-size and a mixing prerequisite.
-cert = lower_tail_certificate(n, partition, prob.d_x, spectrum.h, 0.1, profile)
+cert = lower_tail_certificate(spectrum, 0.1, profile)
 print("\n" + cert.to_text())
 
 # Worst case for the noise level: a process constant on partition-aligned

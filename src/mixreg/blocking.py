@@ -1,5 +1,5 @@
-"""Blocking device: monotone consecutive partitions, odd/even unions, block
-sums, and blockwise-independent (decoupled) resampling."""
+"""Blocking device: monotone consecutive partitions, block sums, and
+blockwise-independent (decoupled) resampling."""
 
 from __future__ import annotations
 
@@ -60,15 +60,6 @@ class BlockPartition:
     def blocks(self) -> tuple[tuple[int, int], ...]:
         """Half-open (start, stop) sample ranges, 0-indexed."""
         return tuple((int(a), int(a) + g) for a, g in zip(self.starts, self.lengths))
-
-    @cached_property
-    def odd_union(self) -> np.ndarray:
-        """Sample indices covered by blocks 1, 3, 5, ..."""
-        return np.concatenate([np.arange(a, b) for i, (a, b) in enumerate(self.blocks) if i % 2 == 0])
-
-    @cached_property
-    def even_union(self) -> np.ndarray:
-        return np.concatenate([np.arange(a, b) for i, (a, b) in enumerate(self.blocks) if i % 2 == 1])
 
 
 def make_partition(n: int, m: int) -> BlockPartition:

@@ -469,15 +469,17 @@ def _shared_burnins(ratio_n: float, d_x: int, h: float, s: float, block_moment: 
             BurninCheck("mixing", mix, c.c6 * delta, mix <= c.c6 * delta))
 
 
-def main_bound(spectrum: NoiseSpectrum, n: int, delta: float, profile: MixingProfile,
+def main_bound(spectrum: NoiseSpectrum, delta: float, profile: MixingProfile,
                constants: UniversalConstants | None = None) -> BoundReport:
     """Evaluate the excess-risk bound c1 sigma^2 (edim + log(1/delta)) / n and
-    all five burn-in predicates, mixing on the given profile; a report is
-    always produced, with failed predicates marked rather than raised."""
+    all five burn-in predicates, with n the size of the spectrum's partition
+    and mixing on the given profile; a report is always produced, with failed
+    predicates marked rather than raised."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     c = constants or DEFAULT_CONSTANTS
     part = spectrum.partition
+    n = part.n
     log_term = math.log(1.0 / delta)
     bound = c.c1 * spectrum.sigma2 * (spectrum.effective_dim + log_term) / n
 
@@ -501,27 +503,35 @@ def main_bound(spectrum: NoiseSpectrum, n: int, delta: float, profile: MixingPro
                        mixing_sum=mix, constants=c)
 
 
-def corollary_bound(tau: int, n: int, d_x: int, sigma2: float, h: float,
-                    s: float, block_moment: float, profile: MixingProfile,
-                    delta: float,
+def corollary_bound(spectrum: NoiseSpectrum, delta: float, profile: MixingProfile,
                     constants: UniversalConstants | None = None) -> BoundReport:
-    """Stationary one-dimensional-target form with uniform block length tau
-    (2 tau must divide n): bound c1 sigma^2 (d_x + log(1/delta)) / n with
-    three burn-ins.  block_moment is E||(tau d_x)^{-1/2} sum of tau centered
-    noise variables||^s; the mixing budget reuses the c6 constant."""
+    """Stationary one-dimensional-target form over a partition of equal
+    blocks of length tau: bound c1 sigma^2 (d_x + log(1/delta)) / n with
+    three burn-ins.  The block moment is the mean over blocks of
+    E||(tau d_x)^{-1/2} sum of tau centered noise variables||^s; the mixing
+    budget (n / tau) beta(tau) reuses the c6 constant."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if tau < 1 or n % (2 * tau) != 0:
-        raise ValueError("2 tau must divide n")
+    part = spectrum.partition
+    lengths = sorted(set(part.lengths))
+    if len(lengths) > 1:
+        raise ValueError(f"the corollary form needs equal block lengths, got {lengths}")
     c = constants or DEFAULT_CONSTANTS
+    tau, n, d_x, s = part.a_max, part.n, spectrum.d_x, spectrum.moment_s
     log_term = math.log(1.0 / delta)
-    bound = c.c1 * sigma2 * (d_x + log_term) / n
+    bound = c.c1 * spectrum.sigma2 * (d_x + log_term) / n
 
+    block_moment = float(np.mean(spectrum.block_snorm_moments)) / (tau * d_x) ** (s / 2.0)
     ratio_n = n / tau
     mix = ratio_n * profile.beta(tau)
-    checks = _shared_burnins(ratio_n, d_x, h, s, block_moment, sigma2, mix, delta, c)
+    checks = _shared_burnins(ratio_n, d_x, spectrum.h, s, block_moment, spectrum.sigma2,
+                             mix, delta, c)
     return BoundReport(bound_value=float(bound), checks=checks,
                        mixing_sum=float(mix), constants=c)
+
+
+# Config name ([partition] form) -> evaluator of that bound form.
+BOUND_FORMS = {"main": main_bound, "corollary": corollary_bound}
 
 
 @dataclass(frozen=True)
@@ -543,20 +553,22 @@ class LowerTailReport:
         ])
 
 
-def lower_tail_certificate(n: int, partition: BlockPartition, d_x: int,
-                           h: float, delta: float, profile: MixingProfile,
-                           c_lower: float | None = None) -> LowerTailReport:
+def lower_tail_certificate(spectrum: NoiseSpectrum, delta: float, profile: MixingProfile,
+                           constants: UniversalConstants | None = None) -> LowerTailReport:
     """Check the two prerequisites under which every directional empirical
-    second moment stays above half its population value with probability
-    1 - delta.  The mixing condition is evaluated with the supplied profile
-    (a joint-process profile is a valid, conservative stand-in for the
-    covariate-only coefficients)."""
+    second moment over the spectrum's n samples stays above half its
+    population value with probability 1 - delta: n against
+    c_lower a_max (d_x + h^2 log(1/delta)), and the mixing sum over the
+    spectrum's partition against delta / 2.  The mixing condition is
+    evaluated with the supplied profile (a joint-process profile is a valid,
+    conservative stand-in for the covariate-only coefficients)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    c = DEFAULT_CONSTANTS.c_lower if c_lower is None else float(c_lower)
-    required = c * partition.a_max * (d_x + h**2 * math.log(1.0 / delta))
-    sample_check = BurninCheck("sample_size", float(n), required, n >= required)
-    mix = mixing_sum(profile, partition)
+    c = constants or DEFAULT_CONSTANTS
+    part = spectrum.partition
+    required = c.c_lower * part.a_max * (spectrum.d_x + spectrum.h**2 * math.log(1.0 / delta))
+    sample_check = BurninCheck("sample_size", float(part.n), required, part.n >= required)
+    mix = mixing_sum(profile, part)
     mixing_check = BurninCheck("mixing", mix, delta / 2.0, mix <= delta / 2.0)
     return LowerTailReport(sample_check=sample_check, mixing_check=mixing_check,
                            required_n=required)

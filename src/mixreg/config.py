@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .blocking import BlockPartition, make_partition, uniform_partition
-from .bounds import UniversalConstants
+from .bounds import BOUND_FORMS, UniversalConstants
 from .processes import SPEC_KINDS, ProcessSpec, default_warmup
 
 
@@ -141,8 +141,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.ns:
             raise ValueError("at least one sample size is required")
-        if self.bound_form not in ("main", "corollary"):
-            raise ValueError(f"[partition] form must be main or corollary, got {self.bound_form!r}")
+        if self.bound_form not in BOUND_FORMS:
+            raise ValueError(f"[partition] form must be {' or '.join(BOUND_FORMS)}, "
+                             f"got {self.bound_form!r}")
         rules = [key for key in ("tau", "m", "lengths") if getattr(self, key) is not None]
         if len(rules) > 1:
             raise ValueError("[partition] takes only one of tau, m and lengths, "

@@ -16,10 +16,10 @@ import numpy as np
 
 from .blocking import BlockPartition
 from .bounds import (
+    BOUND_FORMS,
     BoundReport,
     LowerTailReport,
     REstimate,
-    corollary_bound,
     estimate_r,
     lower_tail_certificate,
     main_bound,
@@ -126,7 +126,7 @@ def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageReport
         partition = config.partition_for(n)
         spectrum = _spectrum_for(config, prob, partition, n)
         profile = profile_for(config, partition)
-        bound = main_bound(spectrum, n, config.delta, profile, config.constants)
+        bound = main_bound(spectrum, config.delta, profile, config.constants)
         risks, (degenerate,) = _run_trials(_trial_risk, config, prob, n)
         coverage = float(np.mean(risks <= bound.bound_value + COVERAGE_ATOL))
         finite = risks[np.isfinite(risks)]
@@ -220,9 +220,7 @@ def verify_lower_tail(config: ExperimentConfig, out_path=None) -> list[LowerTail
         partition = config.partition_for(n)
         spectrum = _spectrum_for(config, prob, partition, n)
         profile = profile_for(config, partition)
-        cert = lower_tail_certificate(n, partition, prob.d_x, spectrum.h,
-                                      config.delta, profile,
-                                      config.constants.c_lower)
+        cert = lower_tail_certificate(spectrum, config.delta, profile, config.constants)
         _, (hits,) = _run_trials(_lower_tail_hit, config, prob, n)
         out.append(LowerTailVerification(
             n=n, frequency=hits / config.trials, certificate=cert,
@@ -333,24 +331,13 @@ def clt_consistency(config: ExperimentConfig, out_path=None) -> CltReport:
 # ---------------------------------------------------------------------------
 
 def evaluate_bound(config: ExperimentConfig, out_path=None) -> BoundReport:
-    """Evaluate the main or stationary-corollary bound for the first sample
-    size in the config."""
+    """Evaluate the config's bound form (`BOUND_FORMS`) for its first sample
+    size."""
     n = config.ns[0]
-    prob = population_for(config)
     partition = config.partition_for(n)
-    spectrum = _spectrum_for(config, prob, partition, n)
-    if config.bound_form == "corollary":
-        tau = config.tau if config.tau is not None else partition.a_max
-        # E||(tau d_x)^{-1/2} sum over a block||^s, averaged over blocks.
-        block_moment = float(np.mean(spectrum.block_snorm_moments)) \
-            / (tau * prob.d_x) ** (config.moment_s / 2.0)
-        report = corollary_bound(tau, n, prob.d_x, spectrum.sigma2, spectrum.h,
-                                 config.moment_s, block_moment,
-                                 profile_from_spec(config.process, [tau]),
-                                 config.delta, config.constants)
-    else:
-        report = main_bound(spectrum, n, config.delta, profile_for(config, partition),
-                            config.constants)
+    spectrum = _spectrum_for(config, population_for(config), partition, n)
+    report = BOUND_FORMS[config.bound_form](spectrum, config.delta,
+                                            profile_for(config, partition), config.constants)
     if out_path is not None:
         write_csv(out_path, report.csv_header(), [report.csv_row()])
     return report

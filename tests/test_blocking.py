@@ -27,8 +27,6 @@ class TestMakePartition:
     def test_remainder_to_front(self):
         part = make_partition(10, 2)
         assert part.lengths == (3, 3, 2, 2)
-        np.testing.assert_array_equal(part.odd_union, [0, 1, 2, 6, 7])
-        np.testing.assert_array_equal(part.even_union, [3, 4, 5, 8, 9])
 
     def test_exact_division(self):
         assert make_partition(8, 2).lengths == (2, 2, 2, 2)
@@ -51,7 +49,6 @@ class TestMakePartition:
             # consecutive, disjoint, covering, monotone
             flat = np.concatenate([np.arange(a, b) for a, b in part.blocks])
             np.testing.assert_array_equal(flat, np.arange(n))
-            assert len(part.odd_union) + len(part.even_union) == n
             assert max(part.lengths) - min(part.lengths) <= 1
             assert part.a_max == max(part.lengths)
 
@@ -62,9 +59,7 @@ class TestMakePartition:
         assert [a for a, _ in part.blocks] == part.starts.tolist()
         assert all(b - a == g for (a, b), g in zip(part.blocks, part.lengths))
         assert all(b == a2 for (_, b), (a2, _) in zip(part.blocks, part.blocks[1:]))
-        union = np.concatenate([part.odd_union, part.even_union])
-        assert len(union) == n
-        np.testing.assert_array_equal(np.sort(union), np.arange(n))
+        assert part.blocks[0][0] == 0 and part.blocks[-1][1] == n
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 5_000).flatmap(
@@ -275,7 +270,7 @@ class TestDecouplingBudgetExact:
     def test_exact_budget_small_chain(self):
         spec = two_state_flip(0.3)
         part = make_partition(6, 1)  # two blocks of 3
-        odd_positions = part.odd_union
+        odd_positions = [i for a, b in part.blocks[0::2] for i in range(a, b)]
 
         def odd_all_equal(path):
             vals = [path[i] for i in odd_positions]
@@ -290,8 +285,10 @@ class TestDecouplingBudgetExact:
         spec = two_state_flip(0.2)
         part = make_partition(8, 2)  # four blocks of 2
 
+        odd_positions = [i for a, b in part.blocks[0::2] for i in range(a, b)]
+
         def fraction_positive_odd(path):
-            vals = [path[i] for i in part.odd_union]
+            vals = [path[i] for i in odd_positions]
             return sum(vals) / len(vals)
 
         coupled, decoupled = self.enumerate_expectations(spec, part, fraction_positive_odd)

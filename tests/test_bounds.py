@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mixreg.blocking import block_sums, make_partition, uniform_partition
 from mixreg.bounds import (
+    DEFAULT_CONSTANTS,
     NoiseSpectrum,
     UniversalConstants,
     bernstein_threshold,
@@ -381,7 +383,7 @@ class TestMainBound:
     def test_arithmetic(self):
         part = make_partition(1000, 250)
         spectrum = synthetic_spectrum(part, sigma2=1.0)
-        report = main_bound(spectrum, 1000, math.exp(-1.0), iid_profile(part.lengths),
+        report = main_bound(spectrum, math.exp(-1.0), iid_profile(part.lengths),
                             UniversalConstants(c1=2.0))
         assert report.bound_value == pytest.approx(0.012, rel=1e-12)
 
@@ -389,7 +391,7 @@ class TestMainBound:
         part = make_partition(512, 64)
         spectrum = synthetic_spectrum(part)
         for c4 in (1.001, 2.0, 10.0):
-            report = main_bound(spectrum, 512, 0.1, iid_profile(part.lengths),
+            report = main_bound(spectrum, 0.1, iid_profile(part.lengths),
                                 UniversalConstants(c4=c4))
             assert report.check("length_balance").holds
 
@@ -397,21 +399,22 @@ class TestMainBound:
         part = make_partition(128, 16)
         spectrum = synthetic_spectrum(part)
         for delta in (0.5, 0.1, 0.01, 1e-6):
-            report = main_bound(spectrum, 128, delta, iid_profile(part.lengths))
+            report = main_bound(spectrum, delta, iid_profile(part.lengths))
             assert report.check("mixing").holds
 
     def test_monotonicity(self):
         part = make_partition(100, 25)
         profile = iid_profile(part.lengths)
-        base = main_bound(synthetic_spectrum(part), 100, 0.1, profile).bound_value
-        assert main_bound(synthetic_spectrum(part), 200, 0.1, profile).bound_value < base
+        base = main_bound(synthetic_spectrum(part), 0.1, profile).bound_value
+        longer = make_partition(200, 50)
+        assert main_bound(synthetic_spectrum(longer), 0.1, profile).bound_value < base
         bigger_noise = synthetic_spectrum(part, sigma2=2.0)
-        assert main_bound(bigger_noise, 100, 0.1, profile).bound_value > base
-        assert main_bound(synthetic_spectrum(part), 100, 0.01, profile).bound_value > base
+        assert main_bound(bigger_noise, 0.1, profile).bound_value > base
+        assert main_bound(synthetic_spectrum(part), 0.01, profile).bound_value > base
 
     def test_all_checks_reported(self):
         part = make_partition(60, 10)
-        report = main_bound(synthetic_spectrum(part), 60, 0.1, iid_profile(part.lengths))
+        report = main_bound(synthetic_spectrum(part), 0.1, iid_profile(part.lengths))
         names = [c.name for c in report.checks]
         assert names == ["sample_size", "block_moment", "length_balance",
                          "spectrum_balance", "mixing"]
@@ -421,72 +424,97 @@ class TestMainBound:
         assert report.csv_header().count(",") + 1 == len(report.csv_row())
 
     def test_delta_domain(self):
+        # Each certificate takes delta in (0, 1), as its second argument.
         part = make_partition(16, 4)
-        with pytest.raises(ValueError):
-            main_bound(synthetic_spectrum(part), 16, 0.0, iid_profile(part.lengths))
+        spectrum, profile = synthetic_spectrum(part), iid_profile(part.lengths)
+        for certificate in (main_bound, corollary_bound, lower_tail_certificate):
+            for delta in (0.0, 1.0, -0.1, 16.0):
+                with pytest.raises(ValueError, match="delta"):
+                    certificate(spectrum, delta, profile)
 
 
 class TestCorollaryBound:
     def test_reduces_to_main_for_unit_blocks(self):
         part = make_partition(64, 32)
         spectrum = synthetic_spectrum(part, sigma2=1.5, d_x=5)
-        profile = iid_profile([1])
-        main = main_bound(spectrum, 64, 0.2, iid_profile(part.lengths))
-        cor = corollary_bound(1, 64, 5, 1.5, math.sqrt(3), 4.0, 1.0, profile, 0.2)
+        main = main_bound(spectrum, 0.2, iid_profile(part.lengths))
+        cor = corollary_bound(spectrum, 0.2, iid_profile([1]))
         assert cor.bound_value == pytest.approx(main.bound_value, rel=1e-12)
 
     def test_markov_mixing_predicate(self):
         profile = markov_profile(two_state_flip(0.3), [8])
-        report = corollary_bound(8, 1600, 1, 1.0, 1.0, 4.0, 1.0, profile, 0.1)
+        spectrum = synthetic_spectrum(make_partition(1600, 100), h=1.0, d_x=1)
+        report = corollary_bound(spectrum, 0.1, profile)
         mix = report.check("mixing")
         assert mix.value == pytest.approx(0.065536, abs=1e-9)
         assert mix.holds  # 0.0655 <= c6 * 0.1 with c6 = 1
 
     def test_arithmetic(self):
-        profile = iid_profile([1])
-        report = corollary_bound(1, 10_000, 4, 2.0, 1.0, 4.0, 1.0, profile, 0.1,
-                                 UniversalConstants(c1=2.0))
+        spectrum = synthetic_spectrum(make_partition(10_000, 5000), sigma2=2.0, h=1.0, d_x=4)
+        report = corollary_bound(spectrum, 0.1, iid_profile([1]), UniversalConstants(c1=2.0))
         assert report.bound_value == pytest.approx(0.0025210340371976184, rel=1e-12)
 
-    def test_divisibility(self):
-        with pytest.raises(ValueError):
-            corollary_bound(3, 100, 1, 1.0, 1.0, 4.0, 1.0, iid_profile([3]), 0.1)
+    def test_block_moment_normalizes_by_tau_d_x(self):
+        # Mean block moment 3 over (tau d_x)^(s/2) = (4 * 2)^2 = 64.
+        spectrum = dataclasses.replace(
+            synthetic_spectrum(make_partition(64, 8), d_x=2),
+            block_snorm_moments=np.array([1.0, 5.0] * 8))
+        report = corollary_bound(spectrum, 0.1, iid_profile([4]))
+        # c3 s^2 block_moment^(2/s) / (sigma^2 delta^(2/s)), with sigma^2 = 1.
+        want = DEFAULT_CONSTANTS.c3 * 16.0 * (3.0 / 64.0) ** 0.5 / 0.1 ** 0.5
+        assert report.check("block_moment").threshold == pytest.approx(want, rel=1e-12)
+
+    def test_unequal_lengths_are_named(self):
+        spectrum = synthetic_spectrum(make_partition(10, 2))
+        with pytest.raises(ValueError, match=re.escape("[2, 3]")):
+            corollary_bound(spectrum, 0.1, iid_profile([2, 3]))
 
     def test_noiseless_zero_moment_passes(self):
         # Same zero-denominator rule as the main form: a zero block moment
         # against a zero noise level passes instead of dividing by zero.
-        report = corollary_bound(1, 100, 2, 0.0, 1.0, 4.0, 0.0, iid_profile([1]), 0.1)
+        spectrum = dataclasses.replace(
+            synthetic_spectrum(make_partition(100, 50), sigma2=0.0, d_x=2),
+            block_snorm_moments=np.zeros(100))
+        report = corollary_bound(spectrum, 0.1, iid_profile([1]))
         assert report.bound_value == 0.0
         moment = report.check("block_moment")
         assert moment.threshold == 0.0 and moment.holds
 
     def test_noiseless_nonzero_moment_fails(self):
-        report = corollary_bound(1, 100, 2, 0.0, 1.0, 4.0, 1.0, iid_profile([1]), 0.1)
+        spectrum = synthetic_spectrum(make_partition(100, 50), sigma2=0.0, d_x=2)
+        report = corollary_bound(spectrum, 0.1, iid_profile([1]))
         assert report.check("block_moment").threshold == math.inf
         assert not report.check("block_moment").holds
 
 
 class TestLowerTailCertificate:
     def test_threshold_arithmetic(self):
-        part = make_partition(240, 120)  # singleton blocks
-        profile = iid_profile(part.lengths)
-        report = lower_tail_certificate(239, part, 5, math.sqrt(3.0), 0.1, profile, 20.0)
+        # required_n = c_lower a_max (d_x + h^2 log 10) = 20 (5 + 3 log 10).
+        enough = synthetic_spectrum(make_partition(240, 120))  # singleton blocks
+        report = lower_tail_certificate(enough, 0.1, iid_profile([1]))
         assert report.required_n == pytest.approx(238.155, abs=0.01)
-        assert report.sample_check.holds
-        short = lower_tail_certificate(238, part, 5, math.sqrt(3.0), 0.1, profile, 20.0)
+        assert report.sample_check.value == 240.0 and report.sample_check.holds
+        short = lower_tail_certificate(synthetic_spectrum(make_partition(238, 119)), 0.1,
+                                       iid_profile([1]))
+        assert short.required_n == report.required_n
         assert not short.sample_check.holds
+        # c_lower comes from the constants.
+        doubled = lower_tail_certificate(enough, 0.1, iid_profile([1]),
+                                         UniversalConstants(c_lower=40.0))
+        assert doubled.required_n == pytest.approx(2 * report.required_n, rel=1e-12)
 
     def test_zero_profile_mixing_always_true(self):
         part = make_partition(100, 10)
-        report = lower_tail_certificate(100, part, 2, 1.0, 0.01, iid_profile(part.lengths))
+        report = lower_tail_certificate(synthetic_spectrum(part, h=1.0, d_x=2), 0.01,
+                                        iid_profile(part.lengths))
         assert report.mixing_check.holds
 
     def test_doubling_block_doubles_requirement(self):
         p1 = make_partition(100, 50)
         p2 = make_partition(100, 25)
         prof1, prof2 = iid_profile(p1.lengths), iid_profile(p2.lengths)
-        r1 = lower_tail_certificate(100, p1, 3, 1.0, 0.1, prof1)
-        r2 = lower_tail_certificate(100, p2, 3, 1.0, 0.1, prof2)
+        r1 = lower_tail_certificate(synthetic_spectrum(p1, h=1.0, d_x=3), 0.1, prof1)
+        r2 = lower_tail_certificate(synthetic_spectrum(p2, h=1.0, d_x=3), 0.1, prof2)
         assert r2.required_n == pytest.approx(2 * r1.required_n)
 
 

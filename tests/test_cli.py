@@ -148,6 +148,20 @@ def test_corollary_bound_on_noiseless_iid_exits_0(tmp_path, capsys):
     assert "bound_value 0\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n, rule, lengths", [
+    (256, "tau = 3", "[3, 4]"),
+    (16, "lengths = 4, 4, 2, 2, 2, 2", "[2, 4]"),
+])
+def test_corollary_bound_on_unequal_blocks_exits_1(tmp_path, capsys, n, rule, lengths):
+    cfg = tmp_path / "unequal.cfg"
+    cfg.write_text(
+        "[process]\nkind = iid_gaussian\ncovariate_dim = 2\n"
+        f"[partition]\n{rule}\nform = corollary\n"
+        f"[experiment]\nns = {n}\nn_mc = 1000\nout = {tmp_path}\n")
+    assert cli_main(["bound", "--config", str(cfg)]) == 1
+    assert lengths in capsys.readouterr().err
+
+
 def test_clt_on_noiseless_iid_exits_0(tmp_path, capsys):
     cfg = tmp_path / "noiseless.cfg"
     cfg.write_text(

@@ -576,9 +576,15 @@ class TestEvaluateBound:
         partition = config.partition_for(256)
         spectrum = noise_spectrum(config.process, prob, partition, config.n_mc,
                                   derive_seed(config.seed, 256, harness.SPECTRUM_STREAM))
-        block_moment = float(np.mean(spectrum.block_snorm_moments)) / (2 * prob.d_x) ** 2.0
-        want = corollary_bound(2, 256, prob.d_x, spectrum.sigma2, spectrum.h, 4.0, block_moment,
-                               profile_from_spec(config.process, [2]), config.delta,
+        want = corollary_bound(spectrum, config.delta, profile_from_spec(config.process, [2]),
                                config.constants)
         write_csv(tmp_path / "want.csv", want.csv_header(), [want.csv_row()])
         assert (tmp_path / "bound.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_corollary_form_reports_at_the_partition_block_length(self, tmp_path):
+        # tau = 30 at n = 100 gives the partition (50, 50): the spectrum's
+        # blocks, and the block length the corollary reports at.
+        config = iid_config(tmp_path, ns=(100,), tau=30, bound_form="corollary")
+        assert config.partition_for(100).lengths == (50, 50)
+        report = evaluate_bound(config)
+        assert report.check("sample_size").value == 2.0  # n / 50
