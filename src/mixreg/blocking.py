@@ -85,10 +85,14 @@ def uniform_partition(n: int, block_len: int) -> BlockPartition:
 
 
 def block_sums(values, partition: BlockPartition) -> np.ndarray:
-    """Per-block sums along the first axis; entry i sums values over block i."""
+    """Per-block sums along the first axis; entry i sums values over block i.
+    Always a new array: when every block is one sample the sums are the
+    values themselves, copied (bit-identical to `np.add.reduceat`)."""
     arr = np.asarray(values, dtype=float)
     if arr.shape[0] != partition.n:
         raise ValueError(f"expected {partition.n} values, got {arr.shape[0]}")
+    if partition.n_blocks == partition.n:
+        return arr.copy()
     return np.add.reduceat(arr, partition.starts, axis=0)
 
 

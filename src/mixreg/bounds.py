@@ -229,15 +229,21 @@ def _projection_scratch(n_dirs: int, n: int) -> np.ndarray:
 
 
 def _walk_block_sums(prob: RegressionProblem, partition: BlockPartition, traj):
-    v, _ = noise_walk(traj, prob)
-    return block_sums(v.reshape(partition.n, -1), partition)
+    return block_sums(noise_walk(traj, prob).reshape(partition.n, -1), partition)
+
+
+def _parity_outer(bs: np.ndarray) -> np.ndarray:
+    """Odd-block and even-block sums of the block-sum outer products,
+    shape (2, D, D)."""
+    odd, even = bs[0::2], bs[1::2]
+    return np.stack([odd.T @ odd, even.T @ even])
 
 
 def _spectrum_moments(prob, partition, dirs, scratch, traj):
-    """Pass-1 statistic: block sums, their outer products, and the second
-    and fourth powers of the projections onto dirs, summed over time.  The
-    projections run in row tiles that fit the flat scratch buffer; each tile
-    is squared in place and its row sums added."""
+    """Pass-1 statistic: block sums, their outer products summed by parity,
+    and the second and fourth powers of the projections onto dirs, summed
+    over time.  The projections run in row tiles that fit the flat scratch
+    buffer; each tile is squared in place and its row sums added."""
     bs = _walk_block_sums(prob, partition, traj)
     k = dirs.shape[0]
     rows = scratch.size // k
@@ -248,21 +254,24 @@ def _spectrum_moments(prob, partition, dirs, scratch, traj):
         np.square(p2, out=p2)
         sum_p2 += p2.sum(axis=1)
         sum_p4 += np.einsum("ij,ij->i", p2, p2)
-    return (), (bs, np.einsum("bi,bj->bij", bs, bs), sum_p2, sum_p4)
+    return (), (bs, _parity_outer(bs), sum_p2, sum_p4)
 
 
 def _block_snorms(prob, partition, mean_bs, s, traj):
     """Pass-2 statistic: s-th powers of the centered block-sum norms."""
     bs = _walk_block_sums(prob, partition, traj) - mean_bs
-    return (), (np.linalg.norm(bs, axis=1) ** s,)
+    return (), (np.einsum("ij,ij->i", bs, bs) ** (s / 2.0),)
 
 
-def _parity_covariances(sum_bs, sum_outer, n_mc: int):
+def _parity_covariances(sum_bs, sum_parity_outer, n_mc: int):
     """Per-block means, and the odd-block and even-block sums of the per-block
-    covariances, from Monte Carlo totals of block sums and outer products."""
+    covariances, from Monte Carlo totals of the block sums, shape (2m, D),
+    and of their outer products summed by parity, shape (2, D, D).  The sum
+    over blocks b of parity p of E[b b'] - mu_b mu_b' is the parity total
+    over n_mc minus M_p' M_p, where M_p stacks the block means mu_b."""
     mean_bs = sum_bs / n_mc
-    cov = sum_outer / n_mc - np.einsum("bi,bj->bij", mean_bs, mean_bs)
-    return mean_bs, symmetrize(cov[0::2].sum(axis=0)), symmetrize(cov[1::2].sum(axis=0))
+    cov = sum_parity_outer / n_mc - _parity_outer(mean_bs)
+    return mean_bs, symmetrize(cov[0]), symmetrize(cov[1])
 
 
 def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
@@ -280,9 +289,9 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
     dirs = _h_directions(prob.sigma_x, seed)
     draw = partial(draw_process, spec, partition.n)
     scratch = _projection_scratch(dirs.shape[0], partition.n)
-    _, (sum_bs, sum_outer, sum_p2, sum_p4) = map_trials(
+    _, (sum_bs, sum_parity_outer, sum_p2, sum_p4) = map_trials(
         partial(_spectrum_moments, prob, partition, dirs, scratch), draw, n_mc, seed)
-    mean_bs, sigma_odd, sigma_even = _parity_covariances(sum_bs, sum_outer, n_mc)
+    mean_bs, sigma_odd, sigma_even = _parity_covariances(sum_bs, sum_parity_outer, n_mc)
     h = float(np.sqrt(np.max(sum_p4 / np.maximum(sum_p2, 1e-300))))
 
     _, (sum_snorm,) = map_trials(partial(_block_snorms, prob, partition, mean_bs, s),
@@ -295,7 +304,7 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
 
 
 def _noise_sum(prob: RegressionProblem, traj):
-    v, _ = noise_walk(traj, prob)
+    v = noise_walk(traj, prob)
     return v.reshape(len(v), -1).sum(axis=0), ()
 
 
@@ -335,10 +344,10 @@ class REstimate:
 
 def _parity_sums(prob, partition, traj):
     """Odd and even block-sum totals per trial; block sums and their outer
-    products as totals."""
+    products summed by parity as totals."""
     bs = _walk_block_sums(prob, partition, traj)
     return (np.stack([bs[0::2].sum(axis=0), bs[1::2].sum(axis=0)]),
-            (bs, np.einsum("bi,bj->bij", bs, bs)))
+            (bs, _parity_outer(bs)))
 
 
 def estimate_r(spec: ProcessSpec, prob: RegressionProblem,
@@ -348,10 +357,10 @@ def estimate_r(spec: ProcessSpec, prob: RegressionProblem,
     E||sum of centered noise over the union / sqrt(union size)|| / sqrt(Lambda).
     """
     _require_trials(n_mc, MIN_MC_TRIALS)
-    sgn_sums, (sum_bs, sum_outer) = map_trials(
+    sgn_sums, (sum_bs, sum_parity_outer) = map_trials(
         partial(_parity_sums, prob, partition), partial(draw_decoupled, spec, partition),
         n_mc, seed)
-    _, sigma_odd, sigma_even = _parity_covariances(sum_bs, sum_outer, n_mc)
+    _, sigma_odd, sigma_even = _parity_covariances(sum_bs, sum_parity_outer, n_mc)
 
     sizes = (sum(partition.lengths[0::2]), sum(partition.lengths[1::2]))
     lambdas, ratios, stderrs = [], [], []
@@ -503,6 +512,17 @@ def main_bound(spectrum: NoiseSpectrum, delta: float, profile: MixingProfile,
                        mixing_sum=mix, constants=c)
 
 
+def corollary_block_length(partition: BlockPartition) -> int:
+    """The block length tau of the corollary form, which needs a partition of
+    equal blocks; unequal blocks raise a ValueError naming their lengths.
+    The rule reads only the partition, so callers can check it before
+    estimating a spectrum."""
+    lengths = sorted(set(partition.lengths))
+    if len(lengths) > 1:
+        raise ValueError(f"the corollary form needs equal block lengths, got {lengths}")
+    return lengths[0]
+
+
 def corollary_bound(spectrum: NoiseSpectrum, delta: float, profile: MixingProfile,
                     constants: UniversalConstants | None = None) -> BoundReport:
     """Stationary one-dimensional-target form over a partition of equal
@@ -512,12 +532,9 @@ def corollary_bound(spectrum: NoiseSpectrum, delta: float, profile: MixingProfil
     budget (n / tau) beta(tau) reuses the c6 constant."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    part = spectrum.partition
-    lengths = sorted(set(part.lengths))
-    if len(lengths) > 1:
-        raise ValueError(f"the corollary form needs equal block lengths, got {lengths}")
+    tau = corollary_block_length(spectrum.partition)
     c = constants or DEFAULT_CONSTANTS
-    tau, n, d_x, s = part.a_max, part.n, spectrum.d_x, spectrum.moment_s
+    n, d_x, s = spectrum.partition.n, spectrum.d_x, spectrum.moment_s
     log_term = math.log(1.0 / delta)
     bound = c.c1 * spectrum.sigma2 * (d_x + log_term) / n
 
@@ -647,7 +664,7 @@ def cs_comparison(spectrum: NoiseSpectrum, per_sample_var: float) -> tuple[float
 
 
 def _noise_moments(prob: RegressionProblem, traj):
-    flat = noise_walk(traj, prob)[0].reshape(-1)
+    flat = noise_walk(traj, prob).reshape(-1)
     return (), (flat, flat * flat)
 
 

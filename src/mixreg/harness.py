@@ -27,6 +27,7 @@ from .bounds import (
     noise_term_failure_budget,
     noise_term_threshold,
     clt_variance,
+    corollary_block_length,
 )
 from .config import ExperimentConfig
 from .csvfile import write_csv
@@ -248,7 +249,7 @@ class NoiseWalkReport:
 
 
 def _walk_norm(prob: RegressionProblem, traj):
-    return np.linalg.norm(noise_walk(traj, prob)[1]), ()
+    return np.linalg.norm(noise_walk(traj, prob).mean(axis=0)), ()
 
 
 def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalkReport]:
@@ -332,9 +333,12 @@ def clt_consistency(config: ExperimentConfig, out_path=None) -> CltReport:
 
 def evaluate_bound(config: ExperimentConfig, out_path=None) -> BoundReport:
     """Evaluate the config's bound form (`BOUND_FORMS`) for its first sample
-    size."""
+    size.  The corollary form's equal-blocks rule is checked before the
+    spectrum is estimated."""
     n = config.ns[0]
     partition = config.partition_for(n)
+    if config.bound_form == "corollary":
+        corollary_block_length(partition)
     spectrum = _spectrum_for(config, population_for(config), partition, n)
     report = BOUND_FORMS[config.bound_form](spectrum, config.delta,
                                             profile_for(config, partition), config.constants)

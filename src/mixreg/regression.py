@@ -109,13 +109,13 @@ def excess_risk(m: np.ndarray, prob: RegressionProblem) -> float:
     return float(np.sum(diff * diff))
 
 
-def noise_walk(traj: Trajectory, prob: RegressionProblem) -> tuple[np.ndarray, np.ndarray]:
+def noise_walk(traj: Trajectory, prob: RegressionProblem) -> np.ndarray:
     """Whitened noise-covariate interactions V_i = W_i X_i' Sigma_X^{-1/2}
-    (W_i the residual against the best map) and their average S_n."""
+    (W_i the residual against the best map), shape (n, d_y, d_x).  Their
+    average S_n is `noise_walk(traj, prob).mean(axis=0)`."""
     w = traj.ys - traj.xs @ prob.m_star.T
     xw = traj.xs @ prob.whitener
-    v = np.einsum("ni,nj->nij", w, xw)
-    return v, v.mean(axis=0)
+    return w[:, :, None] * xw[:, None, :]
 
 
 def whitened_empirical_covariance(traj: Trajectory, prob: RegressionProblem) -> np.ndarray:
@@ -125,11 +125,10 @@ def whitened_empirical_covariance(traj: Trajectory, prob: RegressionProblem) -> 
 
 def evaluate_fit(traj: Trajectory, prob: RegressionProblem) -> FitResult:
     m_hat = fit_ols(traj)
-    _, s_n = noise_walk(traj, prob)
     return FitResult(
         m_hat=m_hat,
         emp_cov_whitened=whitened_empirical_covariance(traj, prob),
-        s_n=s_n,
+        s_n=noise_walk(traj, prob).mean(axis=0),
         excess_risk=excess_risk(m_hat, prob),
     )
 
@@ -143,7 +142,7 @@ def error_identity_check(traj: Trajectory, prob: RegressionProblem) -> float:
     """
     m_hat = fit_ols(traj)
     lhs = (m_hat - prob.m_star) @ prob.sqrt_sigma_x
-    _, s_n = noise_walk(traj, prob)
+    s_n = noise_walk(traj, prob).mean(axis=0)
     emp = whitened_empirical_covariance(traj, prob)
     rhs = s_n @ np.linalg.inv(emp)
     return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))

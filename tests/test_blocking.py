@@ -152,6 +152,20 @@ class TestBlockSumsLinearity:
                                       a * block_sums(x, part) + b * block_sums(y, part))
 
 
+class TestSingletonBlockSums:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_singleton_blocks_copy_the_values(self, m, cols, seed):
+        part = BlockPartition((1,) * (2 * m))
+        shape = (part.n, cols) if cols else (part.n,)
+        values = np.random.default_rng(seed).standard_normal(shape)
+        values[::3] *= -0.0  # signed zeros survive too
+        sums = block_sums(values, part)
+        want = np.add.reduceat(values, part.starts, axis=0)
+        assert sums.tobytes() == want.tobytes() and sums.shape == want.shape
+        assert not np.shares_memory(sums, values)
+
+
 class TestDecoupledResample:
     @pytest.mark.parametrize("spec", [
         GaussianAR((0.5, 0.2), covariate_dim=1, warmup=84),

@@ -32,6 +32,7 @@ from mixreg import bounds
 from mixreg.bounds import (
     PROJECTION_TILE,
     _h_directions,
+    _parity_sums,
     _projection_scratch,
     _spectrum_moments,
     _walk_block_sums,
@@ -244,14 +245,33 @@ class TestNoiseSpectrum:
         dirs = _h_directions(prob.sigma_x, 3)
         traj = simulate(spec, n, 8)
         scratch = _projection_scratch(dirs.shape[0], n)
-        _, (bs, outer, p2_sum, p4_sum) = _spectrum_moments(prob, part, dirs, scratch, traj)
-        # Reference: one row per sample, one column per direction.
+        _, (bs, parity_outer, p2_sum, p4_sum) = _spectrum_moments(prob, part, dirs, scratch,
+                                                                  traj)
+        # Reference: one row per sample, one column per direction, and one
+        # outer product per block, summed over odd and over even blocks.
         ref_bs = _walk_block_sums(prob, part, traj)
         p2 = (traj.xs @ dirs.T) ** 2
         np.testing.assert_array_equal(bs, ref_bs)
-        np.testing.assert_array_equal(outer, np.einsum("bi,bj->bij", ref_bs, ref_bs))
+        outer = np.einsum("bi,bj->bij", ref_bs, ref_bs)
+        np.testing.assert_allclose(parity_outer[0], outer[0::2].sum(0), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(parity_outer[1], outer[1::2].sum(0), rtol=1e-13, atol=0)
         np.testing.assert_allclose(p2_sum, p2.sum(axis=0), rtol=1e-13, atol=0)
         np.testing.assert_allclose(p4_sum, (p2 * p2).sum(axis=0), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("m", [5, 150])
+    def test_totals_are_fixed_size_parity_sums(self, m):
+        spec = IIDGaussian(covariate_dim=5)
+        prob = population_optimum(spec)
+        part = make_partition(300, m)
+        traj = simulate(spec, 300, 4)
+        dirs = _h_directions(prob.sigma_x, 3)
+        _, (bs, parity_outer, _, _) = _spectrum_moments(
+            prob, part, dirs, _projection_scratch(dirs.shape[0], 300), traj)
+        sgn_sums, (r_bs, r_parity_outer) = _parity_sums(prob, part, traj)
+        assert bs.shape == r_bs.shape == (2 * m, 5)
+        assert parity_outer.shape == r_parity_outer.shape == (2, 5, 5)
+        assert sgn_sums.shape == (2, 5)
+        np.testing.assert_array_equal(parity_outer, r_parity_outer)
 
     def test_projection_scratch_holds_one_tile(self, monkeypatch):
         spec = IIDGaussian(covariate_dim=5)
@@ -298,7 +318,7 @@ class TestNoiseSpectrum:
         # Reference: per-block population (ddof 0) covariances of the block
         # sums over the same trajectories, summed over odd and even blocks.
         bs = np.stack([
-            block_sums(noise_walk(simulate(spec, n, derive_seed(seed, t)), prob)[0]
+            block_sums(noise_walk(simulate(spec, n, derive_seed(seed, t)), prob)
                        .reshape(n, -1), part)
             for t in range(n_mc)])
         centered = bs - bs.mean(axis=0)

@@ -151,8 +151,14 @@ def test_corollary_bound_on_noiseless_iid_exits_0(tmp_path, capsys):
 @pytest.mark.parametrize("n, rule, lengths", [
     (256, "tau = 3", "[3, 4]"),
     (16, "lengths = 4, 4, 2, 2, 2, 2", "[2, 4]"),
+    (10000, "tau = 30", "[30, 31]"),
 ])
-def test_corollary_bound_on_unequal_blocks_exits_1(tmp_path, capsys, n, rule, lengths):
+def test_corollary_bound_on_unequal_blocks_exits_1(tmp_path, capsys, monkeypatch,
+                                                  n, rule, lengths):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("spectrum estimated before the partition rule")
+
+    monkeypatch.setattr(mixreg.harness, "noise_spectrum", no_spectrum)
     cfg = tmp_path / "unequal.cfg"
     cfg.write_text(
         "[process]\nkind = iid_gaussian\ncovariate_dim = 2\n"

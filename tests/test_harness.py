@@ -581,6 +581,15 @@ class TestEvaluateBound:
         write_csv(tmp_path / "want.csv", want.csv_header(), [want.csv_row()])
         assert (tmp_path / "bound.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_corollary_rule_is_checked_before_the_spectrum(self, tmp_path, monkeypatch):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("spectrum estimated before the partition rule")
+
+        monkeypatch.setattr(harness, "noise_spectrum", no_spectrum)
+        config = iid_config(tmp_path, ns=(10_000,), tau=30, bound_form="corollary")
+        with pytest.raises(ValueError, match=re.escape("[30, 31]")):
+            evaluate_bound(config)
+
     def test_corollary_form_reports_at_the_partition_block_length(self, tmp_path):
         # tau = 30 at n = 100 gives the partition (50, 50): the spectrum's
         # blocks, and the block length the corollary reports at.

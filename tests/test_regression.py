@@ -205,8 +205,8 @@ class TestPopulationOptimum:
         walks_stat = np.empty(trials)
         for t in range(trials):
             traj = simulate(spec, n, t)
-            walks_mix[t] = noise_walk(traj, mixture)[1].ravel()[0]
-            walks_stat[t] = noise_walk(traj, stationary)[1].ravel()[0]
+            walks_mix[t] = noise_walk(traj, mixture).mean(axis=0).ravel()[0]
+            walks_stat[t] = noise_walk(traj, stationary).mean(axis=0).ravel()[0]
         se = walks_mix.std() / np.sqrt(trials)
         assert abs(walks_mix.mean()) <= 3 * se
         assert abs(walks_stat.mean()) > 3 * walks_stat.std() / np.sqrt(trials)
@@ -255,20 +255,29 @@ class TestCachedRoots:
         traj = random_trajectory(rng, 40, 3, 2)
         w = traj.ys - traj.xs @ prob.m_star.T
         ref = np.einsum("ni,nj->nij", w, traj.xs @ inv_sqrt_psd(prob.sigma_x))
-        v, s_n = noise_walk(traj, prob)
-        np.testing.assert_array_equal(v, ref)
-        np.testing.assert_array_equal(s_n, ref.mean(axis=0))
+        np.testing.assert_array_equal(noise_walk(traj, prob), ref)
 
 
 class TestNoiseWalk:
+    @pytest.mark.parametrize("d_x, d_y", [(1, 1), (3, 1), (2, 4)])
+    def test_matches_the_einsum_outer_product_bit_for_bit(self, d_x, d_y):
+        rng = np.random.default_rng(10 * d_x + d_y)
+        prob = random_problem(rng, d_x, d_y)
+        traj = random_trajectory(rng, 57, d_x, d_y)
+        w = traj.ys - traj.xs @ prob.m_star.T
+        ref = np.einsum("ni,nj->nij", w, traj.xs @ prob.whitener)
+        v = noise_walk(traj, prob)
+        assert v.shape == (57, d_y, d_x)
+        assert v.tobytes() == ref.tobytes()
+
     def test_noiseless_realizable_zero(self):
         coef = np.array([[1.0, -2.0]])
         spec = IIDGaussian(covariate_dim=2, coef=coef, noise_std=0.0)
         traj = simulate(spec, 100, 4)
         prob = RegressionProblem(sigma_x=np.eye(2), m_star=coef)
-        v, s_n = noise_walk(traj, prob)
+        v = noise_walk(traj, prob)
         np.testing.assert_allclose(v, 0.0, atol=1e-12)
-        np.testing.assert_allclose(s_n, 0.0, atol=1e-12)
+        np.testing.assert_allclose(v.mean(axis=0), 0.0, atol=1e-12)
 
     def test_mean_zero_over_trials(self):
         spec = IIDGaussian(covariate_dim=3)
@@ -277,8 +286,7 @@ class TestNoiseWalk:
         n = 32
         walks = np.empty((trials, 3))
         for t in range(trials):
-            _, s_n = noise_walk(simulate(spec, n, t), prob)
-            walks[t] = s_n.ravel()
+            walks[t] = noise_walk(simulate(spec, n, t), prob).mean(axis=0).ravel()
         mean = walks.mean(axis=0)
         se = walks.std(axis=0) / np.sqrt(trials)
         assert np.all(np.abs(mean) <= 3 * se + 1e-12)
