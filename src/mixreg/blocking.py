@@ -104,13 +104,19 @@ def decoupled_resample(spec: ProcessSpec, partition: BlockPartition, seed: int) 
     Each block re-simulates the process from time zero with its own derived
     seed and keeps only the block's rows, so the block marginals are exact
     even for non-stationary specs (quadratic cost in n, fine at this scale).
+    The kept rows are copied in place into the result, so one block draw is
+    alive at a time.
     """
-    xs_parts, ys_parts = [], []
+    xs = ys = None
     for i, (start, stop) in enumerate(partition.blocks):
         block_traj = simulate(spec, stop, derive_seed(seed, i))
-        xs_parts.append(block_traj.xs[start:stop])
-        ys_parts.append(block_traj.ys[start:stop])
-    return Trajectory(xs=np.concatenate(xs_parts), ys=np.concatenate(ys_parts))
+        if xs is None:
+            xs = np.empty((partition.n, block_traj.xs.shape[1]))
+            ys = np.empty((partition.n, block_traj.ys.shape[1]))
+        xs[start:stop] = block_traj.xs[start:stop]
+        ys[start:stop] = block_traj.ys[start:stop]
+        del block_traj  # free this draw before the next one is simulated
+    return Trajectory(xs=xs, ys=ys)
 
 
 def decoupling_gap_bound(profile: MixingProfile, partition: BlockPartition,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,25 @@ class TestDecoupledResample:
             ref = simulate(spec, b, derive_seed(5, i))
             np.testing.assert_array_equal(traj.xs[a:b], ref.xs[a:b])
             np.testing.assert_array_equal(traj.ys[a:b], ref.ys[a:b])
+
+    def test_one_block_draw_is_alive_at_a_time(self):
+        """One call's peak memory stays within the result plus twice the
+        peak of one block's draw: the draws are not kept."""
+        spec = GaussianAR((0.5, 0.2), covariate_dim=1, warmup=85)
+        part = make_partition(2_000, 50)
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                result = fn(*args)
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block_peak = max(peak(simulate, spec, b, derive_seed(7, i))[1]
+                         for i, (_, b) in enumerate(part.blocks))
+        traj, call_peak = peak(decoupled_resample, spec, part, 7)
+        assert call_peak <= traj.xs.nbytes + traj.ys.nbytes + 2 * block_peak
 
     def test_iid_law_preserved(self):
         spec = IIDGaussian(covariate_dim=1)

@@ -228,59 +228,85 @@ CSV_OF = {"simulate": "trajectory.csv", "mixing": "mixing.csv", "bound": "bound.
           "noise-walk": "noisewalk.csv", "clt": "clt.csv", "slope": "slope.csv"}
 
 
-SCIPY_PROBE = """
+MODULE_PROBE = """
 import json
 import sys
 
-class NoScipy:
-    # Make every scipy import fail, as on an install without scipy.
+prefixes = json.loads(sys.argv[2])
+
+def probed(name):
+    return any(name == p or name.startswith(p + ".") for p in prefixes)
+
+class Blocked:
+    # Make every probed import fail, as on an install without those packages.
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if probed(name):
             raise ImportError(f"{name} is blocked")
 
-if sys.argv[2] == "block":
-    sys.meta_path.insert(0, NoScipy())
+if sys.argv[3] == "block":
+    sys.meta_path.insert(0, Blocked())
 import mixreg.cli
-def scipy_modules():
-    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
-on_import = scipy_modules()
-for command in sys.argv[3:]:
+def loaded():
+    return sorted(k for k in sys.modules if probed(k))
+on_import = loaded()
+for command in sys.argv[4:]:
     assert mixreg.cli.cli_main([command, "--config", sys.argv[1]]) == 0, command
-print(json.dumps([on_import, scipy_modules()]))
+print(json.dumps([on_import, loaded()]))
 """
 
 
-def scipy_modules_after(cfg, *commands, block=False):
-    """scipy modules loaded in a fresh interpreter after `import mixreg.cli`,
-    and after running the commands on the config; with `block`, every
-    scipy import in that interpreter raises ImportError."""
+def modules_after(cfg, prefixes, *commands, block=False, threads=None):
+    """The loaded modules named by a prefix (a module or a package) in a
+    fresh interpreter: after `import mixreg.cli`, and after running the
+    commands on the config.  With `block`, every import of those modules
+    raises ImportError; `threads` sets MIXREG_THREADS."""
     src = str(Path(mixreg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if threads is not None:
+        env["MIXREG_THREADS"] = str(threads)
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(cfg), "block" if block else "open", *commands],
+        [sys.executable, "-c", MODULE_PROBE, str(cfg), json.dumps(prefixes),
+         "block" if block else "open", *commands],
         capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def write_ar_cfg(path, out):
+    path.write_text(
+        "[process]\nkind = gaussian_ar\nar_coeffs = 0.5, 0.2\nwarmup = 20\n"
+        "[fit]\nwindow = 1\n[partition]\ntau = 2\n"
+        f"[experiment]\nns = 40\ntrials = 100\nseed = 2\nn_mc = 1000\nout = {out}\n")
+    return path
 
 
 def test_runs_need_no_scipy(iid_cfg, tmp_path):
     """iid runs load no scipy module; simulate, bound, coverage and
     noise-walk on an AR config run with scipy blocked, and write the same
     CSV bytes as without the block."""
-    assert scipy_modules_after(iid_cfg, "coverage", "lower-tail") == [[], []]
+    assert modules_after(iid_cfg, ["scipy"], "coverage", "lower-tail") == [[], []]
     commands = ("simulate", "bound", "coverage", "noise-walk")
     csvs = {}
     for mode in ("open", "block"):
         out = tmp_path / mode
-        cfg = tmp_path / f"{mode}.cfg"
-        cfg.write_text(
-            "[process]\nkind = gaussian_ar\nar_coeffs = 0.5, 0.2\nwarmup = 20\n"
-            "[fit]\nwindow = 1\n[partition]\ntau = 2\n"
-            f"[experiment]\nns = 40\ntrials = 100\nseed = 2\nn_mc = 1000\nout = {out}\n")
-        assert scipy_modules_after(cfg, *commands, block=mode == "block") == [[], []]
+        cfg = write_ar_cfg(tmp_path / f"{mode}.cfg", out)
+        assert modules_after(cfg, ["scipy"], *commands, block=mode == "block") == [[], []]
         csvs[mode] = {c: (out / CSV_OF[c]).read_bytes() for c in commands}
     assert csvs["block"] == csvs["open"]
+
+
+POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
+
+
+def test_serial_runs_never_load_the_pool(tmp_path):
+    """Serial coverage and noise-walk runs import no process pool; a
+    MIXREG_THREADS=2 coverage run does, so the pool path still runs."""
+    cfg = write_ar_cfg(tmp_path / "ar.cfg", tmp_path / "out")
+    assert modules_after(cfg, POOL_MODULES, "coverage", "noise-walk", threads=1) == [[], []]
+    on_import, after = modules_after(cfg, POOL_MODULES, "coverage", threads=2)
+    assert on_import == []
+    assert set(POOL_MODULES) <= set(after)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
