@@ -38,7 +38,7 @@ partition = uniform_partition(n, 40)
 spectrum = noise_spectrum(spec, prob, partition, n_mc=1500, seed=5)
 print("\nnoise level sigma^2:", round(spectrum.sigma2, 4))
 print("effective dimension:", round(spectrum.effective_dim, 4))
-print("fourth-moment constant h^2:", round(spectrum.h**2, 3))
+print("fourth-moment constant h^2 (exact):", round(spectrum.h**2, 3))
 
 profile = profile_from_spec(spec, sorted(set(partition.lengths)))
 report = main_bound(spectrum, delta=0.1, profile=profile)

@@ -20,7 +20,7 @@ from .blocking import BlockPartition, block_sums
 from .linalg import min_eig, opnorm_psd, symmetrize
 from .mixing import MixingProfile, mixing_sum
 from .parallel import draw_decoupled, draw_process, map_trials
-from .processes import ProcessSpec, derive_seed
+from .processes import ProcessSpec
 from .regression import RegressionProblem, noise_walk
 
 MIN_MC_TRIALS = 1000
@@ -164,8 +164,12 @@ class NoiseSpectrum:
     """Second-order statistics of the whitened noise walk over a partition.
 
     Estimated by Monte Carlo: sigma_odd and sigma_even, the odd-block and
-    even-block sums of the covariance of the vectorized centered block sum;
-    block_snorm_moments, the per-block s-th moments of its norm; and h.
+    even-block sums of the covariance of the vectorized centered block sum,
+    and block_snorm_moments, the per-block s-th moments of its norm.
+    Computed exactly by the process kind: h, the fourth-moment constant of
+    the covariates (exact for every kind when d_X = 1 and for stationary
+    Gaussian kinds; for d_X > 1 on AR with a short warmup or on a Markov
+    chain, the max over a direction grid, a lower estimate of the sup).
     Derived: sigma_agg = (sigma_odd + sigma_even) / n, its operator norm
     sigma2 and trace ratio effective_dim, and block_moment_s, the mean s-th
     block moment over a_max^(s/2), which enters the moment burn-in.
@@ -201,33 +205,6 @@ class NoiseSpectrum:
         return float(np.sum(self.block_snorm_moments / norm_factor) / self.partition.m)
 
 
-def _h_directions(sigma_x: np.ndarray, seed: int) -> np.ndarray:
-    """Eigenvector grid plus 10 d random directions, normalized onto the
-    ellipsoid v' Sigma_X v = 1.  For d = 1 every normalized direction is
-    +-the eigenvector and gives the same ratio, so only it is returned and
-    no random directions are drawn."""
-    d = sigma_x.shape[0]
-    _, eigvecs = np.linalg.eigh(sigma_x)
-    dirs = eigvecs.T
-    if d > 1:
-        rng = np.random.default_rng(derive_seed(seed, 0xD1))
-        dirs = np.concatenate([dirs, rng.standard_normal((10 * d, d))], axis=0)
-    scale = np.sqrt(np.einsum("ij,jk,ik->i", dirs, sigma_x, dirs))
-    return dirs / scale[:, None]
-
-
-# Scratch elements of one h-projection tile: 256 KB of float64.  Products
-# this small run on the calling thread, so the per-trial projection never
-# fans out over BLAS threads.
-PROJECTION_TILE = 32768
-
-
-def _projection_scratch(n_dirs: int, n: int) -> np.ndarray:
-    """Flat scratch for one tile of at most PROJECTION_TILE elements."""
-    rows = min(n, max(1, PROJECTION_TILE // n_dirs))
-    return np.empty(n_dirs * rows)
-
-
 def _walk_block_sums(prob: RegressionProblem, partition: BlockPartition, traj):
     return block_sums(noise_walk(traj, prob).reshape(partition.n, -1), partition)
 
@@ -239,22 +216,10 @@ def _parity_outer(bs: np.ndarray) -> np.ndarray:
     return np.stack([odd.T @ odd, even.T @ even])
 
 
-def _spectrum_moments(prob, partition, dirs, scratch, traj):
-    """Pass-1 statistic: block sums, their outer products summed by parity,
-    and the second and fourth powers of the projections onto dirs, summed
-    over time.  The projections run in row tiles that fit the flat scratch
-    buffer; each tile is squared in place and its row sums added."""
+def _block_totals(prob, partition, traj):
+    """Block sums and their outer products summed by parity, as totals."""
     bs = _walk_block_sums(prob, partition, traj)
-    k = dirs.shape[0]
-    rows = scratch.size // k
-    sum_p2, sum_p4 = np.zeros(k), np.zeros(k)
-    for a in range(0, partition.n, rows):
-        xs = traj.xs[a:a + rows]
-        p2 = np.matmul(dirs, xs.T, out=scratch[:k * len(xs)].reshape(k, len(xs)))
-        np.square(p2, out=p2)
-        sum_p2 += p2.sum(axis=1)
-        sum_p4 += np.einsum("ij,ij->i", p2, p2)
-    return (), (bs, _parity_outer(bs), sum_p2, sum_p4)
+    return (), (bs, _parity_outer(bs))
 
 
 def _block_snorms(prob, partition, mean_bs, s, traj):
@@ -277,22 +242,21 @@ def _parity_covariances(sum_bs, sum_parity_outer, n_mc: int):
 def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
                    partition: BlockPartition, n_mc: int, seed: int,
                    s: float = 4.0) -> NoiseSpectrum:
-    """Monte Carlo estimate of the block noise spectrum over n_mc independent
-    trajectories: the odd and even block covariance sums, the s-th block
-    moments and the fourth-moment constant h (maximized over an eigenvector
-    grid plus random directions, or the eigenvector alone when d_X = 1; for
-    d_X > 1 a lower estimate of the true supremum).  Its derived numbers are
-    computed from these on first read."""
+    """Block noise spectrum over the partition: the odd and even block
+    covariance sums and the s-th block moments, estimated by Monte Carlo
+    over n_mc independent trajectories in two passes (the first gives the
+    block means that the second centers on), and the fourth-moment
+    constant h, computed by the process kind from prob.sigma_x without
+    simulation (see `ProcessSpec.fourth_moment_constant`).  Its derived
+    numbers are computed from these on first read."""
     _require_trials(n_mc, MIN_MC_TRIALS)
     if s < 2:
         raise ValueError("s must be >= 2")
-    dirs = _h_directions(prob.sigma_x, seed)
+    h = spec.fourth_moment_constant(prob.sigma_x, partition.n, seed)
     draw = partial(draw_process, spec, partition.n)
-    scratch = _projection_scratch(dirs.shape[0], partition.n)
-    _, (sum_bs, sum_parity_outer, sum_p2, sum_p4) = map_trials(
-        partial(_spectrum_moments, prob, partition, dirs, scratch), draw, n_mc, seed)
+    _, (sum_bs, sum_parity_outer) = map_trials(
+        partial(_block_totals, prob, partition), draw, n_mc, seed)
     mean_bs, sigma_odd, sigma_even = _parity_covariances(sum_bs, sum_parity_outer, n_mc)
-    h = float(np.sqrt(np.max(sum_p4 / np.maximum(sum_p2, 1e-300))))
 
     _, (sum_snorm,) = map_trials(partial(_block_snorms, prob, partition, mean_bs, s),
                                  draw, n_mc, seed)
@@ -343,11 +307,10 @@ class REstimate:
 
 
 def _parity_sums(prob, partition, traj):
-    """Odd and even block-sum totals per trial; block sums and their outer
-    products summed by parity as totals."""
-    bs = _walk_block_sums(prob, partition, traj)
-    return (np.stack([bs[0::2].sum(axis=0), bs[1::2].sum(axis=0)]),
-            (bs, _parity_outer(bs)))
+    """Odd and even block-sum totals per trial, and the `_block_totals`."""
+    _, totals = _block_totals(prob, partition, traj)
+    bs = totals[0]
+    return np.stack([bs[0::2].sum(axis=0), bs[1::2].sum(axis=0)]), totals
 
 
 def estimate_r(spec: ProcessSpec, prob: RegressionProblem,

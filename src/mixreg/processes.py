@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .csvfile import write_csv
-from .linalg import EIG_FLOOR, min_eig, symmetrize
+from .linalg import EIG_FLOOR, min_eig, opnorm_psd, symmetrize
 
 ROW_SUM_TOL = 1e-12
 
@@ -61,6 +61,23 @@ def impulse_response(a: np.ndarray, k: int) -> np.ndarray:
         r[:, i] = col
         col = a @ col
     return r
+
+
+def _settled_impulse_response(a: np.ndarray, k: int) -> np.ndarray:
+    """The columns of `impulse_response(a, k)` up to the first whose squared
+    norm is at most machine epsilon times the running sum of squared norms.
+    For a Schur-stable A the later columns are smaller still, so Gramians
+    of more columns equal the one of these to float64 resolution."""
+    cols, total = [], 0.0
+    col = np.eye(a.shape[0])[0]
+    for _ in range(k):
+        cols.append(col)
+        sq = float(col @ col)
+        total += sq
+        if sq <= np.finfo(float).eps * total:
+            break
+        col = a @ col
+    return np.array(cols).T.reshape(a.shape[0], len(cols))
 
 
 def gramian(a: np.ndarray, k: int) -> np.ndarray:
@@ -216,8 +233,10 @@ class ProcessSpec:
     its config name `kind` and implements `_draw(rng, n)` (the covariate and
     target arrays), `_stationary_optimum()` and `mixing_profile(gaps)`; only
     Gaussian AR specs override `with_window` and the finite horizon of
-    `optimum`.  `mixing_profile` imports from mixing.py when called, since
-    that module imports this one."""
+    `optimum`, and the base `fourth_moment_constant`, exact for stationary
+    Gaussian covariates, is overridden by the AR and Markov kinds.
+    `mixing_profile` imports from mixing.py when called, since that module
+    imports this one."""
 
     def simulate(self, n: int, seed: int) -> "Trajectory":
         if n < 1:
@@ -237,6 +256,17 @@ class ProcessSpec:
         if horizon is not None:
             raise ValueError("finite-horizon averaging applies to AR specs")
         return self._stationary_optimum()
+
+    def fourth_moment_constant(self, sigma_x: np.ndarray, n: int, seed: int) -> float:
+        """The fourth-moment constant h over sample times t < n: h^2 is the
+        sup over v' sigma_x v = 1 of sum_t E<v, x_t>^4 / sum_t E<v, x_t>^2.
+        Kinds that take the sup over the `_h_directions` grid draw it from
+        the seed.  Here, for stationary Gaussian covariates of covariance C,
+        it is the closed form 3 lambda_max(sigma_x^{-1} C): 3 if sigma_x = C."""
+        cov = self._stationary_optimum()[0]
+        chol = np.linalg.cholesky(sigma_x)
+        whitened = np.linalg.solve(chol, np.linalg.solve(chol, cov).T)
+        return math.sqrt(3.0 * opnorm_psd(whitened))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +349,7 @@ class GaussianAR(ProcessSpec):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         window = self.covariate_dim
-        a = companion(self.ar_coeffs)
+        a = self._state_companion()
         k = self.warmup + horizon - 1
         r = impulse_response(a, k)
         weights = np.minimum(horizon, k - np.arange(k))
@@ -329,6 +359,31 @@ class GaussianAR(ProcessSpec):
             raise ValueError("mixture covariance is not positive definite")
         cross = (a @ mean_cov)[0, :window]
         return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross)[None, :]
+
+    def _state_companion(self) -> np.ndarray:
+        """Companion matrix of the state (y_t, ..., y_{t-D+1}) with
+        D = max(p + 1, covariate_dim), so that every lag of the covariate
+        window is a state coordinate."""
+        dim = max(self.order + 1, self.covariate_dim)
+        return companion(self.ar_coeffs + (0.0,) * (dim - 1 - self.order))
+
+    def fourth_moment_constant(self, sigma_x: np.ndarray, n: int, seed: int) -> float:
+        """Exact per direction: from the zero initial state, the window
+        covariance Sigma_t at sample time t = warmup + i, i < n, is
+        noise_std^2 times the window block of the Gramian of the first t
+        impulse-response columns, so q_t = v' Sigma_t v is a cumulative sum
+        and h^2 = 3 sum_t q_t^2 / sum_t q_t.  Past the settled columns
+        Sigma_t is stationary.  One direction for d_X = 1; for d_X > 1 the
+        max over the grid, a lower estimate of the sup."""
+        times = self.warmup + np.arange(n)
+        r = _settled_impulse_response(self._state_companion(), int(times[-1]))
+        dirs = _h_directions(sigma_x, seed)
+        proj = dirs @ r[:self.covariate_dim]
+        cum = np.zeros((len(dirs), r.shape[1] + 1))
+        np.cumsum(self.noise_std**2 * proj * proj, axis=1, out=cum[:, 1:])
+        q = cum[:, np.minimum(times, r.shape[1])]
+        return math.sqrt(3.0 * np.max(np.sum(q * q, axis=1)
+                                      / np.maximum(np.sum(q, axis=1), 1e-300)))
 
     def mixing_profile(self, gaps):
         from .mixing import gaussian_ar_profile
@@ -403,6 +458,15 @@ class FiniteMarkov(ProcessSpec):
         sigma_x = self.emit_x.T @ (pi[:, None] * self.emit_x)
         cross = self.emit_y.T @ (pi[:, None] * self.emit_x)
         return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross.T).T
+
+    def fourth_moment_constant(self, sigma_x: np.ndarray, n: int, seed: int) -> float:
+        """Exact sums over the stationary law, which every sample time has:
+        h^2 = sum_s pi_s <v, e_s>^4 / sum_s pi_s <v, e_s>^2 over the
+        emissions e_s, at the one direction when d_X = 1, else the max over
+        the grid (a lower estimate of the sup)."""
+        p2 = np.square(self.emit_x @ _h_directions(sigma_x, seed).T)
+        pi = self.stationary
+        return math.sqrt(np.max(pi @ (p2 * p2) / np.maximum(pi @ p2, 1e-300)))
 
     def mixing_profile(self, gaps):
         from .mixing import markov_profile
@@ -521,6 +585,21 @@ class IIDGaussian(ProcessSpec):
 
 
 SPEC_KINDS = {cls.kind: cls for cls in (GaussianAR, FiniteMarkov, BlockConstant, IIDGaussian)}
+
+
+def _h_directions(sigma_x: np.ndarray, seed: int) -> np.ndarray:
+    """Eigenvector grid plus 10 d random directions, normalized onto the
+    ellipsoid v' Sigma_X v = 1.  For d = 1 every normalized direction is
+    +-the eigenvector and gives the same ratio, so only it is returned and
+    no random directions are drawn."""
+    d = sigma_x.shape[0]
+    _, eigvecs = np.linalg.eigh(sigma_x)
+    dirs = eigvecs.T
+    if d > 1:
+        rng = np.random.default_rng(derive_seed(seed, 0xD1))
+        dirs = np.concatenate([dirs, rng.standard_normal((10 * d, d))], axis=0)
+    scale = np.sqrt(np.einsum("ij,jk,ik->i", dirs, sigma_x, dirs))
+    return dirs / scale[:, None]
 
 
 # ---------------------------------------------------------------------------

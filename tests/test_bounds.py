@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from mixreg.blocking import block_sums, make_partition, uniform_partition
 from mixreg.bounds import (
@@ -28,21 +29,14 @@ from mixreg.bounds import (
     phi_tau,
     truncation_mass_check,
 )
-from mixreg import bounds
-from mixreg.bounds import (
-    PROJECTION_TILE,
-    _h_directions,
-    _parity_sums,
-    _projection_scratch,
-    _spectrum_moments,
-    _walk_block_sums,
-)
+from mixreg.bounds import _block_totals, _parity_sums, _walk_block_sums
 from mixreg.mixing import iid_profile, markov_profile
 from mixreg.processes import (
     BlockConstant,
     GaussianAR,
     IIDGaussian,
     derive_seed,
+    _h_directions,
     simulate,
     two_state_flip,
 )
@@ -236,27 +230,21 @@ class TestNoiseSpectrum:
     @pytest.mark.parametrize("spec, n, m", [
         (IIDGaussian(covariate_dim=5), 300, 150),
         (GaussianAR((0.5, 0.2), covariate_dim=2, warmup=30), 500, 5),
-        # Three full tiles of PROJECTION_TILE // 55 = 595 rows and a partial one.
-        (IIDGaussian(covariate_dim=5), 3 * 595 + 7, 4),
+        (IIDGaussian(covariate_dim=5), 1792, 4),
     ])
-    def test_moments_match_the_row_major_projection(self, spec, n, m):
+    def test_block_totals_match_the_per_block_reference(self, spec, n, m):
         prob = population_optimum(spec)
         part = make_partition(n, m)
-        dirs = _h_directions(prob.sigma_x, 3)
         traj = simulate(spec, n, 8)
-        scratch = _projection_scratch(dirs.shape[0], n)
-        _, (bs, parity_outer, p2_sum, p4_sum) = _spectrum_moments(prob, part, dirs, scratch,
-                                                                  traj)
-        # Reference: one row per sample, one column per direction, and one
-        # outer product per block, summed over odd and over even blocks.
+        values, (bs, parity_outer) = _block_totals(prob, part, traj)
+        # Reference: one outer product per block, summed over odd and over
+        # even blocks.
         ref_bs = _walk_block_sums(prob, part, traj)
-        p2 = (traj.xs @ dirs.T) ** 2
+        assert values == ()
         np.testing.assert_array_equal(bs, ref_bs)
         outer = np.einsum("bi,bj->bij", ref_bs, ref_bs)
         np.testing.assert_allclose(parity_outer[0], outer[0::2].sum(0), rtol=1e-13, atol=0)
         np.testing.assert_allclose(parity_outer[1], outer[1::2].sum(0), rtol=1e-13, atol=0)
-        np.testing.assert_allclose(p2_sum, p2.sum(axis=0), rtol=1e-13, atol=0)
-        np.testing.assert_allclose(p4_sum, (p2 * p2).sum(axis=0), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("m", [5, 150])
     def test_totals_are_fixed_size_parity_sums(self, m):
@@ -264,47 +252,40 @@ class TestNoiseSpectrum:
         prob = population_optimum(spec)
         part = make_partition(300, m)
         traj = simulate(spec, 300, 4)
-        dirs = _h_directions(prob.sigma_x, 3)
-        _, (bs, parity_outer, _, _) = _spectrum_moments(
-            prob, part, dirs, _projection_scratch(dirs.shape[0], 300), traj)
+        _, (bs, parity_outer) = _block_totals(prob, part, traj)
         sgn_sums, (r_bs, r_parity_outer) = _parity_sums(prob, part, traj)
         assert bs.shape == r_bs.shape == (2 * m, 5)
         assert parity_outer.shape == r_parity_outer.shape == (2, 5, 5)
         assert sgn_sums.shape == (2, 5)
         np.testing.assert_array_equal(parity_outer, r_parity_outer)
 
-    def test_projection_scratch_holds_one_tile(self, monkeypatch):
+    def test_h_is_computed_once_by_the_kind(self, monkeypatch):
         spec = IIDGaussian(covariate_dim=5)
-        seen = []
+        exact = IIDGaussian.fourth_moment_constant
+        calls = []
 
-        def recording(prob, partition, dirs, scratch, traj):
-            seen.append(scratch.size)
-            return _spectrum_moments(prob, partition, dirs, scratch, traj)
+        def recording(self, sigma_x, n, seed):
+            calls.append((n, seed))
+            return exact(self, sigma_x, n, seed)
 
-        monkeypatch.setattr(bounds, "_spectrum_moments", recording)
-        noise_spectrum(spec, population_optimum(spec), make_partition(5000, 10), 1000, 2)
-        assert len(seen) == 1000
-        assert max(seen) <= PROJECTION_TILE
+        monkeypatch.setattr(IIDGaussian, "fourth_moment_constant", recording)
+        est = noise_spectrum(spec, population_optimum(spec), make_partition(500, 10), 1000, 2)
+        assert calls == [(500, 2)]
+        assert est.h == math.sqrt(3.0)
 
     def test_scalar_covariate_projects_onto_one_direction(self):
-        spec = GaussianAR((0.5, 0.2), covariate_dim=1, warmup=30)
+        spec = GaussianAR((0.5, 0.2), covariate_dim=1, warmup=5)
         prob = population_optimum(spec)
-        part = make_partition(200, 10)
-        dirs = _h_directions(prob.sigma_x, 4)
-        assert dirs.shape == (1, 1)
-        est = noise_spectrum(spec, prob, part, 1000, 4)
-        # The former grid: the eigenvector plus 10 random directions, each
-        # normalized onto v' Sigma_X v = 1, over the same trajectories.
-        _, eigvecs = np.linalg.eigh(prob.sigma_x)
-        rng = np.random.default_rng(derive_seed(4, 0xD1))
-        grid = np.concatenate([eigvecs.T, rng.standard_normal((10, 1))], axis=0)
-        grid = grid / np.sqrt(np.einsum("ij,jk,ik->i", grid, prob.sigma_x, grid))[:, None]
-        sum_p2, sum_p4 = np.zeros(11), np.zeros(11)
-        for t in range(1000):
-            p2 = (simulate(spec, 200, derive_seed(4, t)).xs @ grid.T) ** 2
-            sum_p2 += p2.sum(axis=0)
-            sum_p4 += (p2 * p2).sum(axis=0)
-        assert est.h == pytest.approx(math.sqrt(np.max(sum_p4 / sum_p2)), rel=1e-14)
+        n = 200
+        assert _h_directions(prob.sigma_x, 4).shape == (1, 1)
+        est = noise_spectrum(spec, prob, make_partition(n, 10), 1000, 4)
+        # The one normalized direction gives q_t = Var(y_{t-1}) / Sigma_X at
+        # each sample time t, with Var(y_j) the summed squared impulse
+        # response of the zero-initialized filter up to lag j.
+        impulse = lfilter([1.0], [1.0, -0.5, -0.2], np.eye(1, spec.warmup + n)[0])
+        var_y = np.concatenate([[0.0], np.cumsum(impulse**2)])
+        q = var_y[spec.warmup:spec.warmup + n] / prob.sigma_x[0, 0]
+        assert est.h == pytest.approx(math.sqrt(3.0 * np.sum(q * q) / np.sum(q)), rel=1e-12)
 
     @pytest.mark.parametrize("spec, n, m", [
         (GaussianAR((0.5, 0.2), covariate_dim=1, warmup=30), 60, 3),   # D = 1

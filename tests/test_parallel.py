@@ -78,8 +78,7 @@ class TestTwoWorkersAgreeWithSerial:
     def test_noise_spectrum(self, monkeypatch):
         assert_spectra_agree(monkeypatch, SPEC, make_partition(60, 3))
 
-    def test_noise_spectrum_over_projection_tiles(self, monkeypatch):
-        # d = 5: the h projection of each trajectory spans several row tiles.
+    def test_noise_spectrum_with_five_covariates(self, monkeypatch):
         assert_spectra_agree(monkeypatch, IIDGaussian(covariate_dim=5), make_partition(2000, 10))
 
     def test_estimate_r(self, monkeypatch):

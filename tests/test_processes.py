@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -23,7 +25,8 @@ from mixreg.processes import (
     stationary_state_covariance,
     two_state_flip,
 )
-from mixreg.processes import _lagged_design
+from mixreg.processes import _h_directions, _lagged_design
+from mixreg.regression import population_optimum
 
 
 def lag1_corr(y):
@@ -398,6 +401,86 @@ class TestStationaryCovariance:
         for k in range(3, 7):
             assert gamma[k] == pytest.approx(0.5 * gamma[k - 1] + 0.2 * gamma[k - 2],
                                              rel=1e-10)
+
+
+def monte_carlo_h(spec, sigma_x, n, n_mc, seed):
+    """Monte Carlo estimate of h over the `_h_directions` grid, the oracle
+    for the exact values: per direction, the ratio of the summed fourth to
+    the summed second powers of the projections over n_mc trajectories.
+    Returns the square root of the largest ratio and its delta-method
+    standard error."""
+    dirs = _h_directions(sigma_x, seed)
+    sum_p2, sum_p4 = np.empty((n_mc, len(dirs))), np.empty((n_mc, len(dirs)))
+    for t in range(n_mc):
+        p2 = (simulate(spec, n, derive_seed(seed, t)).xs @ dirs.T) ** 2
+        sum_p2[t], sum_p4[t] = p2.sum(axis=0), (p2 * p2).sum(axis=0)
+    ratios = sum_p4.mean(axis=0) / sum_p2.mean(axis=0)
+    k = int(np.argmax(ratios))
+    se_ratio = (np.std(sum_p4[:, k] - ratios[k] * sum_p2[:, k], ddof=1)
+                / math.sqrt(n_mc) / sum_p2[:, k].mean())
+    h = math.sqrt(ratios[k])
+    return h, se_ratio / (2.0 * h)
+
+
+MARKOV_2D = FiniteMarkov(
+    transition=np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]),
+    emit_x=np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 1.0]]),
+    emit_y=np.array([[0.0], [1.0], [0.5]]))
+
+
+class TestFourthMomentConstant:
+    @pytest.mark.parametrize("spec, sigma_x, n", [
+        (IIDGaussian(covariate_dim=5), None, 40),
+        # The sup sits on the smallest eigenvector of sigma_x, on the grid.
+        (IIDGaussian(covariate_dim=2), np.array([[0.6, 0.1], [0.1, 1.5]]), 40),
+        (BlockConstant(4), None, 64),
+        (GaussianAR((0.5, 0.2), covariate_dim=1, warmup=0), None, 30),
+        (GaussianAR((0.5, 0.2), covariate_dim=1, warmup=default_warmup((0.5, 0.2))), None, 30),
+        (GaussianAR((0.5, 0.2), covariate_dim=2, warmup=0), None, 20),
+        (two_state_flip(0.3), None, 50),
+        (MARKOV_2D, None, 50),
+    ], ids=["iid-d5", "iid-d2-other-sigma", "block-constant", "ar-warmup-0",
+            "ar-warmup-auto", "ar-window-2", "two-state-flip", "markov-d2"])
+    def test_within_four_standard_errors_of_monte_carlo(self, spec, sigma_x, n):
+        if sigma_x is None:
+            sigma_x = population_optimum(spec).sigma_x
+        exact = spec.fourth_moment_constant(sigma_x, n, 11)
+        estimate, stderr = monte_carlo_h(spec, sigma_x, n, 3000, 11)
+        assert abs(exact - estimate) <= 4.0 * stderr + 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        IIDGaussian(covariate_dim=1),
+        IIDGaussian(covariate_dim=5),
+        BlockConstant(4),
+        BlockConstant(3, covariate_dim=3, x_std=2.0),
+    ])
+    def test_stationary_gaussian_is_sqrt_3(self, spec):
+        prob = population_optimum(spec)
+        for n, seed in ((1, 0), (5000, 7)):
+            assert abs(spec.fourth_moment_constant(prob.sigma_x, n, seed)
+                       - math.sqrt(3.0)) <= 1e-12
+
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_ar_past_its_settling_time_is_sqrt_3(self, window):
+        # A window of 4 lags is wider than the AR(2) companion state.
+        spec = GaussianAR((0.5, 0.2), covariate_dim=window, warmup=default_warmup((0.5, 0.2)))
+        prob = population_optimum(spec)
+        assert abs(spec.fourth_moment_constant(prob.sigma_x, 3000, 2)
+                   - math.sqrt(3.0)) <= 1e-12
+
+    def test_other_sigma_x_gives_the_generalized_eigenvalue(self):
+        sigma_x = np.diag([0.5, 2.0])
+        h = IIDGaussian(covariate_dim=2).fourth_moment_constant(sigma_x, 10, 0)
+        assert h == pytest.approx(math.sqrt(6.0), rel=1e-14)
+
+    def test_markov_scalar_is_the_stationary_kurtosis(self):
+        chain = FiniteMarkov(transition=np.array([[0.9, 0.1], [0.4, 0.6]]),
+                             emit_x=np.array([[1.0], [3.0]]), emit_y=np.zeros((2, 1)))
+        pi = chain.stationary
+        m2, m4 = pi @ np.array([1.0, 9.0]), pi @ np.array([1.0, 81.0])
+        sigma_x = population_optimum(chain).sigma_x
+        assert chain.fourth_moment_constant(sigma_x, 100, 0) == pytest.approx(
+            math.sqrt(m4 / m2**2), rel=1e-14)
 
 
 class TestTrajectory:

@@ -172,6 +172,18 @@ class TestPopulationOptimum:
         prob = population_optimum(spec, horizon=20_000)
         assert prob.m_star[0, 0] == pytest.approx(0.625, abs=1e-4)
 
+    @pytest.mark.parametrize("coeffs", [(0.5,), (0.5, 0.2)])
+    def test_finite_horizon_covers_windows_wider_than_the_state(self, coeffs):
+        # A window of p + 2 lags is wider than the (p + 1)-coordinate
+        # companion state; the horizon path must still give every lag.
+        p = len(coeffs)
+        spec = GaussianAR(coeffs, covariate_dim=p + 2, warmup=200)
+        sigma_x, m_star = spec.optimum(100)
+        want_sigma, want_m = spec.optimum()
+        assert sigma_x.shape == (p + 2, p + 2) and m_star.shape == (1, p + 2)
+        np.testing.assert_allclose(sigma_x, want_sigma, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(m_star, want_m, rtol=0, atol=1e-10)
+
     def test_empty_horizon_is_rejected(self):
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
         with pytest.raises(ValueError, match="horizon"):
