@@ -44,8 +44,9 @@ profile = profile_from_spec(spec, sorted(set(partition.lengths)))
 report = main_bound(spectrum, delta=0.1, profile=profile)
 print("\n" + report.to_text())
 
-# The lower uniform law needs a sample-size and a mixing prerequisite.
-cert = lower_tail_certificate(spectrum, 0.1, profile)
+# The lower uniform law needs a sample-size and a mixing prerequisite; it
+# reads only the partition, the covariate dimension and h.
+cert = lower_tail_certificate(partition, prob.d_x, spectrum.h, 0.1, profile)
 print("\n" + cert.to_text())
 
 # Worst case for the noise level: a process constant on partition-aligned

@@ -50,6 +50,11 @@ class BlockPartition:
         return max(self.lengths)
 
     @cached_property
+    def parity_sizes(self) -> tuple[int, int]:
+        """Samples in the odd blocks and in the even blocks."""
+        return sum(self.lengths[0::2]), sum(self.lengths[1::2])
+
+    @cached_property
     def starts(self) -> np.ndarray:
         """0-indexed first sample of every block (read-only)."""
         starts = np.concatenate([[0], np.cumsum(self.lengths[:-1])])

@@ -113,48 +113,6 @@ def fuk_nagaev_tail(lam: float, moments_s, t: float, eps: float, eta: float,
     return math.exp(-t * t / ((2.0 + eta) * lam)) + poly
 
 
-def noise_term_threshold(lambda_odd: float, lambda_even: float,
-                         size_odd: int, size_even: int, r: float,
-                         eps: float, eta: float, delta: float) -> float:
-    """Deviation threshold for the mean of a mean-zero mixing process:
-    worst of the odd/even scales times ((1+2 eta) sqrt(r) +
-    (1+9 eps) sqrt((2+eta) log(1/delta)))."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    if min(lambda_odd, lambda_even) < 0 or min(size_odd, size_even) < 1 or r < 0:
-        raise ValueError("variances, sizes and r must be nonnegative")
-    if eps <= 0 or not 0.0 < eta <= 1.0:
-        raise ValueError("need eps > 0 and eta in (0, 1]")
-    log_term = math.log(1.0 / delta)
-    body = (1.0 + 2.0 * eta) * math.sqrt(r) \
-        + (1.0 + 9.0 * eps) * math.sqrt((2.0 + eta) * log_term)
-    scale = max(math.sqrt(lambda_odd / size_odd), math.sqrt(lambda_even / size_even))
-    return scale * body
-
-
-def noise_term_failure_budget(block_moments_odd, block_moments_even,
-                              lambda_odd: float, lambda_even: float,
-                              size_odd: int, size_even: int, r: float,
-                              eps: float, eta: float, s: float, delta: float,
-                              interior_mixing_sum: float) -> float:
-    """Total failure probability charged by the dependent random-walk tail:
-    2 delta + the interior mixing sum + the polynomial Fuk-Nagaev remainder."""
-    if r <= 0:
-        raise ValueError("r must be positive for the polynomial term")
-    c = fuk_nagaev_constant(eps, eta, s)
-    prefactor = c * (1.0 + 9.0 * eps) ** s / (r ** (s / 2.0) * eta**s)
-    poly = 0.0
-    for moments, lam, size in ((block_moments_odd, lambda_odd, size_odd),
-                               (block_moments_even, lambda_even, size_even)):
-        msum = float(np.sum(np.asarray(moments, dtype=float)))
-        if msum == 0.0:
-            continue
-        if lam <= 0:
-            raise ValueError("weak variances must be positive when moments are nonzero")
-        poly += msum / (size ** (s / 2.0) * lam ** (s / 2.0))
-    return 2.0 * delta + interior_mixing_sum + prefactor * poly
-
-
 # ---------------------------------------------------------------------------
 # Noise spectrum estimation
 # ---------------------------------------------------------------------------
@@ -166,10 +124,8 @@ class NoiseSpectrum:
     Estimated by Monte Carlo: sigma_odd and sigma_even, the odd-block and
     even-block sums of the covariance of the vectorized centered block sum,
     and block_snorm_moments, the per-block s-th moments of its norm.
-    Computed exactly by the process kind: h, the fourth-moment constant of
-    the covariates (exact for every kind when d_X = 1 and for stationary
-    Gaussian kinds; for d_X > 1 on AR with a short warmup or on a Markov
-    chain, the max over a direction grid, a lower estimate of the sup).
+    Computed by the process kind: h, the fourth-moment constant of the
+    covariates (see `ProcessSpec.fourth_moment_constant`).
     Derived: sigma_agg = (sigma_odd + sigma_even) / n, its operator norm
     sigma2 and trace ratio effective_dim, and block_moment_s, the mean s-th
     block moment over a_max^(s/2), which enters the moment burn-in.
@@ -267,27 +223,28 @@ def noise_spectrum(spec: ProcessSpec, prob: RegressionProblem,
     )
 
 
-def _noise_sum(prob: RegressionProblem, traj):
+def _noise_prefix_sums(prob: RegressionProblem, block_lens, traj):
     v = noise_walk(traj, prob)
-    return v.reshape(len(v), -1).sum(axis=0), ()
+    return np.cumsum(v.reshape(len(v), -1), axis=0)[np.asarray(block_lens) - 1], ()
 
 
 def clt_variance(spec: ProcessSpec, prob: RegressionProblem, block_lens,
                  n_mc: int, seed: int) -> dict[int, np.ndarray]:
     """Per block length L: the normalized covariance of the vectorized sum of
     the centered noise variables over a single length-L stretch, i.e. the
-    finite-L approximation of the limiting noise covariance."""
+    finite-L approximation of the limiting noise covariance.  Every L is read
+    from the prefix of one longest draw per trial, which is exact because
+    draws are causal from time zero: the first L samples of a longer draw
+    have the law of a length-L draw."""
     block_lens = [int(v) for v in block_lens]
-    if not block_lens:
-        raise ValueError("need at least one block length")
+    if not block_lens or min(block_lens) < 1:
+        raise ValueError(f"need block lengths >= 1, got {block_lens}")
     _require_trials(n_mc, 2)
-    out = {}
-    for length in block_lens:
-        sums, _ = map_trials(partial(_noise_sum, prob), partial(draw_process, spec, length),
-                             n_mc, seed, length)
-        centered = sums - sums.mean(axis=0)
-        out[length] = symmetrize(centered.T @ centered / n_mc / length)
-    return out
+    sums, _ = map_trials(partial(_noise_prefix_sums, prob, block_lens),
+                         partial(draw_process, spec, max(block_lens)), n_mc, seed)
+    centered = sums - sums.mean(axis=0)
+    return {length: symmetrize(c.T @ c / n_mc / length)
+            for length, c in zip(block_lens, centered.transpose(1, 0, 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +253,7 @@ def clt_variance(spec: ProcessSpec, prob: RegressionProblem, block_lens,
 
 @dataclass(frozen=True)
 class REstimate:
+    partition: BlockPartition
     r: float
     stderr_sqrt_r: float
     lambda_odd: float
@@ -325,9 +283,8 @@ def estimate_r(spec: ProcessSpec, prob: RegressionProblem,
         n_mc, seed)
     _, sigma_odd, sigma_even = _parity_covariances(sum_bs, sum_parity_outer, n_mc)
 
-    sizes = (sum(partition.lengths[0::2]), sum(partition.lengths[1::2]))
     lambdas, ratios, stderrs = [], [], []
-    for side, (cov, size) in enumerate(zip((sigma_odd, sigma_even), sizes)):
+    for side, (cov, size) in enumerate(zip((sigma_odd, sigma_even), partition.parity_sizes)):
         lam = opnorm_psd(cov) / size
         centered = sgn_sums[:, side, :] - sgn_sums[:, side, :].mean(axis=0)
         norms = np.linalg.norm(centered, axis=1) / math.sqrt(size)
@@ -336,8 +293,48 @@ def estimate_r(spec: ProcessSpec, prob: RegressionProblem,
         ratios.append(norms.mean() / root)
         stderrs.append(norms.std(ddof=1) / math.sqrt(n_mc) / root)
     which = int(np.argmax(ratios))
-    return REstimate(r=ratios[which]**2, stderr_sqrt_r=stderrs[which],
+    return REstimate(partition=partition, r=ratios[which]**2, stderr_sqrt_r=stderrs[which],
                      lambda_odd=lambdas[0], lambda_even=lambdas[1])
+
+
+def noise_term_threshold(r_est: REstimate, eps: float, eta: float, delta: float) -> float:
+    """Deviation threshold for the mean of a mean-zero mixing process:
+    worst of the odd/even scales sqrt(Lambda / size) over r_est's partition
+    times ((1+2 eta) sqrt(r) + (1+9 eps) sqrt((2+eta) log(1/delta)))."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    if eps <= 0 or not 0.0 < eta <= 1.0:
+        raise ValueError("need eps > 0 and eta in (0, 1]")
+    body = (1.0 + 2.0 * eta) * math.sqrt(r_est.r) \
+        + (1.0 + 9.0 * eps) * math.sqrt((2.0 + eta) * math.log(1.0 / delta))
+    size_odd, size_even = r_est.partition.parity_sizes
+    scale = max(math.sqrt(r_est.lambda_odd / size_odd), math.sqrt(r_est.lambda_even / size_even))
+    return scale * body
+
+
+def noise_term_failure_budget(r_est: REstimate, spectrum: NoiseSpectrum, profile: MixingProfile,
+                              eps: float, eta: float, delta: float) -> float:
+    """Total failure probability charged by the dependent random-walk tail
+    over r_est's partition: 2 delta + the interior mixing sum on the profile
+    + the polynomial Fuk-Nagaev remainder, from r_est's r and weak variances
+    and the spectrum's s-th block moments.  A parity with zero moments adds
+    nothing; any other makes the budget inf if r or its variance is zero."""
+    part = r_est.partition
+    if spectrum.partition != part:
+        raise ValueError("r_est and the spectrum must share a partition")
+    s = spectrum.moment_s
+    c = fuk_nagaev_constant(eps, eta, s)
+    poly = 0.0
+    for parity, lam in enumerate((r_est.lambda_odd, r_est.lambda_even)):
+        msum = float(np.sum(spectrum.block_snorm_moments[parity::2]))
+        if msum == 0.0:
+            continue
+        if lam <= 0 or r_est.r <= 0:
+            return math.inf
+        poly += msum / (part.parity_sizes[parity] ** (s / 2.0) * lam ** (s / 2.0))
+    if poly > 0.0:
+        poly *= c * (1.0 + 9.0 * eps) ** s / (r_est.r ** (s / 2.0) * eta**s)
+    return 2.0 * delta + mixing_sum(profile, part) + poly
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +457,7 @@ def main_bound(spectrum: NoiseSpectrum, delta: float, profile: MixingProfile,
         n / part.a_max, spectrum.d_x, spectrum.h, spectrum.moment_s,
         spectrum.block_moment_s, spectrum.effective_dim * spectrum.sigma2, mix, delta, c)
 
-    len_ratio = sum(part.lengths[1::2]) / sum(part.lengths[0::2])
+    len_ratio = part.parity_sizes[1] / part.parity_sizes[0]
     check_2a = BurninCheck("length_balance", len_ratio, c.c4, 1.0 / c.c4 < len_ratio < c.c4,
                            note=f"must lie in (1/{c.c4:g}, {c.c4:g})")
 
@@ -533,22 +530,24 @@ class LowerTailReport:
         ])
 
 
-def lower_tail_certificate(spectrum: NoiseSpectrum, delta: float, profile: MixingProfile,
+def lower_tail_certificate(partition: BlockPartition, d_x: int, h: float, delta: float,
+                           profile: MixingProfile,
                            constants: UniversalConstants | None = None) -> LowerTailReport:
     """Check the two prerequisites under which every directional empirical
-    second moment over the spectrum's n samples stays above half its
-    population value with probability 1 - delta: n against
+    second moment over the partition's n samples of a d_x-dimensional
+    covariate with fourth-moment constant h stays above half its population
+    value with probability 1 - delta: n against
     c_lower a_max (d_x + h^2 log(1/delta)), and the mixing sum over the
-    spectrum's partition against delta / 2.  The mixing condition is
-    evaluated with the supplied profile (a joint-process profile is a valid,
-    conservative stand-in for the covariate-only coefficients)."""
+    partition against delta / 2.  The mixing condition is evaluated with the
+    supplied profile (a joint-process profile is a valid, conservative
+    stand-in for the covariate-only coefficients)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     c = constants or DEFAULT_CONSTANTS
-    part = spectrum.partition
-    required = c.c_lower * part.a_max * (spectrum.d_x + spectrum.h**2 * math.log(1.0 / delta))
-    sample_check = BurninCheck("sample_size", float(part.n), required, part.n >= required)
-    mix = mixing_sum(profile, part)
+    required = c.c_lower * partition.a_max * (d_x + h**2 * math.log(1.0 / delta))
+    sample_check = BurninCheck("sample_size", float(partition.n), required,
+                               partition.n >= required)
+    mix = mixing_sum(profile, partition)
     mixing_check = BurninCheck("mixing", mix, delta / 2.0, mix <= delta / 2.0)
     return LowerTailReport(sample_check=sample_check, mixing_check=mixing_check,
                            required_n=required)

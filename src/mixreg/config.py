@@ -70,9 +70,13 @@ def _check_keys(name: str, section, known) -> None:
 
 
 def _parse(kind: str, name: str, key: str, sec):
-    """Parse a value of annotation `kind`, naming its [section] and key if it fails."""
+    """Parse a value of annotation `kind`, naming its [section] and key if it
+    fails or holds a nan or infinite number."""
     try:
-        return _FIELD_CODECS[kind][0](sec[key])
+        value = _FIELD_CODECS[kind][0](sec[key])
+        if np.asarray(value).dtype.kind == "f" and not np.isfinite(value).all():
+            raise ValueError(f"{sec[key].strip()!r} is not finite")
+        return value
     except ValueError as exc:
         raise ValueError(f"[{name}] {key}: {exc}") from exc
 

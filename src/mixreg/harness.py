@@ -32,7 +32,7 @@ from .bounds import (
 from .config import ExperimentConfig
 from .csvfile import write_csv
 from .linalg import min_eig, opnorm_psd
-from .mixing import MixingProfile, mixing_sum, profile_from_spec
+from .mixing import MixingProfile, profile_from_spec
 from .parallel import draw_process, map_trials
 from .processes import derive_seed
 from .regression import (
@@ -219,13 +219,14 @@ def verify_lower_tail(config: ExperimentConfig, out_path=None) -> list[LowerTail
     out = []
     for n in config.ns:
         partition = config.partition_for(n)
-        spectrum = _spectrum_for(config, prob, partition, n)
-        profile = profile_for(config, partition)
-        cert = lower_tail_certificate(spectrum, config.delta, profile, config.constants)
+        h = config.process.fourth_moment_constant(
+            prob.sigma_x, n, derive_seed(config.seed, n, SPECTRUM_STREAM))
+        cert = lower_tail_certificate(partition, prob.d_x, h, config.delta,
+                                      profile_for(config, partition), config.constants)
         _, (hits,) = _run_trials(_lower_tail_hit, config, prob, n)
         out.append(LowerTailVerification(
             n=n, frequency=hits / config.trials, certificate=cert,
-            h=spectrum.h, trials=config.trials,
+            h=h, trials=config.trials,
         ))
     if out_path is not None:
         write_csv(out_path, "n,frequency,certified,required_n,h,trials", (
@@ -263,18 +264,9 @@ def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalk
         r_est = estimate_r(config.process, prob, partition, config.n_mc,
                            derive_seed(config.seed, n, DECOUPLED_STREAM))
         spectrum = _spectrum_for(config, prob, partition, n)
-        size_o, size_e = sum(partition.lengths[0::2]), sum(partition.lengths[1::2])
-        threshold = noise_term_threshold(r_est.lambda_odd, r_est.lambda_even,
-                                         size_o, size_e, r_est.r,
-                                         config.eps, config.eta, config.delta)
-        profile = profile_for(config, partition)
-        interior = mixing_sum(profile, partition)
-        moments = spectrum.block_snorm_moments
-        budget = noise_term_failure_budget(
-            moments[0::2], moments[1::2],
-            r_est.lambda_odd, r_est.lambda_even, size_o, size_e,
-            max(r_est.r, 1e-12), config.eps, config.eta, config.moment_s,
-            config.delta, interior)
+        threshold = noise_term_threshold(r_est, config.eps, config.eta, config.delta)
+        budget = noise_term_failure_budget(r_est, spectrum, profile_for(config, partition),
+                                           config.eps, config.eta, config.delta)
         norms, _ = _run_trials(_walk_norm, config, prob, n)
         out.append(NoiseWalkReport(
             n=n, threshold=threshold, exceedance=float(np.mean(norms > threshold)),
@@ -314,8 +306,6 @@ def clt_consistency(config: ExperimentConfig, out_path=None) -> CltReport:
     """Sweep block lengths and report where the block noise level settles,
     i.e. where the finite-block covariance has effectively reached its
     limiting value."""
-    if not config.block_lens:
-        raise ValueError("config needs a block length sweep")
     prob = population_for(config)
     mats = clt_variance(config.process, prob, config.block_lens, config.n_mc,
                         derive_seed(config.seed, SPECTRUM_STREAM))

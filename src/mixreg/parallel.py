@@ -3,9 +3,9 @@ independent seeded trials, and `map_trials` is the one loop that runs them.
 
 A caller supplies a draw (a trajectory from a seed, see `draw_process` and
 `draw_decoupled`) and a statistic (one trajectory in, `(values, totals)` out).
-The engine derives trial t's seed as `derive_seed(seed, *keys, t)`, splits the
-trials into chunks, maps the chunks, stacks the values in trial order and sums
-the totals in chunk order.
+The engine derives trial t's seed as `derive_seed(seed, t)` (independent sets
+of trials need seeds of their own), splits the trials into chunks, maps the
+chunks, stacks the values in trial order and sums the totals in chunk order.
 
 MIXREG_THREADS caps the worker count (a positive integer, default 1 =
 serial).  Chunks are fixed by the trial count and worker count, and partial
@@ -70,12 +70,12 @@ def draw_decoupled(spec, partition, seed: int):
 
 
 def _trial_chunk(args):
-    statistic, draw, seed, keys, start, stop = args
+    statistic, draw, seed, start, stop = args
     values, totals = [], None
     for trial in range(start, stop):
         # traj stays alive until the next draw replaces it, which keeps the
         # allocator from returning the trajectory's pages after every trial.
-        traj = draw(derive_seed(seed, *keys, trial))
+        traj = draw(derive_seed(seed, trial))
         vals, tots = statistic(traj)
         values.append(vals)
         if totals is None:
@@ -87,8 +87,8 @@ def _trial_chunk(args):
     return np.array(values, dtype=float), totals
 
 
-def map_trials(statistic, draw, trials: int, seed: int, *keys: int) -> tuple[np.ndarray, tuple]:
-    """Run `statistic(draw(derive_seed(seed, *keys, t)))` for t < trials.
+def map_trials(statistic, draw, trials: int, seed: int) -> tuple[np.ndarray, tuple]:
+    """Run `statistic(draw(derive_seed(seed, t)))` for t < trials.
 
     The statistic returns `(values, totals)`: values is a float or array per
     trial (use `()` for none) and totals is a tuple of floats or arrays.
@@ -98,7 +98,7 @@ def map_trials(statistic, draw, trials: int, seed: int, *keys: int) -> tuple[np.
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     chunks = chunk_ranges(trials, 4 * worker_count())
-    parts = map_chunks(_trial_chunk, [(statistic, draw, seed, keys, a, b) for a, b in chunks])
+    parts = map_chunks(_trial_chunk, [(statistic, draw, seed, a, b) for a, b in chunks])
     values = np.concatenate([p[0] for p in parts])
     totals = tuple(sum(column) for column in zip(*(p[1] for p in parts)))
     return values, totals

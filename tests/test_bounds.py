@@ -10,6 +10,7 @@ from mixreg.blocking import block_sums, make_partition, uniform_partition
 from mixreg.bounds import (
     DEFAULT_CONSTANTS,
     NoiseSpectrum,
+    REstimate,
     UniversalConstants,
     bernstein_threshold,
     blocked_bernstein_threshold,
@@ -30,7 +31,7 @@ from mixreg.bounds import (
     truncation_mass_check,
 )
 from mixreg.bounds import _block_totals, _parity_sums, _walk_block_sums
-from mixreg.mixing import iid_profile, markov_profile
+from mixreg.mixing import iid_profile, markov_profile, mixing_sum
 from mixreg.processes import (
     BlockConstant,
     GaussianAR,
@@ -177,30 +178,61 @@ class TestFukNagaev:
             fuk_nagaev_tail(1.0, [1.0], 0.0, 1.0, 1.0, 4.0)
 
 
+def halves(size, r, lam=1.0):
+    """An r estimate over two blocks of `size` samples each, with both weak
+    variances lam."""
+    return REstimate(partition=make_partition(2 * size, 1), r=r, stderr_sqrt_r=0.0,
+                     lambda_odd=lam, lambda_even=lam)
+
+
 class TestNoiseTermThreshold:
     def test_sub_gaussian_shape(self):
         n, d, delta = 10_000, 5.0, 0.05
-        got = noise_term_threshold(1.0, 1.0, n // 2, n // 2, d, 1e-9, 1e-9, delta)
+        got = noise_term_threshold(halves(n // 2, d), 1e-9, 1e-9, delta)
         expected = math.sqrt(2.0 / n) * (math.sqrt(d) + math.sqrt(2 * math.log(1 / delta)))
         assert got == pytest.approx(expected, rel=1e-4)
 
     def test_delta_one_drops_log(self):
-        got = noise_term_threshold(1.0, 1.0, 100, 100, 4.0, 0.5, 0.5, 1.0)
+        got = noise_term_threshold(halves(100, 4.0), 0.5, 0.5, 1.0)
         assert got == pytest.approx(math.sqrt(1.0 / 100) * 2.0 * 2.0)
 
     def test_variance_scaling(self):
-        a = noise_term_threshold(1.0, 1.0, 50, 50, 3.0, 0.1, 0.1, 0.1)
-        b = noise_term_threshold(4.0, 4.0, 50, 50, 3.0, 0.1, 0.1, 0.1)
+        a = noise_term_threshold(halves(50, 3.0), 0.1, 0.1, 0.1)
+        b = noise_term_threshold(halves(50, 3.0, lam=4.0), 0.1, 0.1, 0.1)
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
     def test_budget_terms(self):
-        budget = noise_term_failure_budget([1.0], [1.0], 1.0, 1.0, 50, 50,
-                                           4.0, 1.0, 1.0, 4.0, 0.05, 0.01)
-        assert budget > 2 * 0.05 + 0.01
+        r_est = dataclasses.replace(halves(50, 4.0), partition=make_partition(100, 10))
+        spectrum = synthetic_spectrum(r_est.partition)  # unit block moments
+        profile = markov_profile(two_state_flip(0.3), [5])
+        mix = mixing_sum(profile, r_est.partition)
+        assert mix > 0
+        # sum(moments) / (size lam)^(s/2) = 10 / 50^2 per parity, times
+        # C (1 + 9 eps)^s / (r^(s/2) eta^s) = C 10^4 / 16 at eps = eta = 1.
+        poly = fuk_nagaev_constant(1.0, 1.0, 4.0) * 1e4 / 16 * 2 * 10 / 50**2
+        budget = noise_term_failure_budget(r_est, spectrum, profile, 1.0, 1.0, 0.05)
+        assert budget == pytest.approx(2 * 0.05 + mix + poly, rel=1e-12)
         # zero moments contribute nothing even with zero variance
-        trivial = noise_term_failure_budget([0.0], [0.0], 0.0, 0.0, 50, 50,
-                                            4.0, 1.0, 1.0, 4.0, 0.05, 0.0)
+        zero = dataclasses.replace(synthetic_spectrum(make_partition(100, 1)),
+                                   block_snorm_moments=np.zeros(2))
+        trivial = noise_term_failure_budget(halves(50, 4.0, lam=0.0), zero, iid_profile([50]),
+                                            1.0, 1.0, 0.05)
         assert trivial == pytest.approx(0.1)
+
+    def test_budget_at_zero_r(self):
+        # r = 0 drops the polynomial term when every block moment is 0 and
+        # makes it infinite otherwise.
+        r_est = halves(50, 0.0)
+        spectrum = synthetic_spectrum(r_est.partition)
+        profile = iid_profile([50])
+        zero = dataclasses.replace(spectrum, block_snorm_moments=np.zeros(2))
+        assert noise_term_failure_budget(r_est, zero, profile, 0.1, 0.1, 0.05) == 0.1
+        assert noise_term_failure_budget(r_est, spectrum, profile, 0.1, 0.1, 0.05) == math.inf
+
+    def test_budget_needs_one_partition(self):
+        spectrum = synthetic_spectrum(make_partition(100, 10))
+        with pytest.raises(ValueError, match="partition"):
+            noise_term_failure_budget(halves(50, 1.0), spectrum, iid_profile([5]), 0.1, 0.1, 0.05)
 
 
 class TestNoiseSpectrum:
@@ -354,6 +386,34 @@ class TestCltVariance:
         with pytest.raises(ValueError, match="n_mc"):
             clt_variance(spec, population_optimum(spec), [1, 2], n_mc, 7)
 
+    def test_block_length_below_one(self):
+        spec = IIDGaussian(covariate_dim=1)
+        with pytest.raises(ValueError, match="block lengths"):
+            clt_variance(spec, population_optimum(spec), [0, 2], 10, 7)
+
+    def test_one_draw_per_trial_read_by_prefix(self, monkeypatch):
+        spec = GaussianAR((0.5, 0.2), covariate_dim=2, warmup=3)
+        prob = population_optimum(spec)
+        exact = GaussianAR.simulate
+        calls = []
+
+        def recording(self, n, seed):
+            calls.append(n)
+            return exact(self, n, seed)
+
+        monkeypatch.setattr(GaussianAR, "simulate", recording)
+        n_mc, lens = 40, [1, 3, 8]
+        out = clt_variance(spec, prob, lens, n_mc, 5)
+        assert calls == [8] * n_mc
+        # Reference: every length from the first L samples of the same draws.
+        walks = [noise_walk(exact(spec, 8, derive_seed(5, t)), prob).reshape(8, -1)
+                 for t in range(n_mc)]
+        for length in lens:
+            sums = np.array([w[:length].sum(axis=0) for w in walks])
+            centered = sums - sums.mean(axis=0)
+            np.testing.assert_allclose(out[length], centered.T @ centered / n_mc / length,
+                                       rtol=1e-12, atol=1e-15)
+
 
 class TestEstimateR:
     def test_iid_isotropic(self):
@@ -425,10 +485,10 @@ class TestMainBound:
         assert report.csv_header().count(",") + 1 == len(report.csv_row())
 
     def test_delta_domain(self):
-        # Each certificate takes delta in (0, 1), as its second argument.
+        # Each spectrum certificate takes delta in (0, 1), as its second argument.
         part = make_partition(16, 4)
         spectrum, profile = synthetic_spectrum(part), iid_profile(part.lengths)
-        for certificate in (main_bound, corollary_bound, lower_tail_certificate):
+        for certificate in (main_bound, corollary_bound):
             for delta in (0.0, 1.0, -0.1, 16.0):
                 with pytest.raises(ValueError, match="delta"):
                     certificate(spectrum, delta, profile)
@@ -491,32 +551,37 @@ class TestCorollaryBound:
 class TestLowerTailCertificate:
     def test_threshold_arithmetic(self):
         # required_n = c_lower a_max (d_x + h^2 log 10) = 20 (5 + 3 log 10).
-        enough = synthetic_spectrum(make_partition(240, 120))  # singleton blocks
-        report = lower_tail_certificate(enough, 0.1, iid_profile([1]))
+        enough = make_partition(240, 120)  # singleton blocks
+        report = lower_tail_certificate(enough, 5, math.sqrt(3.0), 0.1, iid_profile([1]))
         assert report.required_n == pytest.approx(238.155, abs=0.01)
         assert report.sample_check.value == 240.0 and report.sample_check.holds
-        short = lower_tail_certificate(synthetic_spectrum(make_partition(238, 119)), 0.1,
+        short = lower_tail_certificate(make_partition(238, 119), 5, math.sqrt(3.0), 0.1,
                                        iid_profile([1]))
         assert short.required_n == report.required_n
         assert not short.sample_check.holds
         # c_lower comes from the constants.
-        doubled = lower_tail_certificate(enough, 0.1, iid_profile([1]),
+        doubled = lower_tail_certificate(enough, 5, math.sqrt(3.0), 0.1, iid_profile([1]),
                                          UniversalConstants(c_lower=40.0))
         assert doubled.required_n == pytest.approx(2 * report.required_n, rel=1e-12)
 
     def test_zero_profile_mixing_always_true(self):
         part = make_partition(100, 10)
-        report = lower_tail_certificate(synthetic_spectrum(part, h=1.0, d_x=2), 0.01,
-                                        iid_profile(part.lengths))
+        report = lower_tail_certificate(part, 2, 1.0, 0.01, iid_profile(part.lengths))
         assert report.mixing_check.holds
 
     def test_doubling_block_doubles_requirement(self):
         p1 = make_partition(100, 50)
         p2 = make_partition(100, 25)
         prof1, prof2 = iid_profile(p1.lengths), iid_profile(p2.lengths)
-        r1 = lower_tail_certificate(synthetic_spectrum(p1, h=1.0, d_x=3), 0.1, prof1)
-        r2 = lower_tail_certificate(synthetic_spectrum(p2, h=1.0, d_x=3), 0.1, prof2)
+        r1 = lower_tail_certificate(p1, 3, 1.0, 0.1, prof1)
+        r2 = lower_tail_certificate(p2, 3, 1.0, 0.1, prof2)
         assert r2.required_n == pytest.approx(2 * r1.required_n)
+
+    def test_delta_domain(self):
+        part = make_partition(16, 4)
+        for delta in (0.0, 1.0, -0.1, 16.0):
+            with pytest.raises(ValueError, match="delta"):
+                lower_tail_certificate(part, 5, 1.0, delta, iid_profile(part.lengths))
 
 
 class TestTruncation:

@@ -109,6 +109,10 @@ def any_config(draw):
 VALID_SECTIONS = {"process": {"kind": "iid_gaussian", "covariate_dim": "2"},
                   "fit": {"window": "2"}, "partition": {"tau": "1"},
                   "experiment": {"ns": "300"}, "constants": {"c1": "2"}}
+# A valid window-2 [process] section of the kind that declares each key.
+OTHER_KINDS = {"ar_coeffs": {"kind": "gaussian_ar", "ar_coeffs": "0.5"},
+               "transition": {"kind": "finite_markov", "transition": "0.9, 0.1; 0.2, 0.8",
+                              "emit_x": "1, 0; 0, 1", "emit_y": "1; -1"}}
 
 
 # save_config's text for an AR(2) spec fit with one lag, n_mc and the
@@ -271,9 +275,16 @@ class TestConfig:
         ("partition", "form", "corolary", "corolary"),
         ("experiment", "ns", "1000.5", "1000.5"),
         ("experiment", "block_lens", "1, 2.5", "2.5"),
+        ("constants", "c1", "nan", "nan"),
+        ("experiment", "s", "nan", "nan"),
+        ("experiment", "eps", "nan", "nan"),
+        ("process", "noise_std", "inf", "inf"),
+        ("process", "ar_coeffs", "0.5, nan", "nan"),
+        ("process", "transition", "0.9, 0.1; -inf, 0.8", "-inf"),
     ])
     def test_malformed_config_is_argument_error(self, tmp_path, section, key, value, named):
         sections = {name: dict(items) for name, items in VALID_SECTIONS.items()}
+        sections["process"] = dict(OTHER_KINDS.get(key, sections["process"]))
         sections.setdefault(section, {})[key] = value
         path = tmp_path / "bad.cfg"
         path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
@@ -479,6 +490,20 @@ class TestLowerTail:
                             ns=(5,), trials=100)
         reports = verify_lower_tail(config)
         assert reports[0].frequency <= 0.1
+
+    def test_only_the_trials_draw(self, tmp_path, monkeypatch):
+        exact = IIDGaussian.simulate
+        calls = []
+
+        def recording(self, n, seed):
+            calls.append(n)
+            return exact(self, n, seed)
+
+        monkeypatch.setattr(IIDGaussian, "simulate", recording)
+        config = iid_config(tmp_path, ns=(50, 80), trials=30)
+        reports = verify_lower_tail(config)
+        assert calls == [50] * 30 + [80] * 30
+        assert [r.h for r in reports] == [math.sqrt(3.0)] * 2
 
 
 class TestNoiseWalk:

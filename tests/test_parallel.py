@@ -35,11 +35,6 @@ class TestMapTrials:
         assert sum_x == pytest.approx(sum(t.xs.sum() for t in trajs), rel=1e-12)
         np.testing.assert_allclose(sum_y, sum(t.ys.sum(axis=0) for t in trajs), rtol=1e-12)
 
-    def test_keys_precede_the_trial_index(self):
-        values, _ = map_trials(first_column_and_sums, partial(draw_process, SPEC, 4), 3, 5, 8)
-        want = [simulate(SPEC, 4, derive_seed(5, 8, t)).xs[:, 0] for t in range(3)]
-        np.testing.assert_array_equal(values, want)
-
     def test_totals_start_at_positive_zero(self):
         values, (scalar, vector) = map_trials(negative_zero, partial(draw_process, SPEC, 3), 9, 1)
         assert values.shape == (9, 0)
