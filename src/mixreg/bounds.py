@@ -358,8 +358,9 @@ class UniversalConstants:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "c4", "c5", "c6", "c_lower"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 DEFAULT_CONSTANTS = UniversalConstants()

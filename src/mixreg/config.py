@@ -12,6 +12,7 @@ codec, so a section or key that no field declares is an error.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -145,6 +146,14 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.ns:
             raise ValueError("at least one sample size is required")
+        # eps and eta take the domain that noise_term_threshold enforces, s
+        # the one noise_spectrum enforces; a nan fails each comparison.
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"[experiment] eps must be positive and finite, got {self.eps}")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"[experiment] eta must lie in (0, 1], got {self.eta}")
+        if not 2.0 <= self.moment_s < math.inf:
+            raise ValueError(f"[experiment] s must be >= 2 and finite, got {self.moment_s}")
         if self.bound_form not in BOUND_FORMS:
             raise ValueError(f"[partition] form must be {' or '.join(BOUND_FORMS)}, "
                              f"got {self.bound_form!r}")

@@ -163,6 +163,10 @@ class ARFilter:
     depend on the row count (tests/test_processes.py checks this on the
     BLAS at hand), the group carries are elementwise sums, and a later
     sample only ever meets an earlier one through an exact zero weight.
+
+    An input whose length is a multiple of the chunk length is read in
+    place, not copied into a padded buffer; a caller that owns its samples
+    can draw them into such a buffer (see `GaussianAR._draw`).
     """
 
     def __init__(self, coeffs):
@@ -202,17 +206,22 @@ class ARFilter:
         lead, n = eps.shape[:-1], eps.shape[-1]
         t, p, c, k = math.prod(lead), self.order, self.chunk, SCAN_GROUP
         nch = -(-n // c)
-        e = np.zeros((t, nch * c))
-        e[:, :n] = eps.reshape(t, n)
+        if n == nch * c:
+            e = eps.reshape(t, n)
+        else:
+            e = np.zeros((t, nch * c))
+            e[:, :n] = eps.reshape(t, n)
         y = _gemm(e.reshape(t * nch, c), self._ht)
         if nch > 1:
             # Scan u_0, ..., u_{nch-2} in groups of k: the state before chunk
-            # j + 1 is the state after step j.
+            # j + 1 is the state after step j.  The scan input has at least
+            # two rows, a zero row past the groups if need be, so `_gemm`
+            # never pads a copy of it.
             m = nch - 1
             ng = -(-m // k)
-            u = np.zeros((t, ng * k, p))
-            u[:, :m] = y.reshape(t, nch, c)[:, :-1, ::-1][..., :p]
-            ends = _gemm(u.reshape(t * ng, k * p), self._within).reshape(t, ng, k * p)
+            u = np.zeros((max(t * ng, 2), k * p))
+            u[:t * ng].reshape(t, ng * k, p)[:, :m] = y.reshape(t, nch, c)[:, :-1, ::-1][..., :p]
+            ends = _gemm(u, self._within)[:t * ng].reshape(t, ng, k * p)
             for g in range(1, ng):
                 # Group g starts from the last state of group g - 1.  An
                 # elementwise sum, unlike a product, rounds each row alike
@@ -315,12 +324,24 @@ class GaussianAR(ProcessSpec):
     def _draw(self, rng, n):
         """Run the AR recursion from zero initial values, discarding warmup
         steps; the covariate at time t is the window of the previous
-        covariate_dim values of the series."""
-        eps = rng.standard_normal(self.warmup + n)
-        eps *= self.noise_std
+        covariate_dim values of the series.  The innovations are drawn into
+        a zero buffer of the filter's chunk-padded length, which the filter
+        reads without a copy; with one lag past a warmup, the covariates are
+        a view of the series.  The covariates and targets can then share
+        memory, so the series is made read-only."""
+        total = self.warmup + n
+        eps = np.zeros(self._filter.chunk * -(-total // self._filter.chunk))
+        drawn = eps[:total]
+        rng.standard_normal(out=drawn)
+        drawn *= self.noise_std
         # y_t = sum_k theta_k y_{t-k} + eps_t with zero initial conditions.
-        y = self._filter(eps)
-        return _lagged_design(y, self.covariate_dim, self.warmup), y[self.warmup:, None]
+        y = self._filter(eps)[:total]
+        y.flags.writeable = False
+        if self.covariate_dim == 1 and self.warmup >= 1:
+            xs = y[self.warmup - 1 : total - 1, None]
+        else:
+            xs = _lagged_design(y, self.covariate_dim, self.warmup)
+        return xs, y[self.warmup:, None]
 
     def with_window(self, window: int) -> "GaussianAR":
         return self if window == self.covariate_dim else replace(self, covariate_dim=window)
@@ -606,6 +627,13 @@ def _h_directions(sigma_x: np.ndarray, seed: int) -> np.ndarray:
 # Trajectories
 # ---------------------------------------------------------------------------
 
+def _float_2d(a) -> np.ndarray:
+    """a as a 2-D float64 array, converted only if it is not one already."""
+    if type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64:
+        return a
+    return np.atleast_2d(np.asarray(a, dtype=float))
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A simulated (covariate, target) sequence."""
@@ -614,8 +642,7 @@ class Trajectory:
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
-        ys = np.atleast_2d(np.asarray(self.ys, dtype=float))
+        xs, ys = _float_2d(self.xs), _float_2d(self.ys)
         if xs.shape[0] != ys.shape[0]:
             raise ValueError("xs and ys must have the same length")
         if xs.shape[0] < 1:

@@ -109,17 +109,33 @@ def excess_risk(m: np.ndarray, prob: RegressionProblem) -> float:
     return float(np.sum(diff * diff))
 
 
+def _times(xs: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """xs @ m, as a broadcast multiply when the inner dimension is 1, where
+    the BLAS call costs more than the multiply itself.  The product's sum
+    starts from zero, so a zero term comes out +0.0; adding 0.0 gives the
+    multiply the same signed zeros, and the result matches xs @ m bit for
+    bit."""
+    if m.shape[0] != 1:
+        return xs @ m
+    out = xs * m
+    out += 0.0
+    return out
+
+
 def noise_walk(traj: Trajectory, prob: RegressionProblem) -> np.ndarray:
     """Whitened noise-covariate interactions V_i = W_i X_i' Sigma_X^{-1/2}
     (W_i the residual against the best map), shape (n, d_y, d_x).  Their
     average S_n is `noise_walk(traj, prob).mean(axis=0)`."""
-    w = traj.ys - traj.xs @ prob.m_star.T
-    xw = traj.xs @ prob.whitener
+    w = traj.ys - _times(traj.xs, prob.m_star.T)
+    xw = _times(traj.xs, prob.whitener)
+    if w.shape[1] == 1:
+        xw *= w
+        return xw[:, None, :]
     return w[:, :, None] * xw[:, None, :]
 
 
 def whitened_empirical_covariance(traj: Trajectory, prob: RegressionProblem) -> np.ndarray:
-    xw = traj.xs @ prob.whitener
+    xw = _times(traj.xs, prob.whitener)
     return (xw.T @ xw) / len(traj)
 
 

@@ -484,6 +484,12 @@ class TestMainBound:
             assert name in text
         assert report.csv_header().count(",") + 1 == len(report.csv_row())
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_constants_must_be_positive_and_finite(self, value):
+        for f in dataclasses.fields(UniversalConstants):
+            with pytest.raises(ValueError, match=f.name):
+                UniversalConstants(**{f.name: value})
+
     def test_delta_domain(self):
         # Each spectrum certificate takes delta in (0, 1), as its second argument.
         part = make_partition(16, 4)

@@ -226,10 +226,12 @@ class TestConfig:
         assert (tmp_path / "ar.cfg").read_text() == SAVED_AR
 
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            iid_config(tmp_path, delta=1.5)
-        with pytest.raises(ValueError):
-            iid_config(tmp_path, ns=())
+        for key, value in [("delta", 1.5), ("ns", ()),
+                           ("eps", math.nan), ("eps", 0.0), ("eps", math.inf),
+                           ("eta", math.nan), ("eta", 0.0), ("eta", 1.5),
+                           ("moment_s", math.nan), ("moment_s", 1.5), ("moment_s", math.inf)]:
+            with pytest.raises(ValueError):
+                iid_config(tmp_path, **{key: value})
 
     @settings(max_examples=40, deadline=None)
     @given(config=any_config())

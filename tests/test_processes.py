@@ -23,6 +23,7 @@ from mixreg.processes import (
     stationary_covariance,
     stationary_distribution,
     stationary_state_covariance,
+    Trajectory,
     two_state_flip,
 )
 from mixreg.processes import _h_directions, _lagged_design
@@ -229,6 +230,24 @@ class TestGaussianAR:
         np.testing.assert_allclose(
             traj.xs, self.full_lagged_design(y, spec.covariate_dim)[spec.warmup:], rtol=1e-13)
         np.testing.assert_allclose(traj.ys, y[spec.warmup:, None], rtol=1e-13)
+
+    @pytest.mark.parametrize("spec", [
+        GaussianAR((0.5, 0.2), noise_std=1.3, covariate_dim=1, warmup=85),
+        GaussianAR((0.5, 0.2), noise_std=1.3, covariate_dim=1, warmup=0),
+        GaussianAR((0.4, 0.1, -0.2), noise_std=0.7, covariate_dim=3, warmup=2),
+    ])
+    @pytest.mark.parametrize("n", [1, FILTER_CHUNK - 1, FILTER_CHUNK, FILTER_CHUNK + 1,
+                                   2112, 10_000])
+    def test_draw_is_the_filter_composition_bit_for_bit(self, spec, n):
+        # Reference: filter a fresh scaled noise array, then build the design.
+        seed = 3
+        eps = spec.noise_std * np.random.default_rng(seed).standard_normal(spec.warmup + n)
+        y = ARFilter(spec.ar_coeffs)(eps)
+        traj = simulate(spec, n, seed)
+        want_xs = _lagged_design(y, spec.covariate_dim, spec.warmup)
+        assert traj.xs.shape == want_xs.shape and traj.ys.shape == (n, 1)
+        assert traj.xs.tobytes() == want_xs.tobytes()
+        assert traj.ys.tobytes() == y[spec.warmup:, None].tobytes()
 
 
 def ar_coeffs_with_roots(*roots):
@@ -496,9 +515,17 @@ class TestTrajectory:
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(traj.xs[0, 0])
 
+    def test_inputs_become_2d_float(self):
+        traj = Trajectory(xs=np.arange(6).reshape(3, 2), ys=np.arange(3, dtype=np.float32)[:, None])
+        assert traj.xs.dtype == traj.ys.dtype == np.float64
+        np.testing.assert_array_equal(traj.xs, [[0, 1], [2, 3], [4, 5]])
+        flat = Trajectory(xs=np.arange(4), ys=[0.5, 1, 2, 3])
+        assert flat.xs.shape == flat.ys.shape == (1, 4) and flat.xs.dtype == np.float64
+        xs = np.ones((3, 1))
+        assert Trajectory(xs=xs, ys=xs).xs is xs
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            from mixreg.processes import Trajectory
             Trajectory(xs=np.zeros((3, 1)), ys=np.zeros((2, 1)))
 
 

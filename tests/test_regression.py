@@ -28,6 +28,7 @@ from mixreg.regression import (
     population_optimum,
     whitened_empirical_covariance,
 )
+from mixreg.regression import _times
 
 
 def random_problem(rng, d_x, d_y):
@@ -270,17 +271,49 @@ class TestCachedRoots:
         np.testing.assert_array_equal(noise_walk(traj, prob), ref)
 
 
+def with_signed_zeros(traj):
+    """The trajectory with covariates of exact +0.0 and -0.0 in half of the
+    rows, where a plain multiply and a BLAS product differ in the sign of a
+    zero.  The targets of those rows are made positive: their walk entries
+    are then +0.0 exactly when the whitened covariates are, as in einsum."""
+    xs, ys = traj.xs.copy(), traj.ys.copy()
+    xs[0::4] = 0.0
+    xs[1::4] = -0.0
+    ys[0::4] = np.abs(ys[0::4])
+    ys[1::4] = np.abs(ys[1::4])
+    return Trajectory(xs=xs, ys=ys)
+
+
 class TestNoiseWalk:
-    @pytest.mark.parametrize("d_x, d_y", [(1, 1), (3, 1), (2, 4)])
+    @pytest.mark.parametrize("d_x, d_y", [(1, 1), (3, 1), (2, 4), (1, 3)])
     def test_matches_the_einsum_outer_product_bit_for_bit(self, d_x, d_y):
         rng = np.random.default_rng(10 * d_x + d_y)
         prob = random_problem(rng, d_x, d_y)
-        traj = random_trajectory(rng, 57, d_x, d_y)
+        traj = with_signed_zeros(random_trajectory(rng, 57, d_x, d_y))
         w = traj.ys - traj.xs @ prob.m_star.T
         ref = np.einsum("ni,nj->nij", w, traj.xs @ prob.whitener)
         v = noise_walk(traj, prob)
         assert v.shape == (57, d_y, d_x)
         assert v.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1)])
+    def test_one_column_products_match_the_matrix_product_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape)
+        xs = rng.standard_normal((40, shape[0]))
+        xs[0::4] = 0.0
+        xs[1::4] = -0.0
+        m = rng.standard_normal(shape)
+        for sign in (1.0, -1.0):
+            assert _times(xs, sign * m).tobytes() == (xs @ (sign * m)).tobytes()
+
+    @pytest.mark.parametrize("d_x", [1, 3])
+    def test_whitened_covariance_matches_the_matrix_product_bit_for_bit(self, d_x):
+        rng = np.random.default_rng(d_x)
+        prob = random_problem(rng, d_x, 1)
+        traj = with_signed_zeros(random_trajectory(rng, 57, d_x, 1))
+        xw = traj.xs @ prob.whitener
+        ref = (xw.T @ xw) / 57
+        assert whitened_empirical_covariance(traj, prob).tobytes() == ref.tobytes()
 
     def test_noiseless_realizable_zero(self):
         coef = np.array([[1.0, -2.0]])
