@@ -133,13 +133,11 @@ def decoupling_gap_bound(profile: MixingProfile, partition: BlockPartition,
     blocks except the last for functions of the odd blocks, odd blocks
     except the first for functions of the even blocks); the all_blocks form
     charges every block, as needed when both parities are controlled at
-    once.
+    once.  Both are `MixingProfile.beta_sum` over block lengths: the
+    interior form is `mixing.mixing_sum`.
     """
     if form == INTERIOR:
         return mixing_sum(profile, partition)
     if form != ALL_BLOCKS:
         raise ValueError(f"unknown form {form!r}")
-    missing = sorted({g for g in partition.lengths if g not in profile.coefficients})
-    if missing:
-        raise ValueError(f"profile missing coefficients for gaps {missing}")
-    return float(sum(profile.coefficients[g] for g in partition.lengths))
+    return profile.beta_sum(partition.lengths)

@@ -37,15 +37,9 @@ def _require_trials(n_mc: int, floor: int) -> None:
 
 def bernstein_threshold(n: int, var: float, b: float, delta: float) -> float:
     """Deviation level of the mean of n iid mean-zero b-bounded variables at
-    confidence 1 - delta: 2 sqrt(var log(1/d) / n) + 4 b log(1/d) / (3n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if var < 0 or b <= 0:
-        raise ValueError("need var >= 0 and b > 0")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    log_term = math.log(1.0 / delta)
-    return 2.0 * math.sqrt(var * log_term / n) + 4.0 * b * log_term / (3.0 * n)
+    confidence 1 - delta: 2 sqrt(var log(1/d) / n) + 4 b log(1/d) / (3n),
+    the blocked threshold with blocks of one sample."""
+    return blocked_bernstein_threshold(n, 1, var, b, delta)
 
 
 def blocked_bernstein_threshold(n: int, k: int, blockvar: float, b: float,
@@ -53,12 +47,14 @@ def blocked_bernstein_threshold(n: int, k: int, blockvar: float, b: float,
     """Blocked variant: variables are summed over length-k blocks, so the
     large-deviations term is inflated by k while the leading term keeps the
     per-block normalized variance blockvar = E(block sum)^2 / k."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     if n % k != 0:
         raise ValueError(f"block length {k} must divide n = {n}")
     if blockvar < 0 or b <= 0:
-        raise ValueError("need blockvar >= 0 and b > 0")
+        raise ValueError("need a variance >= 0 and b > 0")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     log_term = math.log(1.0 / delta)
@@ -501,7 +497,7 @@ def corollary_bound(spectrum: NoiseSpectrum, delta: float, profile: MixingProfil
 
     block_moment = float(np.mean(spectrum.block_snorm_moments)) / (tau * d_x) ** (s / 2.0)
     ratio_n = n / tau
-    mix = ratio_n * profile.beta(tau)
+    mix = ratio_n * profile.beta_sum((tau,))
     checks = _shared_burnins(ratio_n, d_x, spectrum.h, s, block_moment, spectrum.sigma2,
                              mix, delta, c)
     return BoundReport(bound_value=float(bound), checks=checks,

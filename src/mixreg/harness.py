@@ -21,6 +21,7 @@ from .bounds import (
     LowerTailReport,
     REstimate,
     estimate_r,
+    fuk_nagaev_constant,
     lower_tail_certificate,
     main_bound,
     noise_spectrum,
@@ -73,6 +74,12 @@ def _trial_risk(prob: RegressionProblem, traj):
         return np.inf, (1,)
 
 
+def _partitions(config: ExperimentConfig) -> list[tuple[int, BlockPartition]]:
+    """(n, partition) for every sample size, all resolved before the caller's
+    first draw, so a partition rule that fails at a later n fails at once."""
+    return [(n, config.partition_for(n)) for n in config.ns]
+
+
 def _run_trials(statistic, config: ExperimentConfig, prob: RegressionProblem, n: int):
     """statistic(prob, traj) over the config's trials at sample size n:
     values in trial order and summed totals, as from `map_trials`."""
@@ -123,8 +130,7 @@ def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageReport
         raise ValueError("coverage experiments need at least 100 trials")
     prob = population_for(config)
     reports = []
-    for n in config.ns:
-        partition = config.partition_for(n)
+    for n, partition in _partitions(config):
         spectrum = _spectrum_for(config, prob, partition, n)
         profile = profile_for(config, partition)
         bound = main_bound(spectrum, config.delta, profile, config.constants)
@@ -217,8 +223,7 @@ def verify_lower_tail(config: ExperimentConfig, out_path=None) -> list[LowerTail
     eigenvalues above one half, against the certificate's prerequisites."""
     prob = population_for(config)
     out = []
-    for n in config.ns:
-        partition = config.partition_for(n)
+    for n, partition in _partitions(config):
         h = config.process.fourth_moment_constant(
             prob.sigma_x, n, derive_seed(config.seed, n, SPECTRUM_STREAM))
         cert = lower_tail_certificate(partition, prob.d_x, h, config.delta,
@@ -256,11 +261,12 @@ def _walk_norm(prob: RegressionProblem, traj):
 def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalkReport]:
     """Compare the dependent random-walk threshold (with Monte Carlo weak
     variances and mean-norm ratio from decoupled resamples) against the
-    empirical exceedance of the coupled noise walk."""
+    empirical exceedance of the coupled noise walk.  The partitions and the
+    Fuk-Nagaev constant (which needs s > 2) are checked before any draw."""
+    fuk_nagaev_constant(config.eps, config.eta, config.moment_s)
     prob = population_for(config)
     out = []
-    for n in config.ns:
-        partition = config.partition_for(n)
+    for n, partition in _partitions(config):
         r_est = estimate_r(config.process, prob, partition, config.n_mc,
                            derive_seed(config.seed, n, DECOUPLED_STREAM))
         spectrum = _spectrum_for(config, prob, partition, n)

@@ -43,11 +43,15 @@ class MixingProfile:
                 raise ValueError(f"beta({g}) = {b} outside [0, 1]")
         object.__setattr__(self, "coefficients", coeffs)
 
-    def beta(self, gap: int) -> float:
-        try:
-            return self.coefficients[int(gap)]
-        except KeyError:
-            raise ValueError(f"profile has no coefficient for gap {gap}") from None
+    def beta_sum(self, gaps: tuple[int, ...]) -> float:
+        """Sum of beta over the gaps, one term per entry; a ValueError names
+        every gap the profile has no coefficient for.  The one lookup of
+        beta values: `mixing_sum`, `blocking.decoupling_gap_bound` and the
+        corollary bound's beta(tau) all read the profile through it."""
+        missing = sorted({g for g in gaps if g not in self.coefficients})
+        if missing:
+            raise ValueError(f"profile missing coefficients for gaps {missing}")
+        return float(sum(self.coefficients[g] for g in gaps))
 
     def is_nonincreasing(self) -> bool:
         gaps = sorted(self.coefficients)
@@ -180,9 +184,6 @@ def profile_from_spec(spec: ProcessSpec, gaps) -> MixingProfile:
 
 def mixing_sum(profile: MixingProfile, partition: "BlockPartition") -> float:
     """Sum of beta over the interior blocks (all but the first and last), the
-    quantity compared against the mixing budget in the burn-in conditions."""
-    interior = partition.lengths[1:-1]
-    missing = sorted({g for g in interior if g not in profile.coefficients})
-    if missing:
-        raise ValueError(f"profile missing coefficients for gaps {missing}")
-    return float(sum(profile.coefficients[g] for g in interior))
+    quantity compared against the mixing budget in the burn-in conditions:
+    `MixingProfile.beta_sum` over the interior block lengths."""
+    return profile.beta_sum(partition.lengths[1:-1])

@@ -90,14 +90,12 @@ def _check_gram(gram: np.ndarray) -> None:
 
 
 def fit_ols(traj: Trajectory) -> np.ndarray:
-    """Least-squares map (sum Y X') (sum X X')^{-1}, solved through a QR
-    factorization of the Gram matrix."""
+    """Least-squares map (sum Y X') (sum X X')^{-1}: one solve of the normal
+    equations, after `_check_gram` has rejected a near-singular Gram matrix."""
     xs, ys = traj.xs, traj.ys
     gram = xs.T @ xs
     _check_gram(gram)
-    cross = ys.T @ xs
-    q, r = np.linalg.qr(gram)
-    return np.linalg.solve(r, q.T @ cross.T).T
+    return np.linalg.solve(gram, (ys.T @ xs).T).T
 
 
 def excess_risk(m: np.ndarray, prob: RegressionProblem) -> float:
@@ -154,13 +152,12 @@ def error_identity_check(traj: Trajectory, prob: RegressionProblem) -> float:
 
         (M_hat - M_star) sqrt(Sigma_X) = S_n (whitened empirical cov)^{-1},
 
-    which holds algebraically for any nonsingular design.
+    which holds algebraically for any nonsingular design.  Both sides are
+    read from `evaluate_fit`.
     """
-    m_hat = fit_ols(traj)
-    lhs = (m_hat - prob.m_star) @ prob.sqrt_sigma_x
-    s_n = noise_walk(traj, prob).mean(axis=0)
-    emp = whitened_empirical_covariance(traj, prob)
-    rhs = s_n @ np.linalg.inv(emp)
+    fit = evaluate_fit(traj, prob)
+    lhs = (fit.m_hat - prob.m_star) @ prob.sqrt_sigma_x
+    rhs = fit.s_n @ np.linalg.inv(fit.emp_cov_whitened)
     return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
 
 

@@ -88,6 +88,13 @@ class TestBernstein:
         with pytest.raises(ValueError):
             bernstein_threshold(10, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_n_domain(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            bernstein_threshold(n, 1.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            blocked_bernstein_threshold(n, 1, 1.0, 1.0, 0.1)
+
 
 class TestEdim:
     def test_identity(self):

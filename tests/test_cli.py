@@ -168,6 +168,37 @@ def test_corollary_bound_on_unequal_blocks_exits_1(tmp_path, capsys, monkeypatch
     assert lengths in capsys.readouterr().err
 
 
+def no_draws(monkeypatch):
+    def no_simulate(self, n, seed):
+        raise AssertionError("a trajectory was drawn before the config was checked")
+
+    monkeypatch.setattr(IIDGaussian, "simulate", no_simulate)
+
+
+@pytest.mark.parametrize("command", ["coverage", "lower-tail", "noise-walk"])
+def test_partition_for_a_later_n_fails_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                       command):
+    no_draws(monkeypatch)
+    cfg = tmp_path / "lengths.cfg"
+    cfg.write_text(
+        "[process]\nkind = iid_gaussian\ncovariate_dim = 2\n"
+        "[partition]\nlengths = 100, 100, 100, 100\n"
+        f"[experiment]\nns = 400, 800\ntrials = 100\nn_mc = 1000\nout = {tmp_path}\n")
+    assert cli_main([command, "--config", str(cfg)]) == 1
+    assert "cover 400 samples, need 800" in capsys.readouterr().err
+    assert not (tmp_path / CSV_OF[command]).exists()
+
+
+def test_noise_walk_with_s_2_fails_before_any_draw(iid_cfg, tmp_path, capsys, monkeypatch):
+    iid_cfg.write_text(iid_cfg.read_text() + "s = 2\n")
+    with monkeypatch.context() as patch:
+        no_draws(patch)
+        assert cli_main(["noise-walk", "--config", str(iid_cfg)]) == 1
+    assert "s must exceed 2" in capsys.readouterr().err
+    # The coverage bound needs only s >= 2.
+    assert cli_main(["coverage", "--config", str(iid_cfg)]) == 0
+
+
 def test_clt_on_noiseless_iid_exits_0(tmp_path, capsys):
     cfg = tmp_path / "noiseless.cfg"
     cfg.write_text(
