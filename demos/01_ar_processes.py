@@ -12,7 +12,7 @@ from mixreg import (
     conditional_gaussian,
     default_warmup,
     gramian,
-    stationary_covariance,
+    simulate,
 )
 
 # An AR(2) process y_t = 0.5 y_{t-1} + 0.2 y_{t-2} + eps_t, fit later with a
@@ -20,7 +20,7 @@ from mixreg import (
 spec = GaussianAR((0.5, 0.2), covariate_dim=1)
 print("order:", spec.order, "| covariate window:", spec.covariate_dim)
 
-traj = spec.simulate(200_000, seed=1)
+traj = simulate(spec, 200_000, seed=1)
 print("sample variance:", round(traj.ys.var(), 4))
 
 # The companion form stacks (y_t, y_{t-1}, y_{t-2}); its top row carries the
@@ -37,9 +37,14 @@ state = np.array([1.0, 0.3, -0.2])
 mean, var = conditional_gaussian(a, state, k=3)
 print(f"y three steps ahead of {state}: N({mean:.4f}, {var:.4f})")
 
-# The stationary covariance of the covariate window solves a Lyapunov
-# equation; for the one-lag window it is just the stationary variance.
-print("stationary covariate covariance:", stationary_covariance(spec))
+# The stationary state covariance S solves the Lyapunov equation
+# S = A S A' + sigma^2 e1 e1'.  The spec solves it once, on the (p+1)
+# companion, and extends the autocovariances past p by the AR recursion.
+# The covariate window's covariance is the leading block of S, the first
+# output of `spec.optimum()`; for the one-lag window it is the stationary
+# variance.
+print("stationary state covariance:\n", spec.state_covariance)
+print("stationary covariate covariance:", spec.optimum()[0])
 
 # Warm starts discard a transient so the simulated trajectory is close to
 # stationary; the default length comes from the spectral gap.

@@ -6,9 +6,9 @@ import numpy as np
 from mixreg import (
     block_sums,
     decoupled_resample,
-    decoupling_gap_bound,
     make_partition,
     markov_profile,
+    mixing_sum,
     two_state_flip,
 )
 
@@ -42,9 +42,8 @@ print("within-block lag-1 correlation (coupled value 0.4):",
       round(np.corrcoef(within[:, 0], within[:, 1])[0, 1], 3))
 
 # Swapping the true process for its decoupled version costs an additive
-# failure probability: the sum of beta over the interior blocks.
+# failure probability: the sum of beta over the interior blocks, or over
+# every block when both parities are controlled at once.
 profile = markov_profile(chain, sorted(set(part.lengths)))
-print("decoupling budget (interior form):",
-      round(decoupling_gap_bound(profile, part), 6))
-print("decoupling budget (all blocks):",
-      round(decoupling_gap_bound(profile, part, form="all_blocks"), 6))
+print("decoupling budget (interior form):", round(mixing_sum(profile, part), 6))
+print("decoupling budget (all blocks):", round(profile.beta_sum(part.lengths), 6))

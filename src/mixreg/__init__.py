@@ -9,7 +9,6 @@ from .blocking import (
     BlockPartition,
     block_sums,
     decoupled_resample,
-    decoupling_gap_bound,
     make_partition,
     uniform_partition,
 )
@@ -76,9 +75,7 @@ from .processes import (
     gramian,
     simulate,
     solve_lyapunov,
-    stationary_covariance,
     stationary_distribution,
-    stationary_state_covariance,
     two_state_flip,
 )
 from .regression import (

@@ -8,11 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mixing import MixingProfile, mixing_sum
 from .processes import ProcessSpec, Trajectory, derive_seed, simulate
-
-INTERIOR = "interior"
-ALL_BLOCKS = "all_blocks"
 
 
 @dataclass(frozen=True)
@@ -123,21 +119,3 @@ def decoupled_resample(spec: ProcessSpec, partition: BlockPartition, seed: int) 
         del block_traj  # free this draw before the next one is simulated
     return Trajectory(xs=xs, ys=ys)
 
-
-def decoupling_gap_bound(profile: MixingProfile, partition: BlockPartition,
-                         form: str = INTERIOR) -> float:
-    """Additive failure-probability budget for replacing the coupled process
-    with its decoupled version.
-
-    The interior form charges beta over the interior blocks only (even
-    blocks except the last for functions of the odd blocks, odd blocks
-    except the first for functions of the even blocks); the all_blocks form
-    charges every block, as needed when both parities are controlled at
-    once.  Both are `MixingProfile.beta_sum` over block lengths: the
-    interior form is `mixing.mixing_sum`.
-    """
-    if form == INTERIOR:
-        return mixing_sum(profile, partition)
-    if form != ALL_BLOCKS:
-        raise ValueError(f"unknown form {form!r}")
-    return profile.beta_sum(partition.lengths)

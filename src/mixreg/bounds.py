@@ -53,8 +53,8 @@ def blocked_bernstein_threshold(n: int, k: int, blockvar: float, b: float,
         raise ValueError("k must be >= 1")
     if n % k != 0:
         raise ValueError(f"block length {k} must divide n = {n}")
-    if blockvar < 0 or b <= 0:
-        raise ValueError("need a variance >= 0 and b > 0")
+    if not (0.0 <= blockvar < math.inf and 0.0 < b < math.inf):
+        raise ValueError("need a finite variance >= 0 and a finite b > 0")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     log_term = math.log(1.0 / delta)
@@ -72,8 +72,8 @@ def edim(m: np.ndarray) -> float:
 
 def phi_tau(u, tau: float):
     """Quadratic capped at tau^2: u^2 for |u| <= tau, else tau^2."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     out = np.minimum(np.square(np.asarray(u, dtype=float)), tau * tau)
     return float(out) if out.ndim == 0 else out
 
@@ -85,12 +85,12 @@ def phi_tau(u, tau: float):
 def fuk_nagaev_constant(eps: float, eta: float, s: float) -> float:
     """Constant multiplying the polynomial tail:
     1 + (2s/e)^{2s} (2 (1 + 2/eps)(3 + 4/eta))^2 + eps^{-s}."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    if s <= 2:
-        raise ValueError("s must exceed 2")
+    if not 2.0 < s < math.inf:
+        raise ValueError("s must exceed 2 and be finite")
     poly = (2.0 * s / math.e) ** (2.0 * s)
     bracket = (2.0 * (1.0 + 2.0 / eps) * (3.0 + 4.0 / eta)) ** 2
     return 1.0 + poly * bracket + eps ** (-s)
@@ -100,10 +100,10 @@ def fuk_nagaev_tail(lam: float, moments_s, t: float, eps: float, eta: float,
                     s: float) -> float:
     """Right-hand side of the mixed tail for norms of sums of independent
     vectors: exp(-t^2 / ((2+eta) lam)) + C sum_i E||U_i||^s / t^s."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if lam <= 0:
-        raise ValueError("weak variance must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("weak variance must be positive and finite")
     c = fuk_nagaev_constant(eps, eta, s)
     poly = c * float(np.sum(np.asarray(moments_s, dtype=float))) / t**s
     return math.exp(-t * t / ((2.0 + eta) * lam)) + poly
@@ -299,8 +299,8 @@ def noise_term_threshold(r_est: REstimate, eps: float, eta: float, delta: float)
     times ((1+2 eta) sqrt(r) + (1+9 eps) sqrt((2+eta) log(1/delta)))."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    if eps <= 0 or not 0.0 < eta <= 1.0:
-        raise ValueError("need eps > 0 and eta in (0, 1]")
+    if not (0.0 < eps < math.inf and 0.0 < eta <= 1.0):
+        raise ValueError("need a finite eps > 0 and eta in (0, 1]")
     body = (1.0 + 2.0 * eta) * math.sqrt(r_est.r) \
         + (1.0 + 9.0 * eps) * math.sqrt((2.0 + eta) * math.log(1.0 / delta))
     size_odd, size_even = r_est.partition.parity_sizes
@@ -588,8 +588,8 @@ def truncation_mass_check(spec: ProcessSpec, prob: RegressionProblem,
     The direction is normalized onto v' Sigma_X v = 1 and h is estimated
     along that direction from the same sample.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     start, stop = block
     if not 0 <= start < stop:
         raise ValueError("invalid block range")

@@ -11,14 +11,12 @@ import numpy as np
 
 from .csvfile import write_csv
 from .processes import (
-    ROW_SUM_TOL,
     FiniteMarkov,
     GaussianAR,
     ProcessSpec,
-    companion,
     gramian,
     stationary_distribution,
-    stationary_state_covariance,
+    validate_transition,
 )
 
 if TYPE_CHECKING:
@@ -46,8 +44,10 @@ class MixingProfile:
     def beta_sum(self, gaps: tuple[int, ...]) -> float:
         """Sum of beta over the gaps, one term per entry; a ValueError names
         every gap the profile has no coefficient for.  The one lookup of
-        beta values: `mixing_sum`, `blocking.decoupling_gap_bound` and the
-        corollary bound's beta(tau) all read the profile through it."""
+        beta values: `mixing_sum` and the corollary bound's beta(tau) read
+        the profile through it.  Over every block length,
+        `beta_sum(partition.lengths)` is the all-blocks decoupling budget
+        (see `mixing_sum`)."""
         missing = sorted({g for g in gaps if g not in self.coefficients})
         if missing:
             raise ValueError(f"profile missing coefficients for gaps {missing}")
@@ -91,22 +91,24 @@ def beta_markov_exact(transition: np.ndarray, gap: int) -> float:
     Conditioning on the full past reduces to conditioning on the current
     state by the Markov property.
     """
+    p = validate_transition(transition)
+    return _beta_markov(p, stationary_distribution(p), gap)
+
+
+def _beta_markov(p: np.ndarray, pi: np.ndarray, gap: int) -> float:
+    """`beta_markov_exact` for a validated transition p of stationary law pi."""
     if gap < 1:
         raise ValueError("gap must be >= 1")
-    p = np.asarray(transition, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("transition must be a square matrix")
-    if (p < 0).any() or np.abs(p.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-        raise ValueError("transition must be row-stochastic")
-    pi = stationary_distribution(p)
     p_gap = np.linalg.matrix_power(p, gap)
     tv_per_state = 0.5 * np.abs(p_gap - pi[None, :]).sum(axis=1)
     return float(pi @ tv_per_state)
 
 
 def markov_profile(spec: FiniteMarkov, gaps) -> MixingProfile:
-    coeffs = {int(g): beta_markov_exact(spec.transition, int(g)) for g in gaps}
-    return MixingProfile(coeffs)
+    """Exact beta at every gap, from the spec's validated transition and its
+    cached stationary law."""
+    return MixingProfile({int(g): _beta_markov(spec.transition, spec.stationary, int(g))
+                          for g in gaps})
 
 
 # ---------------------------------------------------------------------------
@@ -128,28 +130,20 @@ def expected_kl_ar(spec: GaussianAR, t: int | None, k: int) -> float:
     The bound is e1' A^k S_{t+1} (A^k)' e1 with S the unit-noise state
     covariance at time t+1; the innovation variance cancels between the
     numerators and the (>= noise variance) denominators.  t=None takes the
-    stationary limit, which dominates every finite t for the zero-initialized
-    process.
+    stationary limit, the spec's `state_covariance`, which dominates every
+    finite t for the zero-initialized process.
     """
     if t is not None and t < 0:
         raise ValueError("t must be >= 0")
-    a = companion(spec.ar_coeffs)
-    if t is None:
-        state_cov = stationary_state_covariance(spec) / spec.noise_std**2
-    else:
-        state_cov = gramian(a, t + 1)
-    return _expected_kl(a, state_cov, k)
-
-
-def _expected_kl(a: np.ndarray, state_cov: np.ndarray, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
+    a = spec._state_companion()
+    if t is None:
+        state_cov = spec.state_covariance / spec.noise_std**2
+    else:
+        state_cov = gramian(a, t + 1)
     a_k = np.linalg.matrix_power(a, k)
     return float((a_k @ state_cov @ a_k.T)[0, 0])
-
-
-def _pinsker_beta(kl: float) -> float:
-    return float(min(1.0, np.sqrt(kl / 2.0)))
 
 
 def beta_ar_kl_bound(spec: GaussianAR, t: int | None, k: int) -> float:
@@ -159,17 +153,13 @@ def beta_ar_kl_bound(spec: GaussianAR, t: int | None, k: int) -> float:
 
     clipped to [0, 1] since total variation never exceeds 1.
     """
-    return _pinsker_beta(expected_kl_ar(spec, t, k))
+    return float(min(1.0, np.sqrt(expected_kl_ar(spec, t, k) / 2.0)))
 
 
 def gaussian_ar_profile(spec: GaussianAR, gaps) -> MixingProfile:
     """Profile of KL-route bounds in the stationary limit, which dominates
-    every conditioning time t of the zero-initialized process.  The
-    stationary state covariance is solved once for all gaps."""
-    a = companion(spec.ar_coeffs)
-    state_cov = stationary_state_covariance(spec) / spec.noise_std**2
-    coeffs = {g: _pinsker_beta(_expected_kl(a, state_cov, g)) for g in map(int, gaps)}
-    return MixingProfile(coeffs)
+    every conditioning time t of the zero-initialized process."""
+    return MixingProfile({g: beta_ar_kl_bound(spec, None, g) for g in map(int, gaps)})
 
 
 def profile_from_spec(spec: ProcessSpec, gaps) -> MixingProfile:
@@ -185,5 +175,13 @@ def profile_from_spec(spec: ProcessSpec, gaps) -> MixingProfile:
 def mixing_sum(profile: MixingProfile, partition: "BlockPartition") -> float:
     """Sum of beta over the interior blocks (all but the first and last), the
     quantity compared against the mixing budget in the burn-in conditions:
-    `MixingProfile.beta_sum` over the interior block lengths."""
+    `MixingProfile.beta_sum` over the interior block lengths.
+
+    It is also the interior decoupling budget: replacing the process with
+    its blockwise-decoupled version costs an additive failure probability of
+    beta over the interior blocks only (the even blocks except the last for
+    functions of the odd blocks, the odd blocks except the first for
+    functions of the even blocks).  The all-blocks budget, which charges
+    every block as needed when both parities are controlled at once, is
+    `profile.beta_sum(partition.lengths)`."""
     return profile.beta_sum(partition.lengths[1:-1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -240,18 +241,13 @@ class ARFilter:
 class ProcessSpec:
     """Base of the process kinds.  A kind is one frozen dataclass that sets
     its config name `kind` and implements `_draw(rng, n)` (the covariate and
-    target arrays), `_stationary_optimum()` and `mixing_profile(gaps)`; only
-    Gaussian AR specs override `with_window` and the finite horizon of
-    `optimum`, and the base `fourth_moment_constant`, exact for stationary
-    Gaussian covariates, is overridden by the AR and Markov kinds.
+    target arrays, read by `simulate`) and `mixing_profile(gaps)`.  Gaussian
+    AR overrides `optimum`, with a finite horizon and its cached stationary
+    state covariance, and `with_window`; the other kinds implement
+    `_stationary_optimum()`.  The base `fourth_moment_constant`, exact for
+    stationary Gaussian covariates, is overridden by the AR and Markov kinds.
     `mixing_profile` imports from mixing.py when called, since that module
     imports this one."""
-
-    def simulate(self, n: int, seed: int) -> "Trajectory":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        xs, ys = self._draw(np.random.default_rng(seed), n)
-        return Trajectory(xs=xs, ys=ys)
 
     def with_window(self, window: int) -> "ProcessSpec":
         """The same process regressed on a covariate window of this size."""
@@ -272,7 +268,7 @@ class ProcessSpec:
         Kinds that take the sup over the `_h_directions` grid draw it from
         the seed.  Here, for stationary Gaussian covariates of covariance C,
         it is the closed form 3 lambda_max(sigma_x^{-1} C): 3 if sigma_x = C."""
-        cov = self._stationary_optimum()[0]
+        cov = self.optimum()[0]
         chol = np.linalg.cholesky(sigma_x)
         whitened = np.linalg.solve(chol, np.linalg.solve(chol, cov).T)
         return math.sqrt(3.0 * opnorm_psd(whitened))
@@ -300,8 +296,10 @@ class GaussianAR(ProcessSpec):
         object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in np.atleast_1d(self.ar_coeffs)))
         if len(self.ar_coeffs) < 1:
             raise ValueError("ar_coeffs must be non-empty")
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be positive")
+        if not np.isfinite(self.ar_coeffs).all():
+            raise ValueError("ar_coeffs must be finite")
+        if not 0.0 < self.noise_std < math.inf:
+            raise ValueError("noise_std must be positive and finite")
         if self.covariate_dim == 0:
             object.__setattr__(self, "covariate_dim", len(self.ar_coeffs))
         if self.covariate_dim < 1:
@@ -346,38 +344,31 @@ class GaussianAR(ProcessSpec):
     def with_window(self, window: int) -> "GaussianAR":
         return self if window == self.covariate_dim else replace(self, covariate_dim=window)
 
-    def _stationary_optimum(self):
-        # Yule-Walker on the stationary autocovariances.
-        m = self.covariate_dim
-        gamma = autocovariances(self, m)
-        sigma_x = _toeplitz(gamma[:m])
-        if min_eig(sigma_x) <= EIG_FLOOR:
-            raise ValueError("autocovariance matrix is not positive definite")
-        return sigma_x, np.linalg.solve(sigma_x, gamma[1:])[None, :]
-
     def optimum(self, horizon: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """With a horizon: the exact uniform mixture over that many sample
-        times of the (possibly zero-initialized) trajectory instead of the
-        stationary law.
+        """Yule-Walker on `state_covariance`; with a horizon, the exact
+        uniform mixture over that many sample times of the (possibly
+        zero-initialized) trajectory instead of the stationary law.
 
         The covariate at time t is the leading window of the state one step
-        back, so the mixture moments follow from Cov(x_j) and Cov(x_{j+1}, x_j)
-        = A Cov(x_j).  States j = warmup .. warmup + horizon - 1 feed the
-        samples, and Cov(x_j) = sigma^2 sum_{i<j} A^i e1 e1' (A^i)', so the
-        summed covariance weighs term i by the number of those j above i."""
-        if horizon is None:
-            return self._stationary_optimum()
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        window = self.covariate_dim
+        back, so both follow from a state covariance S as sigma_x = S[:w, :w]
+        and Cov(x_{j+1}, x_j) = A S.  For the mixture, states j = warmup ..
+        warmup + horizon - 1 feed the samples, and Cov(x_j) = sigma^2
+        sum_{i<j} A^i e1 e1' (A^i)', so the summed covariance weighs term i
+        by the number of those j above i."""
         a = self._state_companion()
-        k = self.warmup + horizon - 1
-        r = impulse_response(a, k)
-        weights = np.minimum(horizon, k - np.arange(k))
-        mean_cov = self.noise_std**2 * (r * weights) @ r.T / horizon
+        if horizon is None:
+            mean_cov = self.state_covariance
+        elif horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        else:
+            k = self.warmup + horizon - 1
+            r = impulse_response(a, k)
+            weights = np.minimum(horizon, k - np.arange(k))
+            mean_cov = self.noise_std**2 * (r * weights) @ r.T / horizon
+        window = self.covariate_dim
         sigma_x = mean_cov[:window, :window]
         if min_eig(sigma_x) <= EIG_FLOOR:
-            raise ValueError("mixture covariance is not positive definite")
+            raise ValueError("covariate covariance is not positive definite")
         cross = (a @ mean_cov)[0, :window]
         return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross)[None, :]
 
@@ -387,6 +378,28 @@ class GaussianAR(ProcessSpec):
         window is a state coordinate."""
         dim = max(self.order + 1, self.covariate_dim)
         return companion(self.ar_coeffs + (0.0,) * (dim - 1 - self.order))
+
+    @cached_property
+    def _lyapunov_row(self) -> np.ndarray:
+        """gamma(0..p), the first row of the stationary covariance of the
+        (p+1) companion state: the spec's one Lyapunov solve (read-only)."""
+        q = np.zeros((self.order + 1, self.order + 1))
+        q[0, 0] = self.noise_std**2
+        row = solve_lyapunov(companion(self.ar_coeffs), q)[0]
+        row.flags.writeable = False
+        return row
+
+    @cached_property
+    def state_covariance(self) -> np.ndarray:
+        """Stationary covariance of the D-coordinate state of
+        `_state_companion`, entry (i, j) = gamma(|i - j|) (read-only).  The
+        lags past p come from the AR recursion, never from a Lyapunov solve
+        on the D-state, whose Kronecker system has D^4 entries."""
+        dim = max(self.order + 1, self.covariate_dim)
+        idx = np.arange(dim)
+        cov = autocovariances(self, dim - 1)[np.abs(idx[:, None] - idx)]
+        cov.flags.writeable = False
+        return cov
 
     def fourth_moment_constant(self, sigma_x: np.ndarray, n: int, seed: int) -> float:
         """Exact per direction: from the zero initial state, the window
@@ -429,19 +442,15 @@ class FiniteMarkov(ProcessSpec):
     emit_y: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.transition, dtype=float)
+        p = validate_transition(self.transition)
         object.__setattr__(self, "transition", p)
-        object.__setattr__(self, "emit_x", np.atleast_2d(np.asarray(self.emit_x, dtype=float)))
-        object.__setattr__(self, "emit_y", np.atleast_2d(np.asarray(self.emit_y, dtype=float)))
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("transition must be a square matrix")
-        if (p < 0).any():
-            raise ValueError("transition entries must be nonnegative")
-        if np.abs(p.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise ValueError("transition rows must sum to 1 within 1e-12")
-        k = p.shape[0]
-        if self.emit_x.shape[0] != k or self.emit_y.shape[0] != k:
-            raise ValueError("emissions must have one row per state")
+        for name in ("emit_x", "emit_y"):
+            emit = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            if emit.shape[0] != p.shape[0]:
+                raise ValueError(f"{name} must have one row per state")
+            if not np.isfinite(emit).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, emit)
         # Existence of a unique stationary law; computed once, cached.
         object.__setattr__(self, "_stationary", stationary_distribution(p))
         object.__setattr__(self, "_cum_rows", _cumulative(p))
@@ -515,6 +524,21 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
     return cum
 
 
+def validate_transition(transition) -> np.ndarray:
+    """transition as a float array, checked to be square, finite, nonnegative
+    and row-stochastic within ROW_SUM_TOL."""
+    p = np.asarray(transition, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError("transition must be a square matrix")
+    if not np.isfinite(p).all():
+        raise ValueError("transition must be finite")
+    if (p < 0).any():
+        raise ValueError("transition entries must be nonnegative")
+    if np.abs(p.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+        raise ValueError("transition must be row-stochastic: rows sum to 1 within 1e-12")
+    return p
+
+
 def stationary_distribution(p: np.ndarray) -> np.ndarray:
     """Stationary law of a row-stochastic matrix via the eigenproblem.
 
@@ -549,8 +573,9 @@ class BlockConstant(ProcessSpec):
             raise ValueError("block_len must be >= 1")
         if self.covariate_dim < 1 or self.target_dim < 1:
             raise ValueError("dimensions must be >= 1")
-        if self.x_std <= 0 or self.y_std <= 0:
-            raise ValueError("standard deviations must be positive")
+        for name in ("x_std", "y_std"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def _draw(self, rng, n):
         # A final partial block is allowed when k does not divide n.
@@ -586,10 +611,12 @@ class IIDGaussian(ProcessSpec):
     def __post_init__(self):
         if self.covariate_dim < 1 or self.target_dim < 1:
             raise ValueError("dimensions must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be nonnegative and finite")
         m = np.zeros((self.target_dim, self.covariate_dim)) if self.coef is None \
             else np.asarray(self.coef, dtype=float).reshape(self.target_dim, self.covariate_dim)
+        if not np.isfinite(m).all():
+            raise ValueError("coef must be finite")
         object.__setattr__(self, "coef", m)
 
     def _draw(self, rng, n):
@@ -679,7 +706,12 @@ def _lagged_design(values: np.ndarray, window: int, skip: int = 0) -> np.ndarray
 
 
 def simulate(spec: ProcessSpec, n: int, seed: int) -> Trajectory:
-    return spec.simulate(n, seed)
+    """The first n samples of the spec's process, a pure function of
+    (spec, n, seed)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    xs, ys = spec._draw(np.random.default_rng(seed), n)
+    return Trajectory(xs=xs, ys=ys)
 
 
 # ---------------------------------------------------------------------------
@@ -697,34 +729,12 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return symmetrize(s.reshape(d, d))
 
 
-def stationary_state_covariance(spec: GaussianAR) -> np.ndarray:
-    """Stationary covariance of the stacked state; entry (i, j) is the
-    autocovariance at lag |i - j|."""
-    a = companion(spec.ar_coeffs)
-    q = np.zeros_like(a)
-    q[0, 0] = spec.noise_std**2
-    return solve_lyapunov(a, q)
-
-
 def autocovariances(spec: GaussianAR, max_lag: int) -> np.ndarray:
-    """Stationary autocovariances gamma(0..max_lag), extended past the order
-    by the AR recursion."""
-    cov = stationary_state_covariance(spec)
-    gamma = list(cov[0, : min(max_lag, spec.order) + 1])
+    """Stationary autocovariances gamma(0..max_lag): the spec's Lyapunov row
+    up to the order, extended past it by the AR recursion."""
+    gamma = list(spec._lyapunov_row[: min(max_lag, spec.order) + 1])
     theta = np.asarray(spec.ar_coeffs)
     while len(gamma) <= max_lag:
         k = len(gamma)
         gamma.append(float(sum(theta[j] * gamma[k - 1 - j] for j in range(spec.order))))
     return np.asarray(gamma[: max_lag + 1])
-
-
-def stationary_covariance(spec: GaussianAR) -> np.ndarray:
-    """Covariance of the covariate window under the stationary law: the
-    Toeplitz matrix of autocovariances up to covariate_dim - 1."""
-    return _toeplitz(autocovariances(spec, spec.covariate_dim - 1))
-
-
-def _toeplitz(gamma: np.ndarray) -> np.ndarray:
-    """Symmetric Toeplitz matrix with entry (i, j) = gamma[|i - j|]."""
-    idx = np.arange(len(gamma))
-    return gamma[np.abs(idx[:, None] - idx)]

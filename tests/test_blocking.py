@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixreg.mixing import MixingProfile, iid_profile, markov_profile
+from mixreg.mixing import MixingProfile, iid_profile, markov_profile, mixing_sum
 from mixreg.processes import (
     BlockConstant,
     GaussianAR,
@@ -18,7 +18,6 @@ from mixreg.blocking import (
     BlockPartition,
     block_sums,
     decoupled_resample,
-    decoupling_gap_bound,
     make_partition,
     uniform_partition,
 )
@@ -245,25 +244,31 @@ class TestDecoupledResample:
 
 
 class TestDecouplingGapBound:
+    """The interior budget is `mixing_sum`, the all-blocks budget
+    `beta_sum` over every block length."""
+
     def test_iid_zero(self):
         part = make_partition(40, 4)
-        assert decoupling_gap_bound(iid_profile(part.lengths), part) == 0.0
+        assert mixing_sum(iid_profile(part.lengths), part) == 0.0
+        assert iid_profile(part.lengths).beta_sum(part.lengths) == 0.0
 
     def test_uniform_blocks(self):
         part = make_partition(48, 3)  # 6 blocks of 8
         profile = MixingProfile({8: 0.05})
-        assert decoupling_gap_bound(profile, part) == pytest.approx(4 * 0.05)
-        assert decoupling_gap_bound(profile, part, form="all_blocks") == pytest.approx(6 * 0.05)
+        assert mixing_sum(profile, part) == pytest.approx(4 * 0.05)
+        assert profile.beta_sum(part.lengths) == pytest.approx(6 * 0.05)
 
     def test_markov_example(self):
         part = make_partition(8, 2)  # 4 blocks of 2
         profile = markov_profile(two_state_flip(0.3), [2])
-        assert decoupling_gap_bound(profile, part) == pytest.approx(2 * 0.16 / 2, abs=1e-12)
+        assert mixing_sum(profile, part) == pytest.approx(2 * 0.16 / 2, abs=1e-12)
 
     def test_missing_gap(self):
         part = make_partition(10, 2)
         with pytest.raises(ValueError):
-            decoupling_gap_bound(MixingProfile({7: 0.1}), part)
+            mixing_sum(MixingProfile({7: 0.1}), part)
+        with pytest.raises(ValueError):
+            MixingProfile({7: 0.1}).beta_sum(part.lengths)
 
 
 class TestDecouplingBudgetExact:
@@ -312,7 +317,7 @@ class TestDecouplingBudgetExact:
 
         coupled, decoupled = self.enumerate_expectations(spec, part, odd_all_equal)
         profile = markov_profile(spec, set(part.lengths))
-        budget = decoupling_gap_bound(profile, part)
+        budget = mixing_sum(profile, part)
         assert abs(coupled - decoupled) <= budget + 1e-12
 
     def test_exact_budget_interior_blocks(self):
@@ -327,5 +332,5 @@ class TestDecouplingBudgetExact:
 
         coupled, decoupled = self.enumerate_expectations(spec, part, fraction_positive_odd)
         profile = markov_profile(spec, set(part.lengths))
-        budget = decoupling_gap_bound(profile, part)
+        budget = mixing_sum(profile, part)
         assert abs(coupled - decoupled) <= budget + 1e-12

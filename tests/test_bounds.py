@@ -87,6 +87,14 @@ class TestBernstein:
             bernstein_threshold(10, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             bernstein_threshold(10, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            bernstein_threshold(10, 1.0, 1.0, math.nan)
+
+    @pytest.mark.parametrize("blockvar, b", [(math.nan, 1.0), (math.inf, 1.0),
+                                             (1.0, math.nan), (1.0, math.inf)])
+    def test_variance_and_bound_domain(self, blockvar, b):
+        with pytest.raises(ValueError, match="finite"):
+            blocked_bernstein_threshold(10, 1, blockvar, b, 0.1)
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_n_domain(self, n):
@@ -132,6 +140,9 @@ class TestPhiTau:
     def test_tau_domain(self):
         with pytest.raises(ValueError):
             phi_tau(1.0, 0.0)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                phi_tau(1.0, tau)
 
 
 class TestFukNagaev:
@@ -159,6 +170,10 @@ class TestFukNagaev:
             fuk_nagaev_constant(1.0, 1.5, 4.0)
         with pytest.raises(ValueError):
             fuk_nagaev_constant(1.0, 1.0, 2.0)
+        for eps, eta, s in [(math.nan, 1.0, 4.0), (math.inf, 1.0, 4.0), (1.0, math.nan, 4.0),
+                            (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)]:
+            with pytest.raises(ValueError):
+                fuk_nagaev_constant(eps, eta, s)
 
     def test_tail_vanishes(self):
         assert fuk_nagaev_tail(1.0, [1.0, 1.0], 1e9, 1.0, 1.0, 4.0) < 1e-20
@@ -183,6 +198,9 @@ class TestFukNagaev:
     def test_tail_domain(self):
         with pytest.raises(ValueError):
             fuk_nagaev_tail(1.0, [1.0], 0.0, 1.0, 1.0, 4.0)
+        for lam, t in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                fuk_nagaev_tail(lam, [1.0], t, 1.0, 1.0, 4.0)
 
 
 def halves(size, r, lam=1.0):
@@ -202,6 +220,11 @@ class TestNoiseTermThreshold:
     def test_delta_one_drops_log(self):
         got = noise_term_threshold(halves(100, 4.0), 0.5, 0.5, 1.0)
         assert got == pytest.approx(math.sqrt(1.0 / 100) * 2.0 * 2.0)
+
+    @pytest.mark.parametrize("eps, eta", [(math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan)])
+    def test_eps_eta_domain(self, eps, eta):
+        with pytest.raises(ValueError, match="finite eps"):
+            noise_term_threshold(halves(50, 3.0), eps, eta, 0.1)
 
     def test_variance_scaling(self):
         a = noise_term_threshold(halves(50, 3.0), 0.1, 0.1, 0.1)
@@ -401,19 +424,19 @@ class TestCltVariance:
     def test_one_draw_per_trial_read_by_prefix(self, monkeypatch):
         spec = GaussianAR((0.5, 0.2), covariate_dim=2, warmup=3)
         prob = population_optimum(spec)
-        exact = GaussianAR.simulate
+        exact = GaussianAR._draw
         calls = []
 
-        def recording(self, n, seed):
+        def recording(self, rng, n):
             calls.append(n)
-            return exact(self, n, seed)
+            return exact(self, rng, n)
 
-        monkeypatch.setattr(GaussianAR, "simulate", recording)
+        monkeypatch.setattr(GaussianAR, "_draw", recording)
         n_mc, lens = 40, [1, 3, 8]
         out = clt_variance(spec, prob, lens, n_mc, 5)
         assert calls == [8] * n_mc
         # Reference: every length from the first L samples of the same draws.
-        walks = [noise_walk(exact(spec, 8, derive_seed(5, t)), prob).reshape(8, -1)
+        walks = [noise_walk(simulate(spec, 8, derive_seed(5, t)), prob).reshape(8, -1)
                  for t in range(n_mc)]
         for length in lens:
             sums = np.array([w[:length].sum(axis=0) for w in walks])
@@ -625,6 +648,12 @@ class TestTruncation:
         spec = IIDGaussian(covariate_dim=1)
         with pytest.raises(ValueError, match="n_mc"):
             truncation_mass_check(spec, population_optimum(spec), (0, 4), [1.0], 2.0, n_mc, 1)
+
+    @pytest.mark.parametrize("tau", [0.0, math.nan, math.inf])
+    def test_tau_domain(self, tau):
+        spec = IIDGaussian(covariate_dim=1)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            truncation_mass_check(spec, population_optimum(spec), (0, 4), [1.0], tau, 100, 1)
 
     def test_zero_direction_raises(self):
         spec = IIDGaussian(covariate_dim=2)

@@ -169,10 +169,10 @@ def test_corollary_bound_on_unequal_blocks_exits_1(tmp_path, capsys, monkeypatch
 
 
 def no_draws(monkeypatch):
-    def no_simulate(self, n, seed):
+    def no_draw(self, rng, n):
         raise AssertionError("a trajectory was drawn before the config was checked")
 
-    monkeypatch.setattr(IIDGaussian, "simulate", no_simulate)
+    monkeypatch.setattr(IIDGaussian, "_draw", no_draw)
 
 
 @pytest.mark.parametrize("command", ["coverage", "lower-tail", "noise-walk"])

@@ -494,14 +494,14 @@ class TestLowerTail:
         assert reports[0].frequency <= 0.1
 
     def test_only_the_trials_draw(self, tmp_path, monkeypatch):
-        exact = IIDGaussian.simulate
+        exact = IIDGaussian._draw
         calls = []
 
-        def recording(self, n, seed):
+        def recording(self, rng, n):
             calls.append(n)
-            return exact(self, n, seed)
+            return exact(self, rng, n)
 
-        monkeypatch.setattr(IIDGaussian, "simulate", recording)
+        monkeypatch.setattr(IIDGaussian, "_draw", recording)
         config = iid_config(tmp_path, ns=(50, 80), trials=30)
         reports = verify_lower_tail(config)
         assert calls == [50] * 30 + [80] * 30

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from mixreg import processes
+from mixreg import mixing, processes
 from mixreg.blocking import make_partition
 from mixreg.mixing import (
     MixingProfile,
@@ -25,11 +25,13 @@ from mixreg.processes import (
     FiniteMarkov,
     GaussianAR,
     IIDGaussian,
+    autocovariances,
     companion,
     gramian,
     solve_lyapunov,
     two_state_flip,
 )
+from mixreg.regression import population_optimum
 
 
 def flip_chain(q):
@@ -123,6 +125,23 @@ def test_markov_exact_uses_chain_row_sum_tolerance():
         FiniteMarkov(p, np.zeros((2, 1)), np.zeros((2, 1)))
 
 
+def test_markov_exact_rejects_non_finite_transition():
+    with pytest.raises(ValueError, match="transition must be finite"):
+        beta_markov_exact(np.array([[np.nan, 1.0], [0.5, 0.5]]), 1)
+
+
+def test_markov_profile_reads_the_cached_stationary_law(monkeypatch):
+    spec = two_state_flip(0.3)
+    want = {g: beta_markov_exact(spec.transition, g) for g in range(1, 6)}
+
+    def forbidden(p):
+        raise AssertionError("stationary law solved again")
+
+    monkeypatch.setattr(mixing, "stationary_distribution", forbidden)
+    monkeypatch.setattr(processes, "stationary_distribution", forbidden)
+    assert markov_profile(spec, range(1, 6)).coefficients == want
+
+
 class TestKlGaussian:
     def test_identical(self):
         assert kl_gaussian_1d(0, 1, 0, 1) == 0.0
@@ -180,9 +199,10 @@ class TestBetaArKlBound:
 
     @pytest.mark.parametrize("coeffs", [(0.5,), (0.5, 0.2), (0.6, -0.2, 0.1), (0.99999,)])
     def test_profile_solves_lyapunov_once(self, monkeypatch, coeffs):
-        spec = GaussianAR(coeffs)
+        # Once per spec: the optimum, the profile over ten gaps, the
+        # autocovariances and the KL bound all read the spec's one solve.
         gaps = range(1, 11)
-        want = {g: beta_ar_kl_bound(spec, None, g) for g in gaps}
+        want = {g: beta_ar_kl_bound(GaussianAR(coeffs), None, g) for g in gaps}
         calls = []
 
         def counted(a, q):
@@ -190,7 +210,11 @@ class TestBetaArKlBound:
             return solve_lyapunov(a, q)
 
         monkeypatch.setattr(processes, "solve_lyapunov", counted)
-        assert gaussian_ar_profile(spec, gaps).coefficients == want
+        spec = GaussianAR(coeffs)
+        population_optimum(spec)
+        assert profile_from_spec(spec, gaps).coefficients == want
+        autocovariances(spec, 50)
+        expected_kl_ar(spec, None, 3)
         assert len(calls) == 1
 
     def test_pinsker_consistency_with_exact_tv(self):

@@ -20,9 +20,7 @@ from mixreg.processes import (
     gramian,
     simulate,
     solve_lyapunov,
-    stationary_covariance,
     stationary_distribution,
-    stationary_state_covariance,
     Trajectory,
     two_state_flip,
 )
@@ -374,29 +372,71 @@ class TestBlockConstant:
             BlockConstant(0)
 
 
+NAN, INF = float("nan"), float("inf")
+FLIP = [[0.7, 0.3], [0.3, 0.7]]
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: GaussianAR((NAN,)), "ar_coeffs"),
+    (lambda: GaussianAR((0.5,), noise_std=NAN), "noise_std"),
+    (lambda: GaussianAR((0.5,), noise_std=INF), "noise_std"),
+    (lambda: IIDGaussian(2, noise_std=NAN), "noise_std"),
+    (lambda: IIDGaussian(2, noise_std=INF), "noise_std"),
+    (lambda: IIDGaussian(1, coef=[[NAN]]), "coef"),
+    (lambda: BlockConstant(3, x_std=NAN), "x_std"),
+    (lambda: BlockConstant(3, y_std=INF), "y_std"),
+    (lambda: FiniteMarkov([[NAN, 1.0], [0.5, 0.5]], [[1.0], [2.0]], [[0.0], [1.0]]),
+     "transition"),
+    (lambda: FiniteMarkov(FLIP, [[NAN], [2.0]], [[0.0], [1.0]]), "emit_x"),
+    (lambda: FiniteMarkov(FLIP, [[1.0], [2.0]], [[0.0], [INF]]), "emit_y"),
+], ids=["ar-coeff-nan", "ar-noise-nan", "ar-noise-inf", "iid-noise-nan", "iid-noise-inf",
+        "iid-coef-nan", "block-x-nan", "block-y-inf", "markov-transition-nan",
+        "markov-emit-x-nan", "markov-emit-y-inf"])
+def test_non_finite_parameters_rejected(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 class TestStationaryCovariance:
     def test_zero_coeffs_scaled_identity(self):
         spec = GaussianAR((0.0, 0.0), noise_std=2.0, covariate_dim=2)
-        np.testing.assert_allclose(stationary_covariance(spec), 4.0 * np.eye(2),
-                                   atol=1e-10)
+        np.testing.assert_allclose(spec.optimum()[0], 4.0 * np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(spec.state_covariance, 4.0 * np.eye(3), atol=1e-10)
 
     def test_ar1_variance(self):
         spec = GaussianAR((0.5,))
-        assert stationary_covariance(spec)[0, 0] == pytest.approx(4.0 / 3.0, abs=1e-10)
+        assert spec.optimum()[0][0, 0] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
     def test_ar2_two_window_off_diagonal(self):
         spec = GaussianAR((0.5, 0.2), covariate_dim=2)
-        cov = stationary_covariance(spec)
+        cov = spec.optimum()[0]
         assert cov[0, 1] == pytest.approx(0.625 * cov[0, 0], rel=1e-10)
 
     def test_lyapunov_fixed_point_residual(self):
         spec = GaussianAR((0.6, -0.2, 0.1))
-        from mixreg.processes import companion as comp
-        a = comp(spec.ar_coeffs)
+        a = companion(spec.ar_coeffs)
         e1 = np.eye(a.shape[0])[0]
-        cov = stationary_state_covariance(spec)
+        cov = spec.state_covariance
         resid = cov - (a @ cov @ a.T + np.outer(e1, e1))
         assert np.abs(resid).max() <= 1e-10
+
+    def test_padded_state_fixed_point_residual(self):
+        # Window 5 > p + 1: the lags past p come from the AR recursion, and
+        # the D = 5 state covariance is still the Lyapunov fixed point.
+        spec = GaussianAR((0.5, 0.2), noise_std=1.5, covariate_dim=5)
+        a = spec._state_companion()
+        cov = spec.state_covariance
+        assert cov.shape == (5, 5)
+        q = np.zeros((5, 5))
+        q[0, 0] = 1.5**2
+        assert np.abs(cov - (a @ cov @ a.T + q)).max() <= 1e-10
+        np.testing.assert_array_equal(spec.optimum()[0], cov)
+
+    def test_state_covariance_is_read_only(self):
+        spec = GaussianAR((0.5, 0.2), covariate_dim=4)
+        assert spec.state_covariance is spec.state_covariance
+        with pytest.raises(ValueError, match="read-only"):
+            spec.state_covariance[0, 0] = 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
     def test_lyapunov_matches_scipy(self, d):
