@@ -92,5 +92,6 @@ from .regression import (
     population_optimum,
     whitened_empirical_covariance,
 )
+from .seeding import derive_seeds, pcg64_states
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .processes import ProcessSpec, Trajectory, derive_seed, simulate
+from .processes import ProcessSpec, Trajectory, simulate
+from .seeding import derive_seeds, pcg64_states
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,20 @@ def decoupled_resample(spec: ProcessSpec, partition: BlockPartition, seed: int) 
     block's positions.
 
     Each block re-simulates the process from time zero with its own derived
-    seed and keeps only the block's rows, so the block marginals are exact
-    even for non-stationary specs (quadratic cost in n, fine at this scale).
-    The kept rows are copied in place into the result, so one block draw is
-    alive at a time.
+    seed, `derive_seed(seed, i)` for block i, and keeps only the block's rows,
+    so the block marginals are exact even for non-stationary specs (quadratic
+    cost in n, fine at this scale).  The block seeds are derived in one pass,
+    and one Generator is set before each block to the state `default_rng`
+    builds from the block's seed, so each block draws the stream of
+    `simulate(spec, stop, derive_seed(seed, i))`.  The kept rows are copied
+    in place into the result, so one block draw is alive at a time.
     """
     xs = ys = None
-    for i, (start, stop) in enumerate(partition.blocks):
-        block_traj = simulate(spec, stop, derive_seed(seed, i))
+    rng = np.random.Generator(np.random.PCG64(0))
+    states = pcg64_states(derive_seeds(seed, count=partition.n_blocks))
+    for (start, stop), state in zip(partition.blocks, states):
+        rng.bit_generator.state = state
+        block_traj = simulate(spec, stop, rng)
         if xs is None:
             xs = np.empty((partition.n, block_traj.xs.shape[1]))
             ys = np.empty((partition.n, block_traj.ys.shape[1]))

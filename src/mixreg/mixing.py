@@ -4,6 +4,7 @@ conditions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -117,8 +118,10 @@ def markov_profile(spec: FiniteMarkov, gaps) -> MixingProfile:
 
 def kl_gaussian_1d(mu1: float, var1: float, mu2: float, var2: float) -> float:
     """KL(N(mu1, var1) || N(mu2, var2)) for scalar Gaussians."""
-    if var1 <= 0 or var2 <= 0:
-        raise ValueError("variances must be positive")
+    if not (0.0 < var1 < math.inf and 0.0 < var2 < math.inf):
+        raise ValueError("variances must be positive and finite")
+    if not (math.isfinite(mu1) and math.isfinite(mu2)):
+        raise ValueError("means must be finite")
     return float(0.5 * np.log(var2 / var1) + 0.5 * (var1 / var2 - 1.0)
                  + (mu1 - mu2) ** 2 / (2.0 * var2))
 

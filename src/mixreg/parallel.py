@@ -6,6 +6,7 @@ A caller supplies a draw (a trajectory from a seed, see `draw_process` and
 The engine derives trial t's seed as `derive_seed(seed, t)` (independent sets
 of trials need seeds of their own), splits the trials into chunks, maps the
 chunks, stacks the values in trial order and sums the totals in chunk order.
+Each chunk derives its trials' seeds in one pass (`derive_seeds`).
 
 MIXREG_THREADS caps the worker count (a positive integer, default 1 =
 serial).  Chunks are fixed by the trial count and worker count, and partial
@@ -28,7 +29,8 @@ import os
 import numpy as np
 
 from .blocking import decoupled_resample
-from .processes import derive_seed, simulate
+from .processes import simulate
+from .seeding import derive_seeds
 
 
 def worker_count() -> int:
@@ -72,10 +74,10 @@ def draw_decoupled(spec, partition, seed: int):
 def _trial_chunk(args):
     statistic, draw, seed, start, stop = args
     values, totals = [], None
-    for trial in range(start, stop):
+    for trial_seed in derive_seeds(seed, count=stop - start, start=start).tolist():
         # traj stays alive until the next draw replaces it, which keeps the
         # allocator from returning the trajectory's pages after every trial.
-        traj = draw(derive_seed(seed, trial))
+        traj = draw(trial_seed)
         vals, tots = statistic(traj)
         values.append(vals)
         if totals is None:

@@ -3,9 +3,11 @@ worst cases, and iid Gaussian designs.
 
 Every simulator is a pure function of (spec, n, seed): rerunning with the same
 arguments reproduces the trajectory bit for bit.  Seeds are split with
-numpy's SeedSequence, so derived streams (per block, per trial) never collide.
-Everything here, the AR filter and the stationary second moments included,
-is plain numpy.
+numpy's SeedSequence hash (seeding.py), so derived streams (per block, per
+trial) never collide.  `simulate` also takes a Generator, so a loop over
+blocks can re-seed one Generator from `seeding.pcg64_states` instead of
+building one per block.  Everything here, the AR filter and the stationary
+second moments included, is plain numpy.
 """
 
 from __future__ import annotations
@@ -18,14 +20,9 @@ import numpy as np
 
 from .csvfile import write_csv
 from .linalg import EIG_FLOOR, min_eig, opnorm_psd, symmetrize
+from .seeding import derive_seed
 
 ROW_SUM_TOL = 1e-12
-
-
-def derive_seed(seed: int, *keys: int) -> int:
-    """Deterministic child seed for (seed, keys); used for per-block and
-    per-trial streams."""
-    return int(np.random.SeedSequence([int(seed), *[int(k) for k in keys]]).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +702,11 @@ def _lagged_design(values: np.ndarray, window: int, skip: int = 0) -> np.ndarray
     return out
 
 
-def simulate(spec: ProcessSpec, n: int, seed: int) -> Trajectory:
+def simulate(spec: ProcessSpec, n: int, seed: int | np.random.Generator) -> Trajectory:
     """The first n samples of the spec's process, a pure function of
-    (spec, n, seed)."""
+    (spec, n, seed).  The seed may also be a Generator, which the draw
+    advances: one whose state is `next(pcg64_states([s]))` draws what seed s
+    draws."""
     if n < 1:
         raise ValueError("n must be >= 1")
     xs, ys = spec._draw(np.random.default_rng(seed), n)

@@ -84,7 +84,8 @@ class FitResult:
 def _check_gram(gram: np.ndarray) -> None:
     d = gram.shape[0]
     floor = EIG_FLOOR * np.trace(gram) / d
-    smallest = min_eig(gram)
+    # A 1 x 1 Gram matrix is its own eigenvalue.
+    smallest = float(gram[0, 0]) if d == 1 else min_eig(gram)
     if smallest <= floor:
         raise DegenerateDesignError(smallest)
 

@@ -158,6 +158,14 @@ class TestKlGaussian:
         with pytest.raises(ValueError):
             kl_gaussian_1d(0, 1, 0, -1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", range(4))
+    def test_rejects_non_finite_arguments(self, arg, bad):
+        args = [0.0, 1.0, 0.0, 1.0]
+        args[arg] = bad
+        with pytest.raises(ValueError):
+            kl_gaussian_1d(*args)
+
 
 class TestBetaArKlBound:
     def test_memoryless(self):

@@ -10,7 +10,7 @@ from mixreg.blocking import make_partition
 from mixreg.bounds import estimate_r, noise_spectrum
 from mixreg.config import ExperimentConfig
 from mixreg.harness import run_coverage
-from mixreg.parallel import draw_process, map_trials
+from mixreg.parallel import chunk_ranges, draw_process, map_trials
 from mixreg.processes import GaussianAR, IIDGaussian, derive_seed, simulate
 from mixreg.regression import population_optimum
 
@@ -34,6 +34,29 @@ class TestMapTrials:
         np.testing.assert_array_equal(values, [t.xs[:, 0] for t in trajs])
         assert sum_x == pytest.approx(sum(t.xs.sum() for t in trajs), rel=1e-12)
         np.testing.assert_allclose(sum_y, sum(t.ys.sum(axis=0) for t in trajs), rtol=1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bytes_equal_a_per_trial_oracle(self, monkeypatch, threads):
+        """Seeds straight from numpy's SeedSequence, one trial at a time, and
+        the totals summed within and then across the engine's chunks."""
+        monkeypatch.setenv("MIXREG_THREADS", str(threads))
+        values, totals = map_trials(
+            first_column_and_sums, partial(draw_process, SPEC, 7), 23, 5)
+        want_values, chunk_totals = [], []
+        for a, b in chunk_ranges(23, 4 * threads):
+            acc = None
+            for t in range(a, b):
+                seed = int(np.random.SeedSequence([5, t]).generate_state(1)[0])
+                vals, tots = first_column_and_sums(simulate(SPEC, 7, seed))
+                want_values.append(vals)
+                acc = [np.add(x, 0.0) for x in tots] if acc is None else \
+                    [x + y for x, y in zip(acc, tots)]
+            chunk_totals.append(acc)
+        want_totals = [sum(column) for column in zip(*chunk_totals)]
+        assert values.tobytes() == np.array(want_values).tobytes()
+        assert len(totals) == len(want_totals)
+        for got, want in zip(totals, want_totals):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_totals_start_at_positive_zero(self):
         values, (scalar, vector) = map_trials(negative_zero, partial(draw_process, SPEC, 3), 9, 1)

@@ -4,7 +4,7 @@ from scipy.linalg import qr, solve_triangular
 from scipy.signal import lfilter
 from scipy.stats import ortho_group
 
-from mixreg.linalg import inv_sqrt_psd, sqrt_psd
+from mixreg.linalg import EIG_FLOOR, inv_sqrt_psd, min_eig, sqrt_psd
 from mixreg.processes import (
     BlockConstant,
     GaussianAR,
@@ -28,7 +28,7 @@ from mixreg.regression import (
     population_optimum,
     whitened_empirical_covariance,
 )
-from mixreg.regression import _times
+from mixreg.regression import _check_gram, _times
 
 
 def random_problem(rng, d_x, d_y):
@@ -73,6 +73,21 @@ class TestFitOls:
         with pytest.raises(DegenerateDesignError) as exc:
             fit_ols(traj)
         assert exc.value.min_eigenvalue <= 1e-10
+
+    @pytest.mark.parametrize("g", [0.0, 5e-324, np.nextafter(EIG_FLOOR, 0.0), EIG_FLOOR,
+                                   np.nextafter(EIG_FLOOR, 1.0), 1.0, 123.4, 1e300, -1.0])
+    def test_one_by_one_check_agrees_with_min_eig(self, g):
+        # At d_X = 1 the Gram check reads the entry; the eigenvalue check
+        # with the same floor must raise on exactly the same inputs.
+        gram = np.array([[g]])
+        want = min_eig(gram) <= EIG_FLOOR * np.trace(gram)
+        try:
+            _check_gram(gram)
+            raised = False
+        except DegenerateDesignError as exc:
+            raised = True
+            assert exc.min_eigenvalue == g
+        assert raised == want
 
     def test_first_order_stationarity(self):
         rng = np.random.default_rng(7)
