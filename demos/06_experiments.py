@@ -15,6 +15,8 @@ from mixreg import (
     rate_slope,
     run_coverage,
     save_config,
+    slope_from_medians,
+    stabilization_length,
     verify_lower_tail,
 )
 
@@ -36,23 +38,23 @@ print("wrote demo.cfg")
 
 print("\n-- bound coverage --")
 for rep in run_coverage(config, out_path="coverage.csv"):
-    print(f"n={rep.n:5d} bound={rep.bound_value:.5f} "
-          f"quantile={rep.quantile:.5f} coverage={rep.coverage:.3f} "
-          f"burn-ins={'PASS' if rep.burnins_pass else 'FAIL'}")
+    print(rep.summary())
 
 print("\n-- excess-risk rate --")
 slope = rate_slope(config, out_path="slope.csv")
-for n, med in zip(slope.ns, slope.medians):
-    print(f"n={n:5d} median risk={med:.2e}")
-print("log-log slope:", round(slope.slope, 3))
+for row in slope:
+    print(f"n={row.n:5d} median risk={row.median_excess_risk:.2e}")
+slope_value = slope_from_medians([r.n for r in slope], [r.median_excess_risk for r in slope])
+print("log-log slope:", round(slope_value, 3))
 
 print("\n-- lower uniform law --")
 for rep in verify_lower_tail(config, out_path="lowertail.csv"):
     print(f"n={rep.n:5d} frequency={rep.frequency:.3f} "
-          f"certified={rep.certificate.certified}")
+          f"certified={rep.certified}")
 
 print("\n-- CLT consistency of the block noise level --")
 clt = clt_consistency(config, out_path="clt.csv")
-for length, level in zip(clt.block_lens, clt.sigma2):
-    print(f"block length {length:3d}: sigma^2 = {level:.3f}")
-print("stable from block length:", clt.stable_from)
+for row in clt:
+    print(f"block length {row.block_len:3d}: sigma^2 = {row.sigma2:.3f}")
+print("stable from block length:",
+      stabilization_length([r.block_len for r in clt], [r.sigma2 for r in clt]))

@@ -39,12 +39,12 @@ from .bounds import (
 )
 from .config import ExperimentConfig, load_config, save_config
 from .harness import (
-    CoverageReport,
     clt_consistency,
     evaluate_bound,
     rate_slope,
     run_coverage,
     slope_from_medians,
+    stabilization_length,
     verify_lower_tail,
     verify_noise_walk,
 )

@@ -123,8 +123,8 @@ class NoiseSpectrum:
     Computed by the process kind: h, the fourth-moment constant of the
     covariates (see `ProcessSpec.fourth_moment_constant`).
     Derived: sigma_agg = (sigma_odd + sigma_even) / n, its operator norm
-    sigma2 and trace ratio effective_dim, and block_moment_s, the mean s-th
-    block moment over a_max^(s/2), which enters the moment burn-in.
+    sigma2 and trace ratio effective_dim, and block_moment_s = (sum of the 2m
+    block_snorm_moments) / (m a_max^(s/2)), which enters the moment burn-in.
     Centering uses the Monte Carlo mean (bias O(1/n_mc)).
     """
 
@@ -484,9 +484,10 @@ def corollary_bound(spectrum: NoiseSpectrum, delta: float, profile: MixingProfil
                     constants: UniversalConstants | None = None) -> BoundReport:
     """Stationary one-dimensional-target form over a partition of equal
     blocks of length tau: bound c1 sigma^2 (d_x + log(1/delta)) / n with
-    three burn-ins.  The block moment is the mean over blocks of
-    E||(tau d_x)^{-1/2} sum of tau centered noise variables||^s; the mixing
-    budget (n / tau) beta(tau) reuses the c6 constant."""
+    three burn-ins.  The block moment, (mean of the 2m block_snorm_moments) /
+    (tau d_x)^(s/2), is the mean over blocks of E||(tau d_x)^{-1/2} sum of tau
+    centered noise variables||^s; the mixing budget (n / tau) beta(tau)
+    reuses the c6 constant."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     tau = corollary_block_length(spectrum.partition)

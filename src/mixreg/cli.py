@@ -2,9 +2,9 @@
 
 Subcommands: simulate, mixing, and the harness experiments bound, coverage,
 lower-tail, noise-walk, clt and slope, which one handler runs from the
-`EXPERIMENTS` table.  Each writes one CSV through `csvfile.write_csv` and
-prints its summary lines, then `wrote <path>`.  Exit codes: 0 on success,
-1 on argument/config errors, 2 on runtime or numerical errors.
+`EXPERIMENTS` table.  Each writes one CSV, prints the summary lines of its
+result (`harness.summary_lines`), then `wrote <path>`.  Exit codes: 0 on
+success, 1 on argument/config errors, 2 on runtime or numerical errors.
 MIXREG_THREADS caps trial parallelism.
 """
 
@@ -74,38 +74,25 @@ def _cmd_mixing(args) -> int:
     return 0
 
 
-# Subcommand -> (harness entry point, CSV name, summary lines of its result,
-# help).  The entry is looked up on `harness` when the command runs, so a
-# rebound harness function (a tracer's, a test's) is the one used.
+# Subcommand -> (harness entry point, CSV name, help).  The entry is looked
+# up on `harness` when the command runs, so a rebound harness function (a
+# tracer's, a test's) is the one used.
 EXPERIMENTS = {
-    "bound": ("evaluate_bound", "bound.csv", lambda report: [report.to_text()],
-              "evaluate the excess-risk bound for a config"),
-    "coverage": ("run_coverage", "coverage.csv", lambda reports: (
-        f"n={r.n} bound={r.bound_value:.6g} quantile={r.quantile:.6g} "
-        f"coverage={r.coverage:.4f} burnins={'PASS' if r.burnins_pass else 'FAIL'}"
-        for r in reports), "Monte Carlo coverage of the bound"),
-    "lower-tail": ("verify_lower_tail", "lowertail.csv", lambda reports: (
-        f"n={r.n} frequency={r.frequency:.4f} certified={r.certificate.certified}"
-        for r in reports), "verify the lower uniform law"),
-    "noise-walk": ("verify_noise_walk", "noisewalk.csv", lambda reports: (
-        f"n={r.n} threshold={r.threshold:.6g} exceedance={r.exceedance:.4f} "
-        f"budget={r.budget:.6g}" for r in reports), "verify the noise-walk threshold"),
-    "clt": ("clt_consistency", "clt.csv", lambda report: [
-        *(f"block_len={l} sigma2={v:.6g}" for l, v in zip(report.block_lens, report.sigma2)),
-        f"stable_from={report.stable_from}"], "block noise level across block lengths"),
-    "slope": ("rate_slope", "slope.csv", lambda report: [
-        *(f"n={n} median={med:.6g}" for n, med in zip(report.ns, report.medians)),
-        f"slope={report.slope:.6g}"], "log-log excess-risk rate slope"),
+    "bound": ("evaluate_bound", "bound.csv", "evaluate the excess-risk bound for a config"),
+    "coverage": ("run_coverage", "coverage.csv", "Monte Carlo coverage of the bound"),
+    "lower-tail": ("verify_lower_tail", "lowertail.csv", "verify the lower uniform law"),
+    "noise-walk": ("verify_noise_walk", "noisewalk.csv", "verify the noise-walk threshold"),
+    "clt": ("clt_consistency", "clt.csv", "block noise level across block lengths"),
+    "slope": ("rate_slope", "slope.csv", "log-log excess-risk rate slope"),
 }
 
 
 def _cmd_experiment(name: str, args) -> int:
-    entry, csv_name, summary, _ = EXPERIMENTS[name]
+    entry, csv_name, _ = EXPERIMENTS[name]
     config = _load(args)
     path = _outpath(config.outputs, csv_name)
-    for line in summary(getattr(harness, entry)(config, out_path=path)):
-        print(line)
-    print(f"wrote {path}")
+    result = getattr(harness, entry)(config, out_path=path)
+    print(*harness.summary_lines(result), f"wrote {path}", sep="\n")
     return 0
 
 

@@ -1,6 +1,7 @@
 """Configuration-driven Monte Carlo experiments: bound coverage, excess-risk
 rate slopes, the lower uniform law, the noise-walk threshold, and CLT
-consistency of the block noise level.
+consistency of the block noise level.  Each returns a list of frozen row
+dataclasses whose fields, in order, are its CSV columns (`write_rows`).
 
 Trials run with trial-index-derived seeds and are aggregated in trial order,
 so outputs are reproducible byte for byte for a fixed config and seed.
@@ -9,7 +10,7 @@ so outputs are reproducible byte for byte for a fixed config and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -18,8 +19,6 @@ from .blocking import BlockPartition
 from .bounds import (
     BOUND_FORMS,
     BoundReport,
-    LowerTailReport,
-    REstimate,
     estimate_r,
     fuk_nagaev_constant,
     lower_tail_certificate,
@@ -61,8 +60,7 @@ def population_for(config: ExperimentConfig) -> RegressionProblem:
 
 
 def profile_for(config: ExperimentConfig, partition: BlockPartition) -> MixingProfile:
-    gaps = sorted(set(partition.lengths))
-    return profile_from_spec(config.process, gaps)
+    return profile_from_spec(config.process, sorted(set(partition.lengths)))
 
 
 def _trial_risk(prob: RegressionProblem, traj):
@@ -94,71 +92,106 @@ def _spectrum_for(config: ExperimentConfig, prob: RegressionProblem,
 
 
 # ---------------------------------------------------------------------------
-# Coverage
+# Rows: each experiment's CSV columns and summary lines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CoverageReport:
-    n: int
-    quantile: float            # empirical (1 - delta) quantile of excess risk
-    coverage: float            # fraction of trials with risk <= bound
-    bound_report: BoundReport
-    trials: int
-    degenerate_trials: int
-
-    @property
-    def bound_value(self) -> float:
-        return self.bound_report.bound_value
-
-    @property
-    def burnins_pass(self) -> bool:
-        return self.bound_report.all_pass
+def write_rows(path, rows) -> None:
+    """The header from the row class's field names, then one line per row."""
+    names = [f.name for f in fields(rows[0])]
+    write_csv(path, ",".join(names), ([getattr(row, name) for name in names] for row in rows))
 
 
-COVERAGE_FLAGS = ("sample_size", "block_moment", "length_balance", "spectrum_balance", "mixing")
-COVERAGE_HEADER = ",".join(["n", "bound", "quantile", "coverage",
-                            *(f"{name}_ok" for name in COVERAGE_FLAGS), "degenerate", "trials"])
-
-
-def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageReport]:
-    """For each sample size: estimate the noise spectrum, evaluate the bound
-    with its burn-ins, run the trials, and report the violation rate.
-
-    A degenerate design in a trial counts as a bound violation.
-    """
-    if config.trials < 100:
-        raise ValueError("coverage experiments need at least 100 trials")
-    prob = population_for(config)
-    reports = []
-    for n, partition in _partitions(config):
-        spectrum = _spectrum_for(config, prob, partition, n)
-        profile = profile_for(config, partition)
-        bound = main_bound(spectrum, config.delta, profile, config.constants)
-        risks, (degenerate,) = _run_trials(_trial_risk, config, prob, n)
-        coverage = float(np.mean(risks <= bound.bound_value + COVERAGE_ATOL))
-        finite = risks[np.isfinite(risks)]
-        quantile = float(np.quantile(finite, 1.0 - config.delta)) if finite.size else math.inf
-        reports.append(CoverageReport(
-            n=n, quantile=quantile, coverage=coverage, bound_report=bound,
-            trials=config.trials, degenerate_trials=int(degenerate),
-        ))
+def _written(rows: list, out_path) -> list:
+    """The rows, written to out_path first when one is given."""
     if out_path is not None:
-        write_csv(out_path, COVERAGE_HEADER, (
-            (r.n, r.bound_value, r.quantile, r.coverage,
-             *(r.bound_report.check(name).holds for name in COVERAGE_FLAGS),
-             r.degenerate_trials, r.trials) for r in reports))
-    return reports
+        write_rows(out_path, rows)
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# Rate slope
-# ---------------------------------------------------------------------------
+def summary_lines(result) -> list[str]:
+    """The CLI's lines: a bound report's text, or each row's `summary()` and
+    then its class's `closing(rows)` lines, if it has them."""
+    if isinstance(result, BoundReport):
+        return [result.to_text()]
+    closing = getattr(type(result[0]), "closing", lambda rows: [])
+    return [*(row.summary() for row in result), *closing(result)]
+
 
 @dataclass(frozen=True)
-class RateSlopeReport:
-    slope: float
-    ns: tuple[int, ...]
-    medians: tuple[float, ...]
+class CoverageRow:
+    n: int
+    bound: float
+    quantile: float            # empirical (1 - delta) quantile of excess risk
+    coverage: float            # fraction of trials with risk <= bound
+    sample_size_ok: bool       # the main bound's burn-ins, one flag per check
+    block_moment_ok: bool
+    length_balance_ok: bool
+    spectrum_balance_ok: bool
+    mixing_ok: bool
+    degenerate: int            # trials with a degenerate design
+    trials: int
+
+    def summary(self) -> str:
+        burnins = all(getattr(self, f.name) for f in fields(self) if f.name.endswith("_ok"))
+        return (f"n={self.n} bound={self.bound:.6g} quantile={self.quantile:.6g} "
+                f"coverage={self.coverage:.4f} burnins={'PASS' if burnins else 'FAIL'}")
+
+
+@dataclass(frozen=True)
+class SlopeRow:
+    n: int
+    median_excess_risk: float
+
+    def summary(self) -> str:
+        return f"n={self.n} median={self.median_excess_risk:.6g}"
+
+    @staticmethod
+    def closing(rows) -> list[str]:
+        slope = slope_from_medians([r.n for r in rows], [r.median_excess_risk for r in rows])
+        return [f"slope={slope:.6g}"]
+
+
+@dataclass(frozen=True)
+class LowerTailRow:
+    n: int
+    frequency: float           # fraction of trials with min eigenvalue >= 1/2
+    certified: bool            # the certificate's prerequisites hold
+    required_n: float
+    h: float
+    trials: int
+
+    def summary(self) -> str:
+        return f"n={self.n} frequency={self.frequency:.4f} certified={self.certified}"
+
+
+@dataclass(frozen=True)
+class NoiseWalkRow:
+    n: int
+    threshold: float
+    exceedance: float          # empirical frequency of ||S_n|| > threshold
+    budget: float              # failure probability charged by the tail bound
+    r: float                   # the mean-norm ratio estimate and its parts
+    lambda_odd: float
+    lambda_even: float
+    trials: int
+
+    def summary(self) -> str:
+        return (f"n={self.n} threshold={self.threshold:.6g} "
+                f"exceedance={self.exceedance:.4f} budget={self.budget:.6g}")
+
+
+@dataclass(frozen=True)
+class CltRow:
+    block_len: int
+    sigma2: float
+
+    def summary(self) -> str:
+        return f"block_len={self.block_len} sigma2={self.sigma2:.6g}"
+
+    @staticmethod
+    def closing(rows) -> list[str]:
+        stable = stabilization_length([r.block_len for r in rows], [r.sigma2 for r in rows])
+        return [f"stable_from={stable}"]
 
 
 def slope_from_medians(ns, medians) -> float:
@@ -170,130 +203,6 @@ def slope_from_medians(ns, medians) -> float:
     if (medians <= 0).any():
         raise ValueError("medians must be positive for a log-log fit")
     return float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
-
-
-def rate_slope(config: ExperimentConfig, out_path=None) -> RateSlopeReport:
-    """Median excess risk against sample size on a log-log scale; the median
-    is used because per-trial risks are heavy-tailed under weak moment
-    assumptions."""
-    if len(config.ns) < 4:
-        raise ValueError("need at least 4 sample sizes for a slope")
-    prob = population_for(config)
-    # A median at this level is rounding noise of a realizable, noiseless
-    # problem: COVERAGE_ATOL relative to the signal power tr(M* Sigma_X M*').
-    signal = float(np.trace(prob.m_star @ prob.sigma_x @ prob.m_star.T))
-    rounding = COVERAGE_ATOL * max(1.0, signal)
-    medians = []
-    for n in config.ns:
-        risks, _ = _run_trials(_trial_risk, config, prob, n)
-        finite = risks[np.isfinite(risks)]
-        if not finite.size:
-            raise RuntimeError(f"every trial at n={n} has a degenerate design")
-        median = float(np.median(finite))
-        if median <= rounding:
-            raise RuntimeError(f"median excess risk at n={n} is {median:g}, at or below "
-                               f"rounding level {rounding:g}; a log-log slope needs "
-                               "positive medians")
-        medians.append(median)
-    slope = slope_from_medians(config.ns, medians)
-    if out_path is not None:
-        write_csv(out_path, "n,median_excess_risk", zip(config.ns, medians))
-    return RateSlopeReport(slope=slope, ns=tuple(config.ns), medians=tuple(medians))
-
-
-# ---------------------------------------------------------------------------
-# Lower uniform law
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class LowerTailVerification:
-    n: int
-    frequency: float           # fraction of trials with min eigenvalue >= 1/2
-    certificate: LowerTailReport
-    h: float
-    trials: int
-
-
-def _lower_tail_hit(prob: RegressionProblem, traj):
-    return (), (min_eig(whitened_empirical_covariance(traj, prob)) >= 0.5,)
-
-
-def verify_lower_tail(config: ExperimentConfig, out_path=None) -> list[LowerTailVerification]:
-    """Empirical frequency of the whitened empirical covariance keeping all
-    eigenvalues above one half, against the certificate's prerequisites."""
-    prob = population_for(config)
-    out = []
-    for n, partition in _partitions(config):
-        h = config.process.fourth_moment_constant(
-            prob.sigma_x, n, derive_seed(config.seed, n, SPECTRUM_STREAM))
-        cert = lower_tail_certificate(partition, prob.d_x, h, config.delta,
-                                      profile_for(config, partition), config.constants)
-        _, (hits,) = _run_trials(_lower_tail_hit, config, prob, n)
-        out.append(LowerTailVerification(
-            n=n, frequency=hits / config.trials, certificate=cert,
-            h=h, trials=config.trials,
-        ))
-    if out_path is not None:
-        write_csv(out_path, "n,frequency,certified,required_n,h,trials", (
-            (r.n, r.frequency, r.certificate.certified, r.certificate.required_n, r.h, r.trials)
-            for r in out))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Noise walk thresholds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class NoiseWalkReport:
-    n: int
-    threshold: float
-    exceedance: float          # empirical frequency of ||S_n|| > threshold
-    budget: float              # failure probability charged by the tail bound
-    r_estimate: REstimate
-    trials: int
-
-
-def _walk_norm(prob: RegressionProblem, traj):
-    return np.linalg.norm(noise_walk(traj, prob).mean(axis=0)), ()
-
-
-def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalkReport]:
-    """Compare the dependent random-walk threshold (with Monte Carlo weak
-    variances and mean-norm ratio from decoupled resamples) against the
-    empirical exceedance of the coupled noise walk.  The partitions and the
-    Fuk-Nagaev constant (which needs s > 2) are checked before any draw."""
-    fuk_nagaev_constant(config.eps, config.eta, config.moment_s)
-    prob = population_for(config)
-    out = []
-    for n, partition in _partitions(config):
-        r_est = estimate_r(config.process, prob, partition, config.n_mc,
-                           derive_seed(config.seed, n, DECOUPLED_STREAM))
-        spectrum = _spectrum_for(config, prob, partition, n)
-        threshold = noise_term_threshold(r_est, config.eps, config.eta, config.delta)
-        budget = noise_term_failure_budget(r_est, spectrum, profile_for(config, partition),
-                                           config.eps, config.eta, config.delta)
-        norms, _ = _run_trials(_walk_norm, config, prob, n)
-        out.append(NoiseWalkReport(
-            n=n, threshold=threshold, exceedance=float(np.mean(norms > threshold)),
-            budget=budget, r_estimate=r_est, trials=config.trials,
-        ))
-    if out_path is not None:
-        write_csv(out_path, "n,threshold,exceedance,budget,r,lambda_odd,lambda_even,trials", (
-            (r.n, r.threshold, r.exceedance, r.budget, r.r_estimate.r,
-             r.r_estimate.lambda_odd, r.r_estimate.lambda_even, r.trials) for r in out))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# CLT consistency
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CltReport:
-    block_lens: tuple[int, ...]
-    sigma2: tuple[float, ...]
-    stable_from: int | None    # first sweep length with all later ratios in [0.8, 1.25]
 
 
 def stabilization_length(block_lens, sigma2) -> int | None:
@@ -308,29 +217,127 @@ def stabilization_length(block_lens, sigma2) -> int | None:
     return None
 
 
-def clt_consistency(config: ExperimentConfig, out_path=None) -> CltReport:
-    """Sweep block lengths and report where the block noise level settles,
-    i.e. where the finite-block covariance has effectively reached its
-    limiting value."""
+# ---------------------------------------------------------------------------
+# Experiments
+# ---------------------------------------------------------------------------
+
+def run_coverage(config: ExperimentConfig, out_path=None) -> list[CoverageRow]:
+    """For each sample size: estimate the noise spectrum, evaluate the bound
+    with its burn-ins, run the trials, and report the violation rate.
+
+    A degenerate design in a trial counts as a bound violation.
+    """
+    if config.trials < 100:
+        raise ValueError("coverage experiments need at least 100 trials")
+    prob = population_for(config)
+    rows = []
+    for n, partition in _partitions(config):
+        spectrum = _spectrum_for(config, prob, partition, n)
+        profile = profile_for(config, partition)
+        bound = main_bound(spectrum, config.delta, profile, config.constants)
+        risks, (degenerate,) = _run_trials(_trial_risk, config, prob, n)
+        coverage = float(np.mean(risks <= bound.bound_value + COVERAGE_ATOL))
+        finite = risks[np.isfinite(risks)]
+        quantile = float(np.quantile(finite, 1.0 - config.delta)) if finite.size else math.inf
+        rows.append(CoverageRow(
+            n=n, bound=bound.bound_value, quantile=quantile, coverage=coverage,
+            **{f"{check.name}_ok": check.holds for check in bound.checks},
+            degenerate=int(degenerate), trials=config.trials,
+        ))
+    return _written(rows, out_path)
+
+
+def rate_slope(config: ExperimentConfig, out_path=None) -> list[SlopeRow]:
+    """Median excess risk against sample size, whose log-log slope
+    `SlopeRow.closing` reports; the median is used because per-trial risks
+    are heavy-tailed under weak moment assumptions."""
+    if len(config.ns) < 4:
+        raise ValueError("need at least 4 sample sizes for a slope")
+    prob = population_for(config)
+    # A median at this level is rounding noise of a realizable, noiseless
+    # problem: COVERAGE_ATOL relative to the signal power tr(M* Sigma_X M*').
+    signal = float(np.trace(prob.m_star @ prob.sigma_x @ prob.m_star.T))
+    rounding = COVERAGE_ATOL * max(1.0, signal)
+    rows = []
+    for n in config.ns:
+        risks, _ = _run_trials(_trial_risk, config, prob, n)
+        finite = risks[np.isfinite(risks)]
+        if not finite.size:
+            raise RuntimeError(f"every trial at n={n} has a degenerate design")
+        median = float(np.median(finite))
+        if median <= rounding:
+            raise RuntimeError(f"median excess risk at n={n} is {median:g}, at or below "
+                               f"rounding level {rounding:g}; a log-log slope needs "
+                               "positive medians")
+        rows.append(SlopeRow(n=n, median_excess_risk=median))
+    return _written(rows, out_path)
+
+
+def _lower_tail_hit(prob: RegressionProblem, traj):
+    return (), (min_eig(whitened_empirical_covariance(traj, prob)) >= 0.5,)
+
+
+def verify_lower_tail(config: ExperimentConfig, out_path=None) -> list[LowerTailRow]:
+    """Empirical frequency of the whitened empirical covariance keeping all
+    eigenvalues above one half, against the certificate's prerequisites."""
+    prob = population_for(config)
+    rows = []
+    for n, partition in _partitions(config):
+        h = config.process.fourth_moment_constant(
+            prob.sigma_x, n, derive_seed(config.seed, n, SPECTRUM_STREAM))
+        cert = lower_tail_certificate(partition, prob.d_x, h, config.delta,
+                                      profile_for(config, partition), config.constants)
+        _, (hits,) = _run_trials(_lower_tail_hit, config, prob, n)
+        rows.append(LowerTailRow(
+            n=n, frequency=hits / config.trials, certified=cert.certified,
+            required_n=cert.required_n, h=h, trials=config.trials,
+        ))
+    return _written(rows, out_path)
+
+
+def _walk_norm(prob: RegressionProblem, traj):
+    return np.linalg.norm(noise_walk(traj, prob).mean(axis=0)), ()
+
+
+def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalkRow]:
+    """Compare the dependent random-walk threshold (with Monte Carlo weak
+    variances and mean-norm ratio from decoupled resamples) against the
+    empirical exceedance of the coupled noise walk.  The partitions and the
+    Fuk-Nagaev constant (which needs s > 2) are checked before any draw."""
+    fuk_nagaev_constant(config.eps, config.eta, config.moment_s)
+    prob = population_for(config)
+    rows = []
+    for n, partition in _partitions(config):
+        r_est = estimate_r(config.process, prob, partition, config.n_mc,
+                           derive_seed(config.seed, n, DECOUPLED_STREAM))
+        spectrum = _spectrum_for(config, prob, partition, n)
+        threshold = noise_term_threshold(r_est, config.eps, config.eta, config.delta)
+        budget = noise_term_failure_budget(r_est, spectrum, profile_for(config, partition),
+                                           config.eps, config.eta, config.delta)
+        norms, _ = _run_trials(_walk_norm, config, prob, n)
+        rows.append(NoiseWalkRow(
+            n=n, threshold=threshold, exceedance=float(np.mean(norms > threshold)),
+            budget=budget, r=r_est.r, lambda_odd=r_est.lambda_odd,
+            lambda_even=r_est.lambda_even, trials=config.trials,
+        ))
+    return _written(rows, out_path)
+
+
+def clt_consistency(config: ExperimentConfig, out_path=None) -> list[CltRow]:
+    """Sweep block lengths for the block noise level; `CltRow.closing`
+    reports where it settles, i.e. where the finite-block covariance has
+    effectively reached its limiting value."""
     prob = population_for(config)
     mats = clt_variance(config.process, prob, config.block_lens, config.n_mc,
                         derive_seed(config.seed, SPECTRUM_STREAM))
-    sigma2 = tuple(opnorm_psd(mats[l]) for l in config.block_lens)
-    report = CltReport(block_lens=tuple(config.block_lens), sigma2=sigma2,
-                       stable_from=stabilization_length(config.block_lens, sigma2))
-    if out_path is not None:
-        write_csv(out_path, "block_len,sigma2", zip(report.block_lens, report.sigma2))
-    return report
+    rows = [CltRow(block_len=l, sigma2=opnorm_psd(mats[l])) for l in config.block_lens]
+    return _written(rows, out_path)
 
-
-# ---------------------------------------------------------------------------
-# Stand-alone bound evaluation (CLI `bound` subcommand)
-# ---------------------------------------------------------------------------
 
 def evaluate_bound(config: ExperimentConfig, out_path=None) -> BoundReport:
-    """Evaluate the config's bound form (`BOUND_FORMS`) for its first sample
-    size.  The corollary form's equal-blocks rule is checked before the
-    spectrum is estimated."""
+    """The CLI's `bound` subcommand: evaluate the config's bound form
+    (`BOUND_FORMS`) for its first sample size.  The corollary form's
+    equal-blocks rule is checked before the spectrum is estimated."""
     n = config.ns[0]
     partition = config.partition_for(n)
     if config.bound_form == "corollary":

@@ -9,17 +9,17 @@ chunks, stacks the values in trial order and sums the totals in chunk order.
 Each chunk derives its trials' seeds in one pass (`derive_seeds`).
 
 MIXREG_THREADS caps the worker count (a positive integer, default 1 =
-serial).  Chunks are fixed by the trial count and worker count, and partial
-results are merged in chunk order, so results do not depend on scheduling;
-switching the worker count can change results only through floating-point
-summation order (within ~1e-10 relative).  Draws and statistics reach the
-pool by pickling, so they must be module-level functions or `partial`s of
-them.
+serial).  Chunks are fixed by the trial count and MIXREG_THREADS, not by
+the pool size, and partial results are merged in chunk order, so results
+depend on neither scheduling nor the CPU count; switching MIXREG_THREADS
+can change results only through floating-point summation order (within
+~1e-10 relative).  Draws and statistics reach the pool by pickling, so they
+must be module-level functions or `partial`s of them.
 
 The process pool, and with it `multiprocessing`, is imported on the first
-`map_chunks` call that has more than one worker and more than one chunk, so
-a serial run never loads it (on CPython 3.11 the import alone adds 1.3 MB
-to peak RSS and takes about 20 ms).
+`map_chunks` call whose pool holds more than one process, so a serial run
+never loads it (on CPython 3.11 the import alone adds 1.3 MB to peak RSS
+and takes about 20 ms).
 """
 
 from __future__ import annotations
@@ -47,10 +47,18 @@ def chunk_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_chunks(fn, chunk_args: list, workers: int | None = None) -> list:
-    """Apply fn to every chunk argument, returning results in input order."""
-    workers = worker_count() if workers is None else workers
-    if workers <= 1 or len(chunk_args) <= 1:
+    """Apply fn to every chunk argument, returning results in input order, on
+    a pool of at most one process per chunk and per usable CPU (one: serial)."""
+    workers = min(worker_count() if workers is None else workers, len(chunk_args),
+                  _usable_cpus())
+    if workers <= 1:
         return [fn(arg) for arg in chunk_args]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,4 +1,5 @@
-"""OLS fitting, population best linear maps, excess risk, the whitened noise
+"""OLS fitting, exact population best linear maps (`ProcessSpec.optimum`;
+a Monte Carlo fit is only a test oracle), excess risk, the whitened noise
 walk, and the Gaussian quartic machinery for misspecified AR cross terms."""
 
 from __future__ import annotations
@@ -9,12 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import EIG_FLOOR, inv_sqrt_psd, min_eig, sqrt_psd, symmetrize
-from .processes import (GaussianAR, ProcessSpec, Trajectory, companion, impulse_response,
-                        simulate)
-
-ANALYTIC = "analytic"
-MONTE_CARLO = "monte_carlo"
-MC_BATCHES = 100  # most segments of the Monte Carlo optimum's batch-means standard error
+from .processes import GaussianAR, ProcessSpec, Trajectory, companion, impulse_response
 
 
 class DegenerateDesignError(ValueError):
@@ -37,8 +33,6 @@ class RegressionProblem:
 
     sigma_x: np.ndarray
     m_star: np.ndarray
-    source: str = ANALYTIC
-    stderr: np.ndarray | None = None  # Monte Carlo path only
 
     def __post_init__(self):
         sx = symmetrize(np.atleast_2d(np.asarray(self.sigma_x, dtype=float)))
@@ -166,48 +160,16 @@ def error_identity_check(traj: Trajectory, prob: RegressionProblem) -> float:
 # Population optimum
 # ---------------------------------------------------------------------------
 
-def _monte_carlo_optimum(spec: ProcessSpec, n_mc: int, seed: int) -> RegressionProblem:
-    traj = simulate(spec, n_mc, seed)
-    # Batch-means standard error: refit on consecutive segments.  Valid for
-    # mixing data as long as segments are much longer than the mixing time.
-    # A fit on a few times d_X samples is heavy-tailed, so each segment
-    # holds at least 10 d_X samples.
-    batches = min(MC_BATCHES, n_mc // (10 * traj.xs.shape[1]))
-    edges = np.linspace(0, n_mc, batches + 1).astype(int)
-    fits = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        try:
-            fits.append(fit_ols(Trajectory(xs=traj.xs[a:b], ys=traj.ys[a:b])))
-        except DegenerateDesignError:
-            continue
-    if len(fits) < 2:
-        raise ValueError(f"n_mc = {n_mc} is too small: {len(fits)} of its batch segments "
-                         "give a non-degenerate fit, and a standard error needs 2")
-    fits = np.asarray(fits)
-    stderr = fits.std(axis=0, ddof=1) / np.sqrt(len(fits))
-    return RegressionProblem(sigma_x=traj.xs.T @ traj.xs / n_mc, m_star=fit_ols(traj),
-                             source=MONTE_CARLO, stderr=stderr)
-
-
-def population_optimum(spec: ProcessSpec, method: str = ANALYTIC, n_mc: int = 10**6,
-                       seed: int = 0, horizon: int | None = None) -> RegressionProblem:
+def population_optimum(spec: ProcessSpec, horizon: int | None = None) -> RegressionProblem:
     """Best linear predictor of the target from the spec's covariate window,
-    plus the averaged covariate covariance.
-
-    The analytic path solves the stationary normal equations (Yule-Walker for
-    AR specs, exact enumeration for Markov chains); the Monte Carlo path fits
-    one long simulated trajectory and reports batch-means standard errors.
-    For an AR spec of order p with covariate_dim < p (see `with_window`) the
-    problem is misspecified by construction.  For AR specs a horizon selects
-    the exact uniform mixture over that many sample times of the (possibly
-    zero-initialized) trajectory instead of the stationary law.
-    """
-    if method == ANALYTIC:
-        sigma_x, m_star = spec.optimum(horizon)
-        return RegressionProblem(sigma_x=sigma_x, m_star=m_star, source=ANALYTIC)
-    if method == MONTE_CARLO:
-        return _monte_carlo_optimum(spec, n_mc, seed)
-    raise ValueError(f"unknown method {method!r}")
+    and the averaged covariate covariance, from the stationary normal
+    equations (Yule-Walker for AR specs, exact enumeration for Markov
+    chains).  An AR spec of order p with covariate_dim < p (see `with_window`)
+    is misspecified by construction; for AR specs a horizon selects the exact
+    uniform mixture over that many sample times of the (possibly
+    zero-initialized) trajectory instead of the stationary law."""
+    sigma_x, m_star = spec.optimum(horizon)
+    return RegressionProblem(sigma_x=sigma_x, m_star=m_star)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 import mixreg
-from mixreg.cli import COMMANDS, cli_main
+from mixreg import harness
+from mixreg.cli import COMMANDS, EXPERIMENTS, cli_main
 from mixreg.config import ExperimentConfig, save_config
-from mixreg.parallel import worker_count
+from mixreg.parallel import _usable_cpus, worker_count
 from mixreg.processes import FiniteMarkov, IIDGaussian, two_state_flip
 
 
@@ -332,12 +335,16 @@ POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
 
 def test_serial_runs_never_load_the_pool(tmp_path):
     """Serial coverage and noise-walk runs import no process pool; a
-    MIXREG_THREADS=2 coverage run does, so the pool path still runs."""
+    MIXREG_THREADS=2 coverage run does, so the pool path still runs, unless
+    the process may use only one CPU, where its pool of one runs serially."""
     cfg = write_ar_cfg(tmp_path / "ar.cfg", tmp_path / "out")
     assert modules_after(cfg, POOL_MODULES, "coverage", "noise-walk", threads=1) == [[], []]
     on_import, after = modules_after(cfg, POOL_MODULES, "coverage", threads=2)
     assert on_import == []
-    assert set(POOL_MODULES) <= set(after)
+    if _usable_cpus() >= 2:
+        assert set(POOL_MODULES) <= set(after)
+    else:
+        assert after == []
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
@@ -364,3 +371,57 @@ def test_rerun_writes_identical_csv(tmp_path, capsys, command):
         assert cli_main([command, "--config", str(cfg)]) == 0
         runs.append((tmp_path / run / CSV_OF[command]).read_bytes())
     assert runs[0] == runs[1]
+
+
+# Each experiment's CSV header, pinned, and the row class whose fields it
+# lists (the bound report's columns follow its checks instead).
+HEADERS = {
+    "bound": ",".join(["bound_value", "mixing_sum", *(
+        f"{check}_{col}" for check in ("sample_size", "block_moment", "length_balance",
+                                       "spectrum_balance", "mixing")
+        for col in ("value", "threshold", "holds"))]),
+    "coverage": "n,bound,quantile,coverage,sample_size_ok,block_moment_ok,"
+                "length_balance_ok,spectrum_balance_ok,mixing_ok,degenerate,trials",
+    "lower-tail": "n,frequency,certified,required_n,h,trials",
+    "noise-walk": "n,threshold,exceedance,budget,r,lambda_odd,lambda_even,trials",
+    "clt": "block_len,sigma2",
+    "slope": "n,median_excess_risk",
+}
+ROW_CLASSES = {"coverage": harness.CoverageRow, "lower-tail": harness.LowerTailRow,
+               "noise-walk": harness.NoiseWalkRow, "clt": harness.CltRow,
+               "slope": harness.SlopeRow}
+
+# The shape of every summary line, without its float values.
+F = r"[-+]?(?:\d+(?:\.\d*)?(?:e[-+]\d+)?|inf|nan)"
+CHECK = rf"(PASS|FAIL) \w+: value {F} vs threshold {F}( \(.+\))?"
+SUMMARY = {
+    "bound": [rf"bound_value {F}", rf"mixing_sum {F}", r"constants UniversalConstants\(.+\)",
+              *[CHECK] * 5, r"all burn-ins (PASS|FAIL)"],
+    "coverage": [rf"n=\d+ bound={F} quantile={F} coverage={F} burnins=(PASS|FAIL)"] * 4,
+    "lower-tail": [rf"n=\d+ frequency={F} certified=(True|False)"] * 4,
+    "noise-walk": [rf"n=\d+ threshold={F} exceedance={F} budget={F}"] * 4,
+    "clt": [rf"block_len=\d+ sigma2={F}"] * 3 + [r"stable_from=(\d+|None)"],
+    "slope": [rf"n=\d+ median={F}"] * 4 + [rf"slope={F}"],
+}
+
+
+@pytest.mark.parametrize("command", list(EXPERIMENTS))
+def test_experiment_csv_header_and_summary_lines(tmp_path, capsys, command):
+    cfg = tmp_path / "ar.cfg"
+    cfg.write_text(
+        "[process]\nkind = gaussian_ar\nar_coeffs = 0.5, 0.2\nwarmup = 20\n"
+        "[fit]\nwindow = 1\n[partition]\ntau = 2\n"
+        "[experiment]\nns = 40, 50, 60, 80\ntrials = 100\nseed = 3\nn_mc = 1000\n"
+        f"block_lens = 1, 2, 4\nout = {tmp_path}\n")
+    assert cli_main([command, "--config", str(cfg)]) == 0
+    path = tmp_path / CSV_OF[command]
+    header, *rows = path.read_text().splitlines()
+    assert header == HEADERS[command]
+    if command in ROW_CLASSES:
+        assert header.split(",") == [f.name for f in dataclasses.fields(ROW_CLASSES[command])]
+    assert len(rows) == {"bound": 1, "clt": 3}.get(command, 4)
+    *lines, wrote = capsys.readouterr().out.splitlines()
+    assert wrote == f"wrote {path}"
+    assert len(lines) == len(SUMMARY[command])
+    for line, shape in zip(lines, SUMMARY[command]):
+        assert re.fullmatch(shape, line), (line, shape)

@@ -1,6 +1,8 @@
 """The trial engine: trial order and seeds, its input checks, and the
 MIXREG_THREADS promise that two pool workers agree with the serial run."""
 
+import concurrent.futures
+import os
 from functools import partial
 
 import numpy as np
@@ -10,7 +12,7 @@ from mixreg.blocking import make_partition
 from mixreg.bounds import estimate_r, noise_spectrum
 from mixreg.config import ExperimentConfig
 from mixreg.harness import run_coverage
-from mixreg.parallel import chunk_ranges, draw_process, map_trials
+from mixreg.parallel import chunk_ranges, draw_process, map_chunks, map_trials
 from mixreg.processes import GaussianAR, IIDGaussian, derive_seed, simulate
 from mixreg.regression import population_optimum
 
@@ -111,7 +113,77 @@ class TestTwoWorkersAgreeWithSerial:
                                   trials=100, seed=2, outputs=str(tmp_path), n_mc=1000,
                                   tau=10)
         serial, pooled = serial_then_pooled(monkeypatch, lambda: run_coverage(config)[0])
-        for name in ("bound_value", "quantile", "coverage"):
+        for name in ("bound", "quantile", "coverage"):
             assert getattr(pooled, name) == pytest.approx(getattr(serial, name), rel=1e-10)
-        assert pooled.degenerate_trials == serial.degenerate_trials
-        assert pooled.burnins_pass == serial.burnins_pass
+        for name in ("degenerate", "sample_size_ok", "block_moment_ok", "length_balance_ok",
+                     "spectrum_balance_ok", "mixing_ok"):
+            assert getattr(pooled, name) == getattr(serial, name)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and maps
+    in the calling process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        InlinePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    return InlinePool.sizes
+
+
+def with_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("threads, chunks, cpus, size", [
+        (64, 256, 2, 2),     # capped by the CPUs
+        (64, 3, 8, 3),       # capped by the chunks
+        (4, 10, 8, 4),       # capped by MIXREG_THREADS
+        (4, 10, 1, None),    # a pool of one runs serially
+        (4, 1, 8, None),
+        (1, 10, 8, None),
+    ])
+    def test_smallest_of_threads_chunks_and_cpus(self, monkeypatch, inline_pool,
+                                                 threads, chunks, cpus, size):
+        monkeypatch.setenv("MIXREG_THREADS", str(threads))
+        with_cpus(monkeypatch, cpus)
+        assert map_chunks(abs, list(range(-chunks, 0))) == list(range(chunks, 0, -1))
+        assert inline_pool == ([] if size is None else [size])
+
+    def test_cpu_count_without_affinity(self, monkeypatch, inline_pool):
+        monkeypatch.setenv("MIXREG_THREADS", "64")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        map_chunks(abs, list(range(10)))
+        assert inline_pool == [3]
+
+    @pytest.mark.parametrize("threads", [3, 64, 5000])
+    def test_chunks_follow_threads_not_the_pool(self, monkeypatch, inline_pool, threads):
+        """The same bytes as a serial run with the same MIXREG_THREADS: the
+        chunks, and so the summation order, do not depend on the pool size."""
+        monkeypatch.setenv("MIXREG_THREADS", str(threads))
+        run = partial(map_trials, first_column_and_sums, partial(draw_process, SPEC, 7), 23, 5)
+        with_cpus(monkeypatch, 1)
+        serial = run()
+        with_cpus(monkeypatch, 2)
+        pooled = run()
+        assert inline_pool == [2]
+        assert pooled[0].tobytes() == serial[0].tobytes()
+        for got, want in zip(pooled[1], serial[1]):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

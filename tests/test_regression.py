@@ -14,8 +14,6 @@ from mixreg.processes import (
     two_state_flip,
 )
 from mixreg.regression import (
-    ANALYTIC,
-    MONTE_CARLO,
     DegenerateDesignError,
     RegressionProblem,
     cross_term_expectation,
@@ -29,6 +27,8 @@ from mixreg.regression import (
     whitened_empirical_covariance,
 )
 from mixreg.regression import _check_gram, _times
+
+from mc_optimum import monte_carlo_optimum
 
 
 def random_problem(rng, d_x, d_y):
@@ -118,7 +118,6 @@ class TestPopulationOptimum:
     def test_ar1_realizable(self):
         prob = population_optimum(GaussianAR((0.5,), covariate_dim=1))
         assert prob.m_star[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert prob.source == ANALYTIC
 
     def test_ar2_misspecified_window1(self):
         prob = population_optimum(GaussianAR((0.5, 0.2), covariate_dim=1))
@@ -127,11 +126,9 @@ class TestPopulationOptimum:
     def test_analytic_vs_monte_carlo(self):
         spec = GaussianAR((0.5, 0.2), covariate_dim=1, warmup=100)
         analytic = population_optimum(spec)
-        mc = population_optimum(spec, method=MONTE_CARLO,
-                                n_mc=200_000, seed=11)
-        assert mc.source == MONTE_CARLO
+        mc, stderr = monte_carlo_optimum(spec, n_mc=200_000, seed=11)
         diff = abs(mc.m_star[0, 0] - analytic.m_star[0, 0])
-        assert diff <= 3 * mc.stderr[0, 0]
+        assert diff <= 3 * stderr[0, 0]
 
     @pytest.mark.parametrize("spec, n_mc", [
         (GaussianAR((0.5, 0.2), covariate_dim=1), 1),
@@ -142,7 +139,7 @@ class TestPopulationOptimum:
         # Segments hold at least 10 d_X samples: n_mc = 1 or 2 with d_X = 1,
         # and n_mc = 50 with d_X = 3, leave fewer than two segments.
         with pytest.raises(ValueError, match="n_mc"):
-            population_optimum(spec, method=MONTE_CARLO, n_mc=n_mc)
+            monte_carlo_optimum(spec, n_mc=n_mc)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monte_carlo_stderr_matches_the_sampling_error(self, seed):
@@ -150,17 +147,16 @@ class TestPopulationOptimum:
         # 1 / sqrt(n_mc).  Segments of 10 d_X samples report it within a
         # factor of 2; three-sample segments reported up to 100 times more.
         n_mc = 300
-        prob = population_optimum(IIDGaussian(covariate_dim=3), method=MONTE_CARLO,
-                                  n_mc=n_mc, seed=seed)
+        _, stderr = monte_carlo_optimum(IIDGaussian(covariate_dim=3), n_mc=n_mc, seed=seed)
         scale = 1.0 / np.sqrt(n_mc)
-        assert ((prob.stderr >= 0.5 * scale) & (prob.stderr <= 2.0 * scale)).all()
+        assert ((stderr >= 0.5 * scale) & (stderr <= 2.0 * scale)).all()
 
     @pytest.mark.parametrize("n_mc", [50, 99])
     def test_monte_carlo_below_the_batch_count(self, n_mc):
         # Fewer samples than 10 d_X per batch segment: fewer, longer segments.
         spec = GaussianAR((0.5, 0.2), covariate_dim=1)
-        prob = population_optimum(spec, method=MONTE_CARLO, n_mc=n_mc)
-        assert np.isfinite(prob.stderr).all()
+        _, stderr = monte_carlo_optimum(spec, n_mc=n_mc)
+        assert np.isfinite(stderr).all()
 
     def test_near_unit_root_is_exact(self):
         rho = 0.99999
