@@ -314,7 +314,10 @@ def noise_term_failure_budget(r_est: REstimate, spectrum: NoiseSpectrum, profile
     over r_est's partition: 2 delta + the interior mixing sum on the profile
     + the polynomial Fuk-Nagaev remainder, from r_est's r and weak variances
     and the spectrum's s-th block moments.  A parity with zero moments adds
-    nothing; any other makes the budget inf if r or its variance is zero."""
+    nothing; any other makes the budget inf if r or its variance is zero.
+    At the default constants, fuk_nagaev_constant(0.1, 0.1, 4) = 1.836e10 puts
+    it far above 1 (1.56e15 on the noise-walk-ar bench): `exceedance <= budget`
+    cannot fail there, by the constants and not by simulation."""
     part = r_est.partition
     if spectrum.partition != part:
         raise ValueError("r_est and the spectrum must share a partition")

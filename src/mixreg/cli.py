@@ -5,7 +5,7 @@ lower-tail, noise-walk, clt and slope, which one handler runs from the
 `EXPERIMENTS` table.  Each writes one CSV, prints the summary lines of its
 result (`harness.summary_lines`), then `wrote <path>`.  Exit codes: 0 on
 success, 1 on argument/config errors, 2 on runtime or numerical errors.
-MIXREG_THREADS caps trial parallelism.
+MIXREG_THREADS sizes the trial pool only: every value writes the same bytes.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if getattr(args, "func", None) is None:
-        parser.print_usage()
+        parser.print_usage(sys.stderr)
         return 1
     try:
         return args.func(args)

@@ -303,7 +303,8 @@ def verify_noise_walk(config: ExperimentConfig, out_path=None) -> list[NoiseWalk
     """Compare the dependent random-walk threshold (with Monte Carlo weak
     variances and mean-norm ratio from decoupled resamples) against the
     empirical exceedance of the coupled noise walk.  The partitions and the
-    Fuk-Nagaev constant (which needs s > 2) are checked before any draw."""
+    Fuk-Nagaev constant (s > 2) are checked before any draw.  At the default
+    constants `exceedance <= budget` cannot fail (`noise_term_failure_budget`)."""
     fuk_nagaev_constant(config.eps, config.eta, config.moment_s)
     prob = population_for(config)
     rows = []

@@ -4,17 +4,12 @@ independent seeded trials, and `map_trials` is the one loop that runs them.
 A caller supplies a draw (a trajectory from a seed, see `draw_process` and
 `draw_decoupled`) and a statistic (one trajectory in, `(values, totals)` out).
 The engine derives trial t's seed as `derive_seed(seed, t)` (independent sets
-of trials need seeds of their own), splits the trials into chunks, maps the
-chunks, stacks the values in trial order and sums the totals in chunk order.
-Each chunk derives its trials' seeds in one pass (`derive_seeds`).
-
-MIXREG_THREADS caps the worker count (a positive integer, default 1 =
-serial).  Chunks are fixed by the trial count and MIXREG_THREADS, not by
-the pool size, and partial results are merged in chunk order, so results
-depend on neither scheduling nor the CPU count; switching MIXREG_THREADS
-can change results only through floating-point summation order (within
-~1e-10 relative).  Draws and statistics reach the pool by pickling, so they
-must be module-level functions or `partial`s of them.
+of trials need seeds of their own), maps `TRIAL_CHUNKS` chunks fixed by the
+trial count alone, each deriving its seeds in one pass (`derive_seeds`),
+stacks the values in trial order and sums the totals in chunk order.  So no
+result depends on MIXREG_THREADS (a positive integer, default 1 = serial; it
+only caps the pool size), scheduling or the CPU count.  Draws and statistics
+reach the pool pickled: use module-level functions or `partial`s of them.
 
 The process pool, and with it `multiprocessing`, is imported on the first
 `map_chunks` call whose pool holds more than one process, so a serial run
@@ -31,6 +26,8 @@ import numpy as np
 from .blocking import decoupled_resample
 from .processes import simulate
 from .seeding import derive_seeds
+
+TRIAL_CHUNKS = 8  # the most processes a trial loop's pool can use
 
 
 def worker_count() -> int:
@@ -103,11 +100,10 @@ def map_trials(statistic, draw, trials: int, seed: int) -> tuple[np.ndarray, tup
     The statistic returns `(values, totals)`: values is a float or array per
     trial (use `()` for none) and totals is a tuple of floats or arrays.
     Returns the values stacked in trial order, shape (trials, ...), and the
-    tuple of totals summed over all trials.
-    """
+    tuple of totals summed over all trials."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
-    chunks = chunk_ranges(trials, 4 * worker_count())
+    chunks = chunk_ranges(trials, TRIAL_CHUNKS)
     parts = map_chunks(_trial_chunk, [(statistic, draw, seed, a, b) for a, b in chunks])
     values = np.concatenate([p[0] for p in parts])
     totals = tuple(sum(column) for column in zip(*(p[1] for p in parts)))

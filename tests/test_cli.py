@@ -36,6 +36,8 @@ def iid_cfg(tmp_path):
 
 def test_unknown_subcommand_exits_1(capsys):
     assert cli_main(["frobnicate"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "usage" in err.lower()
 
 
 def test_console_entry_point():
@@ -54,7 +56,8 @@ def test_console_entry_point():
 
 def test_no_subcommand_prints_usage(capsys):
     assert cli_main([]) == 1
-    assert "usage" in capsys.readouterr().err.lower() or True
+    out, err = capsys.readouterr()
+    assert out == "" and "usage" in err.lower()
 
 
 def test_missing_config_is_argument_error(tmp_path):
@@ -348,12 +351,19 @@ def test_serial_runs_never_load_the_pool(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_bad_thread_count_exits_1(iid_cfg, monkeypatch, capsys, value):
+def test_bad_thread_count_exits_1(tmp_path, monkeypatch, capsys, value):
+    """MIXREG_THREADS is read only when a trial loop sizes its pool, and
+    every experiment runs one, so each fails on a malformed value."""
+    cfg = tmp_path / "iid.cfg"
+    save_config(ExperimentConfig(IIDGaussian(covariate_dim=2), ns=(300, 400, 500, 600),
+                                 trials=100, seed=4, n_mc=1000, tau=1, block_lens=(1, 2),
+                                 outputs=str(tmp_path)), cfg)
     monkeypatch.setenv("MIXREG_THREADS", value)
     with pytest.raises(ValueError, match="MIXREG_THREADS"):
         worker_count()
-    assert cli_main(["bound", "--config", str(iid_cfg)]) == 1
-    assert "MIXREG_THREADS" in capsys.readouterr().err
+    for command in EXPERIMENTS:
+        assert cli_main([command, "--config", str(cfg)]) == 1, command
+        assert "MIXREG_THREADS" in capsys.readouterr().err, command
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
