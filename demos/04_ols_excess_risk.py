@@ -1,5 +1,5 @@
 """OLS on dependent data: the population optimum, excess risk, the error
-identity, the whitened noise walk, and exact Gaussian cross terms."""
+identity, the whitened noise walk, and its exact cross moments."""
 
 import numpy as np
 
@@ -36,14 +36,16 @@ print("noise walk norm:", f"{np.linalg.norm(fit.s_n):.3e}")
 # empirical covariance, for any nonsingular design.
 print("identity residual:", f"{error_identity_check(traj, prob):.2e}")
 
-# Quartic forms of isotropic Gaussians have a closed second moment, which
-# turns the misspecified cross correlations E[u_s' S^-1 u_t w_s w_t] into
-# exact finite expressions.
+# Quartic forms of isotropic Gaussians have a closed second moment.  The
+# noise walk V_j = w_j x_j' Sigma_X^{-1/2}, with w the residual against
+# prob.m_star, is a Gaussian quadratic form in the innovations, so its cross
+# moments E[V_s . V_t] at sample indices s < t (warmup included) are one
+# quartic form each: exact, and nonzero only because the one-lag fit is
+# misspecified.
 a = np.array([[1.0, 0.2], [0.0, 0.5]])
 b = np.array([[0.3, 0.0], [0.4, 1.0]])
 print("E[g'Ag g'Bg] =", gaussian_quartic(a, b))
 
-sigma_inv = np.linalg.inv(prob.sigma_x)
 for s, t in ((3, 5), (5, 9), (5, 15)):
-    val = cross_term_expectation(spec, s, t, sigma_inv)
-    print(f"cross term (s={s}, t={t}):", f"{val:.5f}")
+    val = cross_term_expectation(spec, prob, s, t)
+    print(f"noise walk E[V_{s} . V_{t}]:", f"{val:.5f}")

@@ -5,6 +5,9 @@ lower-tail, noise-walk, clt and slope, which one handler runs from the
 `EXPERIMENTS` table.  Each writes one CSV, prints the summary lines of its
 result (`harness.summary_lines`), then `wrote <path>`.  Exit codes: 0 on
 success, 1 on argument/config errors, 2 on runtime or numerical errors.
+A subcommand offers only the flags it reads: `--seed` on all but `mixing`,
+`--trials` on the experiments that loop over trials (`TRIAL_COMMANDS`), so an
+unread flag is an argument error, as is `--config` with `mixing --markov`.
 MIXREG_THREADS sizes the trial pool only: every value writes the same bytes.
 """
 
@@ -29,13 +32,10 @@ def _load(args) -> ExperimentConfig:
     if not args.config:
         raise ValueError("this subcommand requires --config PATH")
     config = load_config(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.out is not None:
-        updates["outputs"] = args.out
+    # A subcommand registers --seed and --trials only if it reads them.
+    updates = {"seed": getattr(args, "seed", None),
+               "trials": getattr(args, "trials", None), "outputs": args.out}
+    updates = {key: value for key, value in updates.items() if value is not None}
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -58,6 +58,8 @@ def _cmd_mixing(args) -> int:
     if args.max_gap < 1:
         raise ValueError(f"--max-gap must be >= 1, got {args.max_gap}")
     if args.markov is not None:
+        if args.config:
+            raise ValueError("--markov replaces the config: give one of --markov, --config")
         key, _, val = args.markov.partition("=")
         if key.strip() != "q":
             raise ValueError("--markov expects q=<flip probability>")
@@ -96,6 +98,9 @@ def _cmd_experiment(name: str, args) -> int:
     return 0
 
 
+# The experiments that run a loop over `config.trials`, and so take --trials.
+TRIAL_COMMANDS = ("coverage", "lower-tail", "noise-walk", "slope")
+
 COMMANDS = {
     "simulate": (_cmd_simulate, "simulate a trajectory and write it as CSV"),
     "mixing": (_cmd_mixing, "write a mixing-coefficient profile as CSV"),
@@ -115,8 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (fn, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="experiment config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--trials", type=int, help="override the trial count")
+        if name != "mixing":  # a mixing profile draws nothing
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if name in TRIAL_COMMANDS:
+            p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--out", help="override the output directory")
         if name == "simulate":
             p.add_argument("--n", type=int, help="trajectory length (default: first config n)")

@@ -140,7 +140,7 @@ def expected_kl_ar(spec: GaussianAR, t: int | None, k: int) -> float:
         raise ValueError("t must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    a = spec._state_companion()
+    a = spec.state_companion
     if t is None:
         state_cov = spec.state_covariance / spec.noise_std**2
     else:

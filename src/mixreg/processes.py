@@ -239,12 +239,12 @@ class ProcessSpec:
     """Base of the process kinds.  A kind is one frozen dataclass that sets
     its config name `kind` and implements `_draw(rng, n)` (the covariate and
     target arrays, read by `simulate`) and `mixing_profile(gaps)`.  Gaussian
-    AR overrides `optimum`, with a finite horizon and its cached stationary
-    state covariance, and `with_window`; the other kinds implement
-    `_stationary_optimum()`.  The base `fourth_moment_constant`, exact for
-    stationary Gaussian covariates, is overridden by the AR and Markov kinds.
-    `mixing_profile` imports from mixing.py when called, since that module
-    imports this one."""
+    AR overrides `optimum`, with a finite horizon and its cached
+    `state_companion` and `state_covariance`, and `with_window`; the other
+    kinds implement `_stationary_optimum()`.  The base
+    `fourth_moment_constant`, exact for stationary Gaussian covariates, is
+    overridden by the AR and Markov kinds.  `mixing_profile` imports from
+    mixing.py when called, since that module imports this one."""
 
     def with_window(self, window: int) -> "ProcessSpec":
         """The same process regressed on a covariate window of this size."""
@@ -352,7 +352,7 @@ class GaussianAR(ProcessSpec):
         warmup + horizon - 1 feed the samples, and Cov(x_j) = sigma^2
         sum_{i<j} A^i e1 e1' (A^i)', so the summed covariance weighs term i
         by the number of those j above i."""
-        a = self._state_companion()
+        a = self.state_companion
         if horizon is None:
             mean_cov = self.state_covariance
         elif horizon < 1:
@@ -369,12 +369,16 @@ class GaussianAR(ProcessSpec):
         cross = (a @ mean_cov)[0, :window]
         return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross)[None, :]
 
-    def _state_companion(self) -> np.ndarray:
+    @cached_property
+    def state_companion(self) -> np.ndarray:
         """Companion matrix of the state (y_t, ..., y_{t-D+1}) with
         D = max(p + 1, covariate_dim), so that every lag of the covariate
-        window is a state coordinate."""
+        window is a state coordinate: the one state every AR moment reads
+        (read-only)."""
         dim = max(self.order + 1, self.covariate_dim)
-        return companion(self.ar_coeffs + (0.0,) * (dim - 1 - self.order))
+        a = companion(self.ar_coeffs + (0.0,) * (dim - 1 - self.order))
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def _lyapunov_row(self) -> np.ndarray:
@@ -389,7 +393,7 @@ class GaussianAR(ProcessSpec):
     @cached_property
     def state_covariance(self) -> np.ndarray:
         """Stationary covariance of the D-coordinate state of
-        `_state_companion`, entry (i, j) = gamma(|i - j|) (read-only).  The
+        `state_companion`, entry (i, j) = gamma(|i - j|) (read-only).  The
         lags past p come from the AR recursion, never from a Lyapunov solve
         on the D-state, whose Kronecker system has D^4 entries."""
         dim = max(self.order + 1, self.covariate_dim)
@@ -407,7 +411,7 @@ class GaussianAR(ProcessSpec):
         Sigma_t is stationary.  One direction for d_X = 1; for d_X > 1 the
         max over the grid, a lower estimate of the sup."""
         times = self.warmup + np.arange(n)
-        r = _settled_impulse_response(self._state_companion(), int(times[-1]))
+        r = _settled_impulse_response(self.state_companion, int(times[-1]))
         dirs = _h_directions(sigma_x, seed)
         proj = dirs @ r[:self.covariate_dim]
         cum = np.zeros((len(dirs), r.shape[1] + 1))

@@ -1,6 +1,7 @@
 """OLS fitting, exact population best linear maps (`ProcessSpec.optimum`;
 a Monte Carlo fit is only a test oracle), excess risk, the whitened noise
-walk, and the Gaussian quartic machinery for misspecified AR cross terms."""
+walk, whose residual W = Y - M* X is the package's only residual, and the
+Gaussian quartic forms that give that walk's exact AR cross moments."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import EIG_FLOOR, inv_sqrt_psd, min_eig, sqrt_psd, symmetrize
-from .processes import GaussianAR, ProcessSpec, Trajectory, companion, impulse_response
+from .processes import GaussianAR, ProcessSpec, Trajectory, impulse_response
 
 
 class DegenerateDesignError(ValueError):
@@ -187,45 +188,29 @@ def gaussian_quartic(a: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * np.sum(a * sym_b) + np.trace(a) * np.trace(b))
 
 
-def _noise_map(a: np.ndarray, j: int, n_eps: int, noise_std: float) -> np.ndarray:
-    """Matrix mapping the innovation vector (eps_0..eps_{n_eps-1}) to the
-    state at time j: column i <= j is noise_std A^(j-i) e1, the rest zero."""
-    cols = max(j + 1, 0)
-    mat = np.zeros((a.shape[0], n_eps))
-    mat[:, :cols] = noise_std * impulse_response(a, cols)[:, ::-1]
-    return mat
-
-
-def cross_term_expectation(spec: GaussianAR, s: int, t: int,
-                           sigma_inv: np.ndarray) -> float:
-    """Exact cross correlation E[u_s' Sigma^{-1} u_t w_s w_t] of the noise
-    walk increments of an AR fit on covariate_dim lags, for sample times s < t.
-
-    Writes the states as linear images of the innovation vector and reduces
-    both terms (the squared misspecification part and the innovation cross
-    part) to Gaussian quartic forms.
-    """
+def cross_term_expectation(spec: GaussianAR, prob: RegressionProblem, s: int, t: int) -> float:
+    """Exact E[V_s . V_t] of the noise walk `noise_walk(simulate(spec, n,
+    seed), prob)` at sample indices 0 <= s < t: E[u_s' Sigma_X^{-1} u_t w_s
+    w_t] with w = y - m* u the residual against prob.m_star.  Index j is
+    process time T = warmup + j.  The state at T of `spec.state_companion`
+    (the one `optimum` reads), the covariate u_T (the window of the state at
+    T - 1) and w_T are linear images of the innovations eps_0..eps_T, so the
+    expectation is one Gaussian quartic form, zero for a realizable fit."""
     if not 0 <= s < t:
         raise ValueError("need 0 <= s < t")
-    window = spec.covariate_dim
-    theta = np.asarray(spec.ar_coeffs)
-    tail = theta[window:]
-    if tail.size == 0:
-        return 0.0  # realizable fit: the noise is a martingale difference
-    a = companion(spec.ar_coeffs)
-    p = spec.order
-    n_eps = t + 1
-    sel_u = np.zeros((window, p + 1))
-    sel_u[:, 1 : window + 1] = np.eye(window)
-    sel_v = np.zeros((tail.size, p + 1))
-    sel_v[:, 1 : tail.size + 1] = np.eye(tail.size)
+    n_eps = spec.warmup + t + 1
+    rev = spec.noise_std * impulse_response(spec.state_companion, n_eps)[:, ::-1]
 
-    m_s, m_t, m_sm, m_tm = (_noise_map(a, j, n_eps, spec.noise_std)
-                            for j in (s, t, s - window, t - window))
-    quad = m_s.T @ sel_u.T @ np.asarray(sigma_inv, dtype=float) @ sel_u @ m_t
-    beta_outer = np.outer(tail, tail)
-    misspec = m_sm.T @ sel_v.T @ beta_outer @ sel_v @ m_tm
-    e_s = np.zeros(n_eps)
-    e_s[s] = 1.0
-    innov_cross = spec.noise_std * np.outer(e_s, m_tm.T @ sel_v.T @ tail)
-    return gaussian_quartic(quad, misspec) + gaussian_quartic(quad, innov_cross)
+    def state_map(time: int) -> np.ndarray:
+        """Column i <= time is noise_std A^(time - i) e1, the rest zero."""
+        m = np.zeros_like(rev)
+        m[:, : time + 1] = rev[:, n_eps - 1 - time :]
+        return m
+
+    def covariate_and_residual(time: int) -> tuple[np.ndarray, np.ndarray]:
+        x = state_map(time - 1)[: spec.covariate_dim]
+        return prob.whitener @ x, state_map(time)[0] - prob.m_star[0] @ x
+
+    u_s, r_s = covariate_and_residual(spec.warmup + s)
+    u_t, r_t = covariate_and_residual(spec.warmup + t)
+    return gaussian_quartic(u_s.T @ u_t, np.outer(r_s, r_t))

@@ -12,7 +12,7 @@ import pytest
 
 import mixreg
 from mixreg import harness
-from mixreg.cli import COMMANDS, EXPERIMENTS, cli_main
+from mixreg.cli import COMMANDS, EXPERIMENTS, TRIAL_COMMANDS, build_parser, cli_main
 from mixreg.config import ExperimentConfig, save_config
 from mixreg.parallel import _usable_cpus, worker_count
 from mixreg.processes import FiniteMarkov, IIDGaussian, two_state_flip
@@ -106,6 +106,32 @@ def test_seed_override_changes_output(iid_cfg, tmp_path):
     cli_main(["simulate", "--config", str(iid_cfg), "--n", "10", "--seed", "99"])
     second = (tmp_path / "trajectory.csv").read_text()
     assert first != second
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--trials"), ("mixing", "--trials"), ("bound", "--trials"),
+    ("clt", "--trials"), ("mixing", "--seed")])
+def test_unread_flag_exits_1(iid_cfg, tmp_path, capsys, command, flag):
+    """A subcommand that would ignore a flag does not offer it."""
+    assert cli_main([command, "--config", str(iid_cfg), flag, "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "usage" in err.lower() and flag in err
+    assert [p.name for p in tmp_path.iterdir()] == ["iid.cfg"]
+
+
+def test_markov_shortcut_refuses_a_config(iid_cfg, tmp_path, capsys):
+    assert cli_main(["mixing", "--markov", "q=0.3", "--config", str(iid_cfg),
+                     "--out", str(tmp_path)]) == 1
+    assert "--markov" in capsys.readouterr().err
+    assert not (tmp_path / "mixing.csv").exists()
+
+
+def test_flags_offered_where_read():
+    parser = build_parser()
+    for command in set(COMMANDS) - {"mixing"}:
+        assert parser.parse_args([command, "--seed", "5"]).seed == 5
+    for command in TRIAL_COMMANDS:
+        assert parser.parse_args([command, "--trials", "7"]).trials == 7
 
 
 def test_bad_markov_argument(tmp_path):

@@ -424,7 +424,7 @@ class TestStationaryCovariance:
         # Window 5 > p + 1: the lags past p come from the AR recursion, and
         # the D = 5 state covariance is still the Lyapunov fixed point.
         spec = GaussianAR((0.5, 0.2), noise_std=1.5, covariate_dim=5)
-        a = spec._state_companion()
+        a = spec.state_companion
         cov = spec.state_covariance
         assert cov.shape == (5, 5)
         q = np.zeros((5, 5))

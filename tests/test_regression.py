@@ -10,6 +10,7 @@ from mixreg.processes import (
     GaussianAR,
     IIDGaussian,
     Trajectory,
+    autocovariances,
     simulate,
     two_state_flip,
 )
@@ -434,50 +435,74 @@ class TestTensorization:
 
 
 class TestCrossTermExpectation:
+    @staticmethod
+    def fit(coeffs, window, noise_std=1.0, warmup=0):
+        spec = GaussianAR(coeffs, noise_std=noise_std, covariate_dim=window, warmup=warmup)
+        return spec, population_optimum(spec)
+
     def test_realizable_zero(self):
-        spec = GaussianAR((0.5,), covariate_dim=1)
-        for s, t in ((0, 1), (2, 5), (3, 9)):
-            assert cross_term_expectation(spec, s, t, np.eye(1)) == 0.0
+        # A window at or above the order leaves the innovation as the
+        # residual, a martingale difference; p + 2 is wider than the (p + 1)
+        # companion state.
+        for coeffs, window in (((0.5,), 1), ((0.5, 0.2), 2), ((0.5, 0.2), 4)):
+            spec, prob = self.fit(coeffs, window, warmup=5)
+            for s, t in ((0, 1), (2, 5), (3, 9)):
+                assert abs(cross_term_expectation(spec, prob, s, t)) <= 1e-12
 
     def test_window_comes_from_the_spec(self):
-        # A window at or above the order is a realizable fit.
-        for window in (2, 3):
-            spec = GaussianAR((0.5, 0.2), covariate_dim=window)
-            assert cross_term_expectation(spec, 3, 5, np.eye(1)) == 0.0
-        spec = GaussianAR((0.5, 0.2), covariate_dim=1)
-        assert cross_term_expectation(spec, 3, 5, np.eye(1)) == pytest.approx(
-            0.2935121875, rel=1e-12)
+        for window in (2, 3, 4):
+            spec, prob = self.fit((0.5, 0.2), window)
+            assert abs(cross_term_expectation(spec, prob, 3, 5)) <= 1e-12
+        spec, prob = self.fit((0.5, 0.2), 1)
+        assert cross_term_expectation(spec, prob, 3, 5) == pytest.approx(
+            0.08424215761596679, rel=1e-12)
 
     def test_argument_order(self):
-        spec = GaussianAR((0.5, 0.2), covariate_dim=1)
+        spec, prob = self.fit((0.5, 0.2), 1)
         with pytest.raises(ValueError):
-            cross_term_expectation(spec, 5, 5, np.eye(1))
+            cross_term_expectation(spec, prob, 5, 5)
 
     def test_against_monte_carlo(self):
-        spec = GaussianAR((0.5, 0.2), covariate_dim=1)
-        sigma_inv = np.array([[1.0 / 1.5]])
-        s, t = 6, 9
-        exact = cross_term_expectation(spec, s, t, sigma_inv)
-        n_paths = 600_000
-        g = np.random.default_rng(10).standard_normal((n_paths, t + 1))
-        y = lfilter([1.0], [1.0, -0.5, -0.2], g, axis=1)
-        u_s, u_t = y[:, s - 1], y[:, t - 1]
-        w_s = y[:, s] - 0.5 * y[:, s - 1]
-        w_t = y[:, t] - 0.5 * y[:, t - 1]
-        samples = u_s * sigma_inv[0, 0] * u_t * w_s * w_t
-        se = samples.std() / np.sqrt(n_paths)
-        assert abs(samples.mean() - exact) <= 3 * se
+        # The oracle is the noise walk itself: products V_s . V_t over fresh
+        # draws of the first t + 1 samples, before and after a warmup.
+        s, t, n_draws = 6, 9, 40_000
+        for warmup in (0, 30):
+            spec, prob = self.fit((0.5, 0.2), 1, warmup=warmup)
+            exact = cross_term_expectation(spec, prob, s, t)
+            rng = np.random.default_rng(10)
+            samples = np.empty(n_draws)
+            for k in range(n_draws):
+                walk = noise_walk(simulate(spec, t + 1, rng), prob)
+                samples[k] = np.sum(walk[s] * walk[t])
+            se = samples.std() / np.sqrt(n_draws)
+            assert abs(samples.mean() - exact) <= 3 * se, warmup
+
+    def test_long_warmup_reaches_the_stationary_isserlis_value(self):
+        # Past a long warmup the state is stationary to float64 resolution,
+        # and Isserlis gives E[V_0 . V_k] for one lag from the autocovariances
+        # alone: (gamma(k) E[w_0 w_k] + E[x_0 w_k] E[w_0 x_k]) / gamma(0).
+        spec, prob = self.fit((0.5, 0.2), 1, warmup=300)
+        m = prob.m_star[0, 0]
+        g = autocovariances(spec, 12)
+        for k in (1, 2, 5, 10):
+            ww = (1.0 + m * m) * g[k] - m * (g[k - 1] + g[k + 1])
+            xw, wx = g[k + 1] - m * g[k], g[k - 1] - m * g[k]
+            want = (g[k] * ww + xw * wx) / g[0]
+            assert cross_term_expectation(spec, prob, 4, 4 + k) == pytest.approx(
+                want, rel=1e-10)
 
     def test_noise_scale_homogeneity(self):
-        base = GaussianAR((0.4, 0.3), covariate_dim=1)
-        scaled = GaussianAR((0.4, 0.3), noise_std=2.0, covariate_dim=1)
-        sigma_inv = np.array([[0.7]])
-        v1 = cross_term_expectation(base, 4, 7, sigma_inv)
-        v2 = cross_term_expectation(scaled, 4, 7, sigma_inv / 4.0)
+        (base, prob1), (scaled, prob2) = (self.fit((0.4, 0.3), 1, noise_std=sd)
+                                          for sd in (1.0, 2.0))
+        v1 = cross_term_expectation(base, prob1, 4, 7)
+        v2 = cross_term_expectation(scaled, prob2, 4, 7)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-10)
 
     def test_early_times_with_zero_history(self):
-        # s < window makes the misspecified lag window reach before time 0.
-        spec = GaussianAR((0.5, 0.2), covariate_dim=1)
-        val = cross_term_expectation(spec, 0, 2, np.eye(1))
-        assert np.isfinite(val)
+        # Without a warmup the first covariate is the zero initial value, so
+        # V_0 = 0; a warmup gives it history.
+        spec, prob = self.fit((0.5, 0.2), 1)
+        assert cross_term_expectation(spec, prob, 0, 2) == 0.0
+        spec, prob = self.fit((0.5, 0.2), 1, warmup=3)
+        val = cross_term_expectation(spec, prob, 0, 2)
+        assert np.isfinite(val) and val != 0.0
