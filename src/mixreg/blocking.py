@@ -105,24 +105,26 @@ def decoupled_resample(spec: ProcessSpec, partition: BlockPartition, seed: int) 
 
     Each block re-simulates the process from time zero with its own derived
     seed, `derive_seed(seed, i)` for block i, and keeps only the block's rows,
-    so the block marginals are exact even for non-stationary specs (quadratic
-    cost in n, fine at this scale).  The block seeds are derived in one pass,
-    and one Generator is set before each block to the state `default_rng`
-    builds from the block's seed, so each block draws the stream of
-    `simulate(spec, stop, derive_seed(seed, i))`.  The kept rows are copied
-    in place into the result, so one block draw is alive at a time.
+    so the block marginals are exact even for non-stationary specs.  The
+    draws stay quadratic in n, since every block draws all the innovations
+    before its rows; the rows built are linear in n, since each block asks
+    `simulate(spec, stop, ..., start)` for its own rows only, and a Gaussian
+    AR block filters only from the first series value those rows read.  The
+    block seeds are derived in one pass, and one Generator is set before
+    each block to the state `default_rng` builds from the block's seed, so
+    block i is `simulate(spec, stop, derive_seed(seed, i), start)`.  Its rows
+    are copied into the result, so one block draw is alive at a time.
     """
     xs = ys = None
     rng = np.random.Generator(np.random.PCG64(0))
     states = pcg64_states(derive_seeds(seed, count=partition.n_blocks))
     for (start, stop), state in zip(partition.blocks, states):
         rng.bit_generator.state = state
-        block_traj = simulate(spec, stop, rng)
+        block_traj = simulate(spec, stop, rng, start)
         if xs is None:
             xs = np.empty((partition.n, block_traj.xs.shape[1]))
             ys = np.empty((partition.n, block_traj.ys.shape[1]))
-        xs[start:stop] = block_traj.xs[start:stop]
-        ys[start:stop] = block_traj.ys[start:stop]
+        xs[start:stop] = block_traj.xs
+        ys[start:stop] = block_traj.ys
         del block_traj  # free this draw before the next one is simulated
     return Trajectory(xs=xs, ys=ys)
-

@@ -296,6 +296,102 @@ class TestARFilter:
         want = lfilter([1.0], np.r_[1.0, -np.asarray(coeffs)], eps)
         assert np.abs(filt(eps) - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("coeffs", [
+        (0.5,), (0.5, 0.2), (0.4, 0.1, -0.2), ar_coeffs_with_roots(0.95, 0.3),
+        ar_coeffs_with_roots(0.99999, 0.5, -0.4), ar_coeffs_with_roots(0.99, 0.99),
+    ])
+    @pytest.mark.parametrize("n, skip", [
+        (FILTER_CHUNK + 1, 1), (2 * FILTER_CHUNK, FILTER_CHUNK),
+        (2_200, 2_049), (2_200, 100), (10_084, 4_097), (10_084, 2_048 * 4),
+    ])
+    def test_skip_matches_lfilter(self, coeffs, n, skip):
+        # The filter starts from the state the skipped samples leave: one
+        # span of the state map, or several chained, then tails of one
+        # chunk, several chunks and several state groups.
+        eps = np.random.default_rng(n + skip).standard_normal(n)
+        want = lfilter([1.0], np.r_[1.0, -np.asarray(coeffs)], eps)
+        got = ARFilter(coeffs)(eps, skip)
+        assert got.shape == (n - skip,)
+        assert np.abs(got - want[skip:]).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("skip", [-1, 5])
+    def test_skip_outside_the_samples(self, skip):
+        with pytest.raises(ValueError, match="skip"):
+            ARFilter((0.5,))(np.ones(5), skip)
+
+
+def _spec_id(spec):
+    return spec.kind + (f"-{spec.order}-w{spec.covariate_dim}-u{spec.warmup}"
+                        if isinstance(spec, GaussianAR) else "")
+
+
+def _auto(coeffs, **kw):
+    return GaussianAR(coeffs, warmup=default_warmup(coeffs), **kw)
+
+
+class TestSimulateFromStart:
+    """simulate(spec, n, seed, start) is simulate(spec, n, seed)[start:]."""
+
+    @pytest.mark.parametrize("spec", [
+        two_state_flip(0.3),
+        IIDGaussian(2, 2, coef=np.ones((2, 2))),
+        BlockConstant(3, 2),
+    ], ids=_spec_id)
+    @pytest.mark.parametrize("start", [1, 63, 64, 65, 199])
+    def test_other_kinds_bit_for_bit(self, spec, start):
+        got, full = simulate(spec, 200, 4, start), simulate(spec, 200, 4)
+        assert got.xs.shape == full.xs[start:].shape and got.ys.shape == full.ys[start:].shape
+        assert got.xs.tobytes() == full.xs[start:].tobytes()
+        assert got.ys.tobytes() == full.ys[start:].tobytes()
+
+    @staticmethod
+    def assert_rows_close(spec, n, start, seed=6):
+        got, full = simulate(spec, n, seed, start), simulate(spec, n, seed)
+        assert got.xs.shape == full.xs[start:].shape and got.ys.shape == (n - start, 1)
+        tol = 1e-14 * np.abs(full.ys).max()
+        assert np.abs(got.xs - full.xs[start:]).max() <= tol
+        assert np.abs(got.ys - full.ys[start:]).max() <= tol
+
+    # Orders 1 to 3, windows below, at and above the order, warmup 0 and auto.
+    AR_SPECS = [
+        GaussianAR((0.5,), covariate_dim=1),
+        _auto((0.5,), covariate_dim=3),
+        _auto((0.5, 0.2), covariate_dim=1),
+        GaussianAR((0.5, 0.2), noise_std=1.3, covariate_dim=2),
+        _auto(ar_coeffs_with_roots(0.95, 0.3), covariate_dim=4),
+        GaussianAR((0.4, 0.1, -0.2), noise_std=1.7, covariate_dim=2),
+        _auto((0.4, 0.1, -0.2), covariate_dim=3),
+        GaussianAR(ar_coeffs_with_roots(0.95, 0.5, -0.4), covariate_dim=5),
+    ]
+
+    @pytest.mark.parametrize("spec", AR_SPECS, ids=_spec_id)
+    @pytest.mark.parametrize("start", [1, 63, 64, 65])
+    def test_ar_rows_to_rounding(self, spec, start):
+        self.assert_rows_close(spec, 200, start)
+
+    @pytest.mark.parametrize("spec", AR_SPECS, ids=_spec_id)
+    @pytest.mark.parametrize("n, start", [
+        (2_300, 2_100),   # state past one span of the state map
+        (4_400, 4_200),   # past two spans
+        (2_400, 300),     # a tail of more than 2,112 samples: several state groups
+        (9_000, 4_150),   # both
+    ])
+    def test_ar_long_heads_and_tails(self, spec, n, start):
+        self.assert_rows_close(spec, n, start)
+
+    def test_ar_start_within_the_window_slices_the_full_draw(self):
+        # warmup + start <= window: the kept rows read the first series value.
+        spec = GaussianAR((0.5, 0.2), covariate_dim=4, warmup=1)
+        got, full = simulate(spec, 100, 2, 3), simulate(spec, 100, 2)
+        assert got.xs.tobytes() == full.xs[3:].tobytes()
+        assert got.ys.tobytes() == full.ys[3:].tobytes()
+
+    @pytest.mark.parametrize("spec", [GaussianAR((0.5,)), IIDGaussian(1)], ids=_spec_id)
+    @pytest.mark.parametrize("start", [-1, 10, 11])
+    def test_start_outside_the_draw(self, spec, start):
+        with pytest.raises(ValueError, match="start"):
+            simulate(spec, 10, 1, start)
+
 
 class TestMarkov:
     def test_frozen_single_state_chain(self):
