@@ -92,6 +92,6 @@ from .regression import (
     population_optimum,
     whitened_empirical_covariance,
 )
-from .seeding import derive_seeds, pcg64_states
+from .seeding import derive_seeds, pcg64_state, pcg64_states, pcg64_words
 
 __version__ = "0.1.0"

@@ -1,5 +1,11 @@
 """Blocking device: monotone consecutive partitions, block sums, and
-blockwise-independent (decoupled) resampling."""
+blockwise-independent (decoupled) resampling.
+
+A decoupled resample draws each block from its own stream, seeded by
+`derive_seed(seed, i)` for block i.  `decoupled_resample` takes the seed, or
+the blocks' PCG64 states as uint64 words, which the trial engine derives for
+a whole chunk of resamples at once (`parallel.draw_decoupled`); either way
+each state dict is built only when its block is drawn."""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .processes import ProcessSpec, Trajectory, simulate
-from .seeding import derive_seeds, pcg64_states
+from .seeding import derive_seeds, pcg64_state, pcg64_words
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,8 @@ def block_sums(values, partition: BlockPartition) -> np.ndarray:
     return np.add.reduceat(arr, partition.starts, axis=0)
 
 
-def decoupled_resample(spec: ProcessSpec, partition: BlockPartition, seed: int) -> Trajectory:
+def decoupled_resample(spec: ProcessSpec, partition: BlockPartition,
+                       seed: int | np.ndarray) -> Trajectory:
     """Sample the blockwise-decoupled process: every block is drawn
     independently from the marginal law of the original process on that
     block's positions.
@@ -109,21 +116,31 @@ def decoupled_resample(spec: ProcessSpec, partition: BlockPartition, seed: int) 
     draws stay quadratic in n, since every block draws all the innovations
     before its rows; the rows built are linear in n, since each block asks
     `simulate(spec, stop, ..., start)` for its own rows only, and a Gaussian
-    AR block filters only from the first series value those rows read.  The
-    block seeds are derived in one pass, and one Generator is set before
-    each block to the state `default_rng` builds from the block's seed, so
-    block i is `simulate(spec, stop, derive_seed(seed, i), start)`.  Its rows
-    are copied into the result, so one block draw is alive at a time.
+    AR block filters only from the first series value those rows read.
+
+    The seed may also be given as its blocks' states: the
+    `seeding.pcg64_words` of `derive_seeds(seed, count=partition.n_blocks)`,
+    one row of four uint64 words per block, as a caller that seeds many
+    resamples at once derives them (see `parallel.draw_decoupled`).  One
+    Generator is set before each block to the state `default_rng` builds
+    from the block's seed, made from its words only then, so block i is
+    `simulate(spec, stop, derive_seed(seed, i), start)`.  Its rows are
+    copied into the result, allocated up front from the spec's dimensions,
+    so one block draw is alive at a time.
     """
-    xs = ys = None
+    if isinstance(seed, np.ndarray):
+        if seed.shape != (partition.n_blocks, 4) or seed.dtype != np.uint64:
+            raise ValueError(f"expected the uint64 state words of {partition.n_blocks} "
+                             f"blocks, got a {seed.dtype} array of shape {seed.shape}")
+        words = seed
+    else:
+        words = pcg64_words(derive_seeds(seed, count=partition.n_blocks))
+    xs = np.empty((partition.n, spec.covariate_dim))
+    ys = np.empty((partition.n, spec.target_dim))
     rng = np.random.Generator(np.random.PCG64(0))
-    states = pcg64_states(derive_seeds(seed, count=partition.n_blocks))
-    for (start, stop), state in zip(partition.blocks, states):
-        rng.bit_generator.state = state
+    for (start, stop), block_words in zip(partition.blocks, words.tolist()):
+        rng.bit_generator.state = pcg64_state(block_words)
         block_traj = simulate(spec, stop, rng, start)
-        if xs is None:
-            xs = np.empty((partition.n, block_traj.xs.shape[1]))
-            ys = np.empty((partition.n, block_traj.ys.shape[1]))
         xs[start:stop] = block_traj.xs
         ys[start:stop] = block_traj.ys
         del block_traj  # free this draw before the next one is simulated

@@ -246,7 +246,9 @@ class ARFilter:
             start_state = self._state(eps[..., :skip])
             eps = eps[..., skip:]
             n = eps.shape[-1]
-            if n <= self.chunk:
+            if n == self.chunk:  # a chunk-padded tail: the chunk products, unsliced
+                return eps.dot(self._ht) + start_state.dot(self._ft)
+            if n < self.chunk:
                 # One chunk from the start state: the two chunk products.
                 # A longer tail has more than one chunk, so s_0 = s below.
                 return eps.dot(self._ht[:n, :n]) + start_state.dot(self._ft[:, :n])
@@ -407,7 +409,7 @@ class GaussianAR(ProcessSpec):
             drawn *= self.noise_std
         # y_t = sum_k theta_k y_{t-k} + eps_t with zero initial conditions.
         y = self._filter(eps, t0)[:total - t0]
-        y.flags.writeable = False
+        y.setflags(write=False)
         skip = self.warmup + start - t0  # series index of row start
         if self.covariate_dim == 1 and skip >= 1:
             xs = y[skip - 1 : -1, None]
@@ -732,9 +734,12 @@ def _h_directions(sigma_x: np.ndarray, seed: int) -> np.ndarray:
 # Trajectories
 # ---------------------------------------------------------------------------
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _float_2d(a) -> np.ndarray:
     """a as a 2-D float64 array, converted only if it is not one already."""
-    if type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64:
+    if type(a) is np.ndarray and a.ndim == 2 and a.dtype is _FLOAT64:
         return a
     return np.atleast_2d(np.asarray(a, dtype=float))
 
@@ -752,8 +757,10 @@ class Trajectory:
             raise ValueError("xs and ys must have the same length")
         if xs.shape[0] < 1:
             raise ValueError("trajectory must contain at least one sample")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        if xs is not self.xs:
+            object.__setattr__(self, "xs", xs)
+        if ys is not self.ys:
+            object.__setattr__(self, "ys", ys)
 
     def __len__(self) -> int:
         return self.xs.shape[0]

@@ -21,6 +21,7 @@ from mixreg.blocking import (
     make_partition,
     uniform_partition,
 )
+from mixreg.seeding import derive_seeds, pcg64_words
 
 
 class TestMakePartition:
@@ -181,6 +182,25 @@ class TestDecoupledResample:
             ref = simulate(spec, b, derive_seed(5, i), a)
             np.testing.assert_array_equal(traj.xs[a:b], ref.xs)
             np.testing.assert_array_equal(traj.ys[a:b], ref.ys)
+
+    @pytest.mark.parametrize("spec", [
+        GaussianAR((0.4, 0.1, -0.2), noise_std=1.7, covariate_dim=4),
+        IIDGaussian(2, 3),
+    ])
+    def test_the_blocks_states_draw_what_the_seed_draws(self, spec):
+        part = make_partition(300, 5)
+        words = pcg64_words(derive_seeds(4, count=part.n_blocks))
+        by_seed, by_words = decoupled_resample(spec, part, 4), decoupled_resample(spec, part, words)
+        assert by_words.xs.tobytes() == by_seed.xs.tobytes()
+        assert by_words.ys.tobytes() == by_seed.ys.tobytes()
+        assert by_words.ys.shape == (300, spec.target_dim)
+
+    def test_states_of_another_shape_or_type_raise(self):
+        part = make_partition(300, 5)
+        words = pcg64_words(derive_seeds(4, count=10))
+        for bad in (words[:9], words.astype(float), words[:, :3]):
+            with pytest.raises(ValueError, match="state words of 10 blocks"):
+                decoupled_resample(IIDGaussian(1), part, bad)
 
     def test_one_block_draw_is_alive_at_a_time(self):
         """One call's peak memory stays within the result plus twice the

@@ -3,18 +3,23 @@ MIXREG_THREADS promise that a pool of any size writes the serial bytes."""
 
 import concurrent.futures
 import os
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from mixreg.blocking import make_partition
+from mixreg import parallel
+from mixreg.blocking import decoupled_resample, make_partition
 from mixreg.bounds import estimate_r, noise_spectrum
 from mixreg.config import ExperimentConfig
 from mixreg.harness import run_coverage
-from mixreg.parallel import TRIAL_CHUNKS, chunk_ranges, draw_process, map_chunks, map_trials
-from mixreg.processes import GaussianAR, IIDGaussian, derive_seed, simulate
+from mixreg.parallel import (
+    STATE_BLOCKS, TRIAL_CHUNKS, chunk_ranges, draw_decoupled, draw_process, map_chunks, map_trials,
+)
+from mixreg.processes import GaussianAR, IIDGaussian, derive_seed, simulate, two_state_flip
 from mixreg.regression import population_optimum
+from mixreg.seeding import derive_seeds, pcg64_state
 
 SPEC = GaussianAR(ar_coeffs=(0.5,), warmup=20)
 PROB = population_optimum(SPEC)
@@ -75,6 +80,67 @@ class TestMapTrials:
     def test_needs_a_trial(self, trials):
         with pytest.raises(ValueError, match="trials"):
             map_trials(first_column_and_sums, partial(draw_process, SPEC, 3), trials, 1)
+
+
+def whole_trajectory(traj):
+    return np.concatenate([traj.xs.ravel(), traj.ys.ravel()]), ()
+
+
+class TestDrawContract:
+    """A draw maps a chunk's trial seeds to its trajectories, in order; the
+    decoupled draw seeds all of a chunk's blocks at once and must draw what
+    one resample per trial seed draws."""
+
+    PART = make_partition(130, 13)
+
+    def test_draw_process_draws_one_trajectory_per_seed(self):
+        seeds = derive_seeds(4, count=5)
+        got = list(draw_process(SPEC, 9, seeds))
+        assert len(got) == 5
+        for traj, s in zip(got, seeds.tolist()):
+            assert traj.xs.tobytes() == simulate(SPEC, 9, s).xs.tobytes()
+
+    @pytest.mark.parametrize("spec", [SPEC, two_state_flip(0.3)], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("trials", [9, 23])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_decoupled_trials_equal_one_resample_per_trial(self, monkeypatch, spec, trials,
+                                                           threads):
+        """9 and 23 trials split into uneven chunks; at 2 threads the chunks run
+        on a real two-process pool (serially where one CPU is usable)."""
+        monkeypatch.setenv("MIXREG_THREADS", str(threads))
+        values, _ = map_trials(whole_trajectory, partial(draw_decoupled, spec, self.PART),
+                               trials, 8)
+        want = [whole_trajectory(decoupled_resample(spec, self.PART, derive_seed(8, t)))[0]
+                for t in range(trials)]
+        assert values.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("state_blocks", [1, 2 * 13, 2 * 13 + 1, 5 * 13 - 1])
+    def test_state_passes_change_no_draw(self, monkeypatch, state_blocks):
+        """However many trials one pass of the PCG64 hash covers, each
+        resample gets its own blocks' states."""
+        seeds = derive_seeds(2, count=7)
+        want = [decoupled_resample(SPEC, self.PART, s).xs for s in seeds.tolist()]
+        monkeypatch.setattr(parallel, "STATE_BLOCKS", state_blocks)
+        got = [traj.xs for traj in draw_decoupled(SPEC, self.PART, seeds)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_a_chunk_holds_its_block_states_as_words(self, monkeypatch):
+        """Seeding a chunk of 125 resamples of 100 blocks holds the block
+        seeds and one pass of state words, not 12,500 state dicts (about
+        6 MB): the peak stays within 40 bytes per block."""
+        part, seeds = make_partition(2000, 50), derive_seeds(7, count=125)
+        monkeypatch.setattr(parallel, "decoupled_resample",
+                            lambda spec, part, words: pcg64_state(words[-1]))
+        assert STATE_BLOCKS < part.n_blocks * len(seeds)
+        list(draw_decoupled(SPEC, part, seeds))  # warm up
+        tracemalloc.start()
+        try:
+            states = list(draw_decoupled(SPEC, part, seeds))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 125
+        assert peak <= 40 * part.n_blocks * len(seeds)
 
 
 def serial_then_pooled(monkeypatch, run):

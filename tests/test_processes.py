@@ -379,6 +379,17 @@ class TestSimulateFromStart:
     def test_ar_long_heads_and_tails(self, spec, n, start):
         self.assert_rows_close(spec, n, start)
 
+    # The filter builds the kept rows plus the covariate_dim series values
+    # before them.  Up to FILTER_CHUNK such values take the one-chunk tail:
+    # one kept row, 21 values (a tau-20 decoupled block at window 1), and
+    # FILTER_CHUNK - 1, FILTER_CHUNK and FILTER_CHUNK + 1 around its edge.
+    @pytest.mark.parametrize("spec", AR_SPECS, ids=_spec_id)
+    @pytest.mark.parametrize("series", ["one row", 21, FILTER_CHUNK - 1, FILTER_CHUNK,
+                                        FILTER_CHUNK + 1])
+    def test_ar_one_chunk_tails(self, spec, series):
+        rows = 1 if series == "one row" else series - spec.covariate_dim
+        self.assert_rows_close(spec, 700, 700 - rows)
+
     def test_ar_start_within_the_window_slices_the_full_draw(self):
         # warmup + start <= window: the kept rows read the first series value.
         spec = GaussianAR((0.5, 0.2), covariate_dim=4, warmup=1)
