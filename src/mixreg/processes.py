@@ -6,9 +6,9 @@ the same arguments reproduces the trajectory bit for bit, and a start above 0
 keeps the rows from start on of the same draw.  Seeds are split with
 numpy's SeedSequence hash (seeding.py), so derived streams (per block, per
 trial) never collide.  `simulate` also takes a Generator, so a loop over
-blocks can re-seed one Generator from `seeding.pcg64_states` instead of
-building one per block.  Everything here, the AR filter and the stationary
-second moments included, is plain numpy.
+blocks can re-seed one Generator from `seeding.pcg64_state` of its
+`seeding.pcg64_words` instead of building one per block.  Everything here,
+the AR filter and the stationary second moments included, is plain numpy.
 """
 
 from __future__ import annotations
@@ -246,9 +246,7 @@ class ARFilter:
             start_state = self._state(eps[..., :skip])
             eps = eps[..., skip:]
             n = eps.shape[-1]
-            if n == self.chunk:  # a chunk-padded tail: the chunk products, unsliced
-                return eps.dot(self._ht) + start_state.dot(self._ft)
-            if n < self.chunk:
+            if n <= self.chunk:
                 # One chunk from the start state: the two chunk products.
                 # A longer tail has more than one chunk, so s_0 = s below.
                 return eps.dot(self._ht[:n, :n]) + start_state.dot(self._ft[:, :n])
@@ -795,11 +793,11 @@ def simulate(spec: ProcessSpec, n: int, seed: int | np.random.Generator,
     """Samples start..n-1 of the first n samples of the spec's process, a
     pure function of (spec, n, seed, start).  The seed may also be a
     Generator, which the draw advances: one whose state is
-    `next(pcg64_states([s]))` draws what seed s draws.  A start above 0
-    makes the same random calls in the same order as start 0 and builds
-    only the kept rows: the result is the full draw's rows from start on,
-    bit for bit for the iid, Markov and block-constant kinds and to
-    rounding for Gaussian AR, whose filter skips the rows before them."""
+    `pcg64_state(pcg64_words([s])[0])` draws what seed s draws.  A start
+    above 0 makes the same random calls in the same order as start 0 and
+    builds only the kept rows: the result is the full draw's rows from
+    start on, bit for bit for the iid, Markov and block-constant kinds and
+    to rounding for Gaussian AR, whose filter skips the rows before them."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= start < n:

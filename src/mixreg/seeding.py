@@ -145,10 +145,9 @@ def pcg64_words(seeds) -> np.ndarray:
     hash of [s] gives PCG64's 128-bit seed and initial sequence, and
     `srandom` sets inc = 2 initseq + 1 and state = (seed + inc) MULT + inc
     mod 2^128, which is computed here on 64-bit halves."""
-    words = _hash_state([_seed_array(seeds)], 8)
+    w = [x.astype(np.uint64) for x in _hash_state([_seed_array(seeds)], 8)]
     # Each 64-bit half is two hash words, low first.
-    seed_hi, seed_lo, initseq_hi, initseq_lo = (
-        low.astype(np.uint64) | next(words).astype(np.uint64) << 32 for low in words)
+    seed_hi, seed_lo, initseq_hi, initseq_lo = (w[i] | w[i + 1] << 32 for i in (0, 2, 4, 6))
     inc_hi = initseq_hi << 1 | initseq_lo >> 63
     inc_lo = initseq_lo << 1 | 1
     sum_lo = seed_lo + inc_lo
