@@ -110,20 +110,9 @@ FILTER_CHUNK = 64  # samples per chunk of the AR filter
 SCAN_GROUP = 32    # states per group of its state scan
 
 
-def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a 2-D a, as a matrix-matrix product even when a has one row.
-
-    numpy hands a one-row product to BLAS gemv, which rounds differently from
-    gemm; padding a zero row keeps each row's result independent of how many
-    rows share the call."""
-    if a.shape[0] == 1:
-        return (np.concatenate([a, np.zeros_like(a)]) @ b)[:1]
-    return a @ b
-
-
 class ARFilter:
     """Exact filter of y_t = sum_k theta_k y_{t-k} + e_t from zero initial
-    values, applied along the last axis of e.
+    values, for one series e, a 1-D array; any other shape raises ValueError.
 
     The series is cut into chunks of c samples (c = 64, or the multiple of
     64 at or above the order p).  With s_j = (y_{jc-1}, ..., y_{jc-p}), the p
@@ -155,17 +144,10 @@ class ARFilter:
     0.99 gave 3e-13 to 4e-13, one at 0.999 2e-11, one at 0.99999 2e-7 to
     3e-7, and the pair of roots 0.9999, 0.999 gave 2e-10.
 
-    Reproducibility: row r of a 2-D call equals the 1-D call on row r bit
-    for bit, and zeros appended to a row leave its earlier outputs
-    unchanged.  Every product is a BLAS gemm (see `_gemm`) with a column
-    count that is a multiple of 32, for which the per-entry sums do not
-    depend on the row count (tests/test_processes.py checks this on the
-    BLAS at hand), the group carries are elementwise sums, and a later
-    sample only ever meets an earlier one through an exact zero weight.
-
-    An input whose length is a multiple of the chunk length is read in
-    place, not copied into a padded buffer; a caller that owns its samples
-    can draw them into such a buffer (see `GaussianAR._filtered_rows`).
+    A series of at most one chunk runs no scan: its outputs are H e, plus
+    F s from a start state (below).  An input whose length is a multiple of
+    the chunk length is read in place, not copied into a padded buffer;
+    `GaussianAR._draw` draws its innovations into such a buffer.
 
     Initial state: `filt(eps, skip)` returns outputs skip, skip + 1, ... of
     `filt(eps)` without filtering the first skip samples.  The state after
@@ -180,8 +162,7 @@ class ARFilter:
     input u_0.  Against the skip-0 call the outputs differ by rounding,
     over orders 1 to 3 and up to 12,000 samples: at most 9e-16 of max |y|
     for simple real or complex roots up to modulus 0.95, 4e-15 up to
-    0.99999, and 3e-13 for a double root at 0.99.  The bit-for-bit claims
-    above are for skip = 0.
+    0.99999, and 3e-13 for a double root at 0.99.
     """
 
     def __init__(self, coeffs):
@@ -223,67 +204,64 @@ class ARFilter:
         self._span_map = np.ascontiguousarray(span[::-1], dtype=float)
 
     def _state(self, head: np.ndarray) -> np.ndarray:
-        """The states (y_{s-1}, ..., y_{s-p}) after the s innovations along
-        the last axis of head, from zero initial values: one product with
-        the state map per span of 32 c innovations, the spans chained oldest
-        first by G^32 = A^(32 c)."""
+        """The state (y_{s-1}, ..., y_{s-p}) after the s innovations of head,
+        from zero initial values: one product with the state map per span of
+        32 c innovations, the spans chained oldest first by G^32 = A^(32 c)."""
         span = len(self._span_map)
-        full, r = divmod(head.shape[-1], span)
-        x = head[..., :r].dot(self._span_map[span - r:])
+        full, r = divmod(len(head), span)
+        x = head[:r].dot(self._span_map[span - r:])
         if full:
-            shares = head[..., r:].reshape(*head.shape[:-1], full, span).dot(self._span_map)
+            shares = head[r:].reshape(full, span).dot(self._span_map)
             g_k = self._carry[:, -self.order:]  # (G^32)^T
             for j in range(full):
-                x = x.dot(g_k) + shares[..., j, :]
+                x = x.dot(g_k) + shares[j]
         return x
 
     def __call__(self, eps, skip: int = 0) -> np.ndarray:
         eps = np.asarray(eps, dtype=float)
+        if eps.ndim != 1:
+            raise ValueError(f"the AR filter takes one series, a 1-D array, got shape {eps.shape}")
         start_state = None
         if skip:
-            if not 0 < skip < eps.shape[-1]:
+            if not 0 < skip < len(eps):
                 raise ValueError("skip must be 0 or lie in [1, number of samples)")
-            start_state = self._state(eps[..., :skip])
-            eps = eps[..., skip:]
-            n = eps.shape[-1]
-            if n <= self.chunk:
-                # One chunk from the start state: the two chunk products.
-                # A longer tail has more than one chunk, so s_0 = s below.
-                return eps.dot(self._ht[:n, :n]) + start_state.dot(self._ft[:, :n])
-        lead, n = eps.shape[:-1], eps.shape[-1]
-        t, p, c, k = math.prod(lead), self.order, self.chunk, SCAN_GROUP
+            start_state = self._state(eps[:skip])
+            eps = eps[skip:]
+        n, p, c, k = len(eps), self.order, self.chunk, SCAN_GROUP
         nch = -(-n // c)
         if n == nch * c:
-            e = eps.reshape(t, n)
+            e = eps
         else:
-            e = np.zeros((t, nch * c))
-            e[:, :n] = eps.reshape(t, n)
-        y = _gemm(e.reshape(t * nch, c), self._ht)
-        if nch > 1:
-            # Scan u_0, ..., u_{nch-2} in groups of k: the state before chunk
-            # j + 1 is the state after step j.  The scan input has at least
-            # two rows, a zero row past the groups if need be, so `_gemm`
-            # never pads a copy of it.
-            m = nch - 1
-            ng = -(-m // k)
-            u = np.zeros((max(t * ng, 2), k * p))
-            steps = u[:t * ng].reshape(t, ng * k, p)
-            steps[:, :m] = y.reshape(t, nch, c)[:, :-1, ::-1][..., :p]
+            e = np.zeros(nch * c)
+            e[:n] = eps
+        if nch == 1:
+            y = e.dot(self._ht)
             if start_state is not None:
-                # The start state reaches the state before chunk 1 as G s_0.
-                steps[:, 0] += start_state.reshape(t, p) @ self._carry[:, :p]
-            ends = _gemm(u, self._within)[:t * ng].reshape(t, ng, k * p)
-            for g in range(1, ng):
-                # Group g starts from the last state of group g - 1.  An
-                # elementwise sum, unlike a product, rounds each row alike
-                # however many rows share the call.
-                ends[:, g] += (ends[:, g - 1, -p:, None] * self._carry).sum(axis=1)
-            s = np.zeros((t, nch, p))
-            s[:, 1:] = ends.reshape(t, ng * k, p)[:, :m]
-            if start_state is not None:
-                s[:, 0] = start_state.reshape(t, p)
-            y += s.reshape(t * nch, p) @ self._ft
-        return y.reshape(t, nch * c)[:, :n].reshape(*lead, n)
+                y += start_state.dot(self._ft)
+            return y[:n]
+        y = e.reshape(nch, c) @ self._ht
+        # Scan u_0, ..., u_{nch-2} in groups of k: the state before chunk j + 1
+        # is the state after step j.  A zero row past one group keeps the scan
+        # a gemm: numpy hands a one-row product to BLAS gemv, which rounds
+        # differently, so every group count takes the same rounding.
+        m = nch - 1
+        ng = -(-m // k)
+        u = np.zeros((max(ng, 2), k * p))
+        steps = u[:ng].reshape(ng * k, p)
+        steps[:m] = y[:-1, ::-1][:, :p]
+        if start_state is not None:
+            # The start state reaches the state before chunk 1 as G s_0.
+            steps[0] += start_state @ self._carry[:, :p]
+        ends = (u @ self._within)[:ng]
+        for g in range(1, ng):
+            # Group g starts from the last state of group g - 1.
+            ends[g] += (ends[g - 1, -p:, None] * self._carry).sum(axis=0)
+        s = np.zeros((nch, p))
+        s[1:] = ends.reshape(ng * k, p)[:m]
+        if start_state is not None:
+            s[0] = start_state
+        y += s @ self._ft
+        return y.reshape(nch * c)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +270,15 @@ class ARFilter:
 
 class ProcessSpec:
     """Base of the process kinds.  A kind is one frozen dataclass that sets
-    its config name `kind` and implements `_draw(rng, n)` (the covariate and
-    target arrays, read by `simulate`) and `mixing_profile(gaps)`.  The base
-    `_draw_from(rng, n, start)`, which `simulate` reads for start > 0,
-    slices the full draw; Gaussian AR overrides it to build only the kept
-    rows.  Gaussian AR also overrides `optimum`, with a finite horizon and
-    its cached `state_companion` and `state_covariance`, and `with_window`;
-    the other kinds implement `_stationary_optimum()`.  The base
-    `fourth_moment_constant`, exact for stationary Gaussian covariates, is
-    overridden by the AR and Markov kinds.  `mixing_profile` imports from
-    mixing.py when called, since that module imports this one."""
+    its config name `kind` and implements `_draw(rng, n, start=0)`, rows
+    start..n-1 of the covariate and target arrays of its first n samples
+    with the same random calls at every start (read by `simulate`), and
+    `mixing_profile(gaps)`.  Gaussian AR also overrides `optimum`, with a
+    finite horizon and its cached `state_companion` and `state_covariance`,
+    and `with_window`; the other kinds implement `_stationary_optimum()`.
+    The base `fourth_moment_constant`, exact for stationary Gaussian
+    covariates, is overridden by the AR and Markov kinds.  `mixing_profile`
+    imports from mixing.py when called, since that module imports this one."""
 
     def with_window(self, window: int) -> "ProcessSpec":
         """The same process regressed on a covariate window of this size."""
@@ -315,11 +292,6 @@ class ProcessSpec:
         if horizon is not None:
             raise ValueError("finite-horizon averaging applies to AR specs")
         return self._stationary_optimum()
-
-    def _draw_from(self, rng, n, start):
-        """Rows start.. of `_draw(rng, n)`: the full draw, sliced."""
-        xs, ys = self._draw(rng, n)
-        return xs[start:], ys[start:]
 
     def fourth_moment_constant(self, sigma_x: np.ndarray, n: int, seed: int) -> float:
         """The fourth-moment constant h over sample times t < n: h^2 is the
@@ -378,26 +350,18 @@ class GaussianAR(ProcessSpec):
     def target_dim(self) -> int:
         return 1
 
-    def _draw(self, rng, n):
-        """Run the AR recursion from zero initial values, discarding warmup
-        steps; the covariate at time t is the window of the previous
-        covariate_dim values of the series."""
-        return self._filtered_rows(rng, n, 0, 0)
-
-    def _draw_from(self, rng, n, start):
-        """Rows start.. of `_draw(rng, n)` from the same innovations.  All of
-        them are drawn, but the filter runs only from t0 = warmup + start -
-        covariate_dim, the first series value those rows read, starting from
-        the state that the t0 innovations before it leave (see `ARFilter`)."""
-        return self._filtered_rows(rng, n, start, max(self.warmup + start - self.covariate_dim, 0))
-
-    def _filtered_rows(self, rng, n, start, t0):
-        """Draw warmup + n innovations, filter them from index t0 on, and
-        build rows start.. of the design.  The innovations are drawn into a
-        zero buffer whose part from t0 has the filter's chunk-padded length,
-        which the filter reads without a copy; with one lag past a warmup,
-        the covariates are a view of the series.  The covariates and targets
-        can then share memory, so the series is made read-only."""
+    def _draw(self, rng, n, start=0):
+        """Rows start.. of the design from warmup + n innovations: the AR
+        recursion runs from zero initial values, the warmup steps are
+        discarded, and the covariate at time t is the window of the previous
+        covariate_dim series values.  For start > 0 the filter runs only
+        from t0 = warmup + start - covariate_dim, the first series value the
+        rows read, from the state the t0 innovations before it leave (see
+        `ARFilter`).  The innovations are drawn into a zero buffer whose part
+        from t0 has the filter's chunk-padded length, read without a copy.
+        With one lag past a warmup the covariates are a view of the series,
+        so the series is made read-only."""
+        t0 = max(self.warmup + start - self.covariate_dim, 0) if start else 0
         total = self.warmup + n
         c = self._filter.chunk
         eps = np.zeros(t0 + c * -(-(total - t0) // c))
@@ -550,7 +514,7 @@ class FiniteMarkov(ProcessSpec):
     def stationary(self) -> np.ndarray:
         return self._stationary
 
-    def _draw(self, rng, n):
+    def _draw(self, rng, n, start=0):
         # Stationary chain: the initial state is drawn from the stationary law.
         cum_rows = self._cum_rows
         u = rng.random(n)
@@ -558,7 +522,7 @@ class FiniteMarkov(ProcessSpec):
         states[0] = np.searchsorted(self._cum_stationary, u[0])
         for t in range(1, n):
             states[t] = np.searchsorted(cum_rows[states[t - 1]], u[t])
-        return self.emit_x[states], self.emit_y[states]
+        return self.emit_x[states[start:]], self.emit_y[states[start:]]
 
     def _stationary_optimum(self):
         # Exact enumeration over the states under the stationary law.
@@ -655,13 +619,13 @@ class BlockConstant(ProcessSpec):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
-    def _draw(self, rng, n):
+    def _draw(self, rng, n, start=0):
         # A final partial block is allowed when k does not divide n.
         n_blocks = -(-n // self.block_len)
         bx = self.x_std * rng.standard_normal((n_blocks, self.covariate_dim))
         by = self.y_std * rng.standard_normal((n_blocks, self.target_dim))
-        return (np.repeat(bx, self.block_len, axis=0)[:n],
-                np.repeat(by, self.block_len, axis=0)[:n])
+        return (np.repeat(bx, self.block_len, axis=0)[start:n],
+                np.repeat(by, self.block_len, axis=0)[start:n])
 
     def _stationary_optimum(self):
         return (self.x_std**2 * np.eye(self.covariate_dim),
@@ -697,10 +661,11 @@ class IIDGaussian(ProcessSpec):
             raise ValueError("coef must be finite")
         object.__setattr__(self, "coef", m)
 
-    def _draw(self, rng, n):
+    def _draw(self, rng, n, start=0):
         xs = rng.standard_normal((n, self.covariate_dim))
         noise = self.noise_std * rng.standard_normal((n, self.target_dim))
-        return xs, xs @ self.coef.T + noise
+        ys = xs @ self.coef.T + noise  # all n rows, so kept rows round as in the full draw
+        return xs[start:], ys[start:]
 
     def _stationary_optimum(self):
         return np.eye(self.covariate_dim), self.coef
@@ -793,17 +758,17 @@ def simulate(spec: ProcessSpec, n: int, seed: int | np.random.Generator,
     """Samples start..n-1 of the first n samples of the spec's process, a
     pure function of (spec, n, seed, start).  The seed may also be a
     Generator, which the draw advances: one whose state is
-    `pcg64_state(pcg64_words([s])[0])` draws what seed s draws.  A start
-    above 0 makes the same random calls in the same order as start 0 and
-    builds only the kept rows: the result is the full draw's rows from
-    start on, bit for bit for the iid, Markov and block-constant kinds and
-    to rounding for Gaussian AR, whose filter skips the rows before them."""
+    `pcg64_state(pcg64_words(s))` draws what seed s draws.  Every start
+    makes the same random calls, and the kind's `_draw(rng, n, start)`
+    builds only the kept rows: the full draw's rows from start on, bit for
+    bit for the iid, Markov and block-constant kinds and to rounding for
+    Gaussian AR, whose filter skips the rows before them."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= start < n:
         raise ValueError(f"start must lie in [0, n), got {start} for n = {n}")
     rng = np.random.default_rng(seed)
-    xs, ys = spec._draw_from(rng, n, start) if start else spec._draw(rng, n)
+    xs, ys = spec._draw(rng, n, start)
     return Trajectory(xs=xs, ys=ys)
 
 

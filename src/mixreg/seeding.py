@@ -144,8 +144,10 @@ def pcg64_words(seeds) -> np.ndarray:
     on a last axis of 4, which `pcg64_state` turns into a state dict.  The
     hash of [s] gives PCG64's 128-bit seed and initial sequence, and
     `srandom` sets inc = 2 initseq + 1 and state = (seed + inc) MULT + inc
-    mod 2^128, which is computed here on 64-bit halves."""
-    w = [x.astype(np.uint64) for x in _hash_state([_seed_array(seeds)], 8)]
+    mod 2^128, which is computed here on 64-bit halves.  A lone seed, hashed
+    as a 1-D array since numpy scalars warn on wraparound, gives shape (4,)."""
+    seeds = _seed_array(seeds)
+    w = [x.astype(np.uint64) for x in _hash_state([seeds.reshape(-1)], 8)]
     # Each 64-bit half is two hash words, low first.
     seed_hi, seed_lo, initseq_hi, initseq_lo = (w[i] | w[i + 1] << 32 for i in (0, 2, 4, 6))
     inc_hi = initseq_hi << 1 | initseq_lo >> 63
@@ -156,7 +158,7 @@ def pcg64_words(seeds) -> np.ndarray:
     prod_hi += sum_lo * _PCG64_MULT_HI + sum_hi * _PCG64_MULT_LO
     state_lo = prod_lo + inc_lo
     state_hi = prod_hi + inc_hi + (state_lo < prod_lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=-1)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=-1).reshape(*seeds.shape, 4)
 
 
 def pcg64_state(words) -> dict:
@@ -165,11 +167,3 @@ def pcg64_state(words) -> dict:
     return {"bit_generator": "PCG64",
             "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
             "has_uint32": 0, "uinteger": 0}
-
-
-def pcg64_states(seeds) -> Iterator[dict]:
-    """Yields the state of `np.random.default_rng(s)` for each seed s below
-    2^32, in order.  The states are made one at a time, as a loop sets
-    them."""
-    for words in pcg64_words(seeds).reshape(-1, 4).tolist():
-        yield pcg64_state(words)

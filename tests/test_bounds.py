@@ -427,9 +427,9 @@ class TestCltVariance:
         exact = GaussianAR._draw
         calls = []
 
-        def recording(self, rng, n):
+        def recording(self, rng, n, start=0):
             calls.append(n)
-            return exact(self, rng, n)
+            return exact(self, rng, n, start)
 
         monkeypatch.setattr(GaussianAR, "_draw", recording)
         n_mc, lens = 40, [1, 3, 8]

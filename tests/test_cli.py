@@ -201,7 +201,7 @@ def test_corollary_bound_on_unequal_blocks_exits_1(tmp_path, capsys, monkeypatch
 
 
 def no_draws(monkeypatch):
-    def no_draw(self, rng, n):
+    def no_draw(self, rng, n, start=0):
         raise AssertionError("a trajectory was drawn before the config was checked")
 
     monkeypatch.setattr(IIDGaussian, "_draw", no_draw)

@@ -499,9 +499,9 @@ class TestLowerTail:
         exact = IIDGaussian._draw
         calls = []
 
-        def recording(self, rng, n):
+        def recording(self, rng, n, start=0):
             calls.append(n)
-            return exact(self, rng, n)
+            return exact(self, rng, n, start)
 
         monkeypatch.setattr(IIDGaussian, "_draw", recording)
         config = iid_config(tmp_path, ns=(50, 80), trials=30)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,23 +273,6 @@ class TestARFilter:
         assert got.shape == (n,)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("coeffs", [(0.7,), (0.5, 0.2), (0.4, 0.1, -0.2)])
-    def test_rows_of_a_2d_call_equal_1d_calls(self, coeffs):
-        # Lengths cover a partial first chunk, the chunk edge, the first
-        # state group's edge (the scan takes the states of chunks 1, 2, ...)
-        # and three levels of the state scan.
-        c, k = FILTER_CHUNK, SCAN_GROUP
-        lengths = [1, c - 1, c, c + 1, c * (k + 1), c * (k + 1) + 1, 2084, 40 * c * k + 3]
-        rng = np.random.default_rng(len(coeffs))
-        eps = np.zeros((len(lengths), max(lengths)))
-        for row, n in zip(eps, lengths):
-            row[:n] = rng.standard_normal(n)
-        filt = ARFilter(coeffs)
-        rows = filt(eps)
-        for n, e, row in zip(lengths, eps, rows):
-            np.testing.assert_array_equal(row[:n], filt(e[:n]))
-        np.testing.assert_array_equal(filt(eps.reshape(2, 4, -1)), rows.reshape(2, 4, -1))
-
     def test_high_order_matches_lfilter(self):
         coeffs = tuple(np.random.default_rng(0).uniform(-0.04, 0.04, 20))
         filt = ARFilter(coeffs)
@@ -318,6 +302,11 @@ class TestARFilter:
     def test_skip_outside_the_samples(self, skip):
         with pytest.raises(ValueError, match="skip"):
             ARFilter((0.5,))(np.ones(5), skip)
+
+    @pytest.mark.parametrize("shape", [(), (2, 70), (1, 5)])
+    def test_one_series_only(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            ARFilter((0.5, 0.2))(np.ones(shape))
 
 
 def _spec_id(spec):

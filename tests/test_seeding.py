@@ -1,12 +1,14 @@
 """The seeding restates numpy's SeedSequence hash and PCG64 seeding; these
 tests pin it to numpy's own, word for word."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixreg.processes import BlockConstant, GaussianAR, IIDGaussian, simulate, two_state_flip
-from mixreg.seeding import derive_seed, derive_seeds, pcg64_state, pcg64_states, pcg64_words
+from mixreg.seeding import derive_seed, derive_seeds, pcg64_state, pcg64_words
 
 
 def seed_sequence_word(*entropy):
@@ -81,14 +83,24 @@ class TestSeedDerivation:
 
     def test_pcg64_states_equal_default_rng(self):
         seeds = derive_seeds(11, 4, count=200)
-        states = list(pcg64_states(seeds))
-        assert len(states) == 200
-        for s, state in zip(seeds.tolist(), states):
-            assert np.random.default_rng(s).bit_generator.state == state
+        words = pcg64_words(seeds)
+        assert words.shape == (200, 4)
+        for s, w in zip(seeds.tolist(), words):
+            assert np.random.default_rng(s).bit_generator.state == pcg64_state(w)
         edges = [0, 1, 2**31, 2**32 - 1]
         for seeds in (edges, np.array(edges, dtype=np.int64), np.array(edges, dtype=np.uint64)):
-            for s, state in zip(edges, pcg64_states(seeds)):
-                assert np.random.default_rng(s).bit_generator.state == state
+            for s, w in zip(edges, pcg64_words(seeds)):
+                assert np.random.default_rng(s).bit_generator.state == pcg64_state(w)
+
+    @pytest.mark.parametrize("seed", [5, np.array(5), np.uint32(5)], ids=["int", "0-d", "scalar"])
+    def test_pcg64_words_of_one_seed(self, seed):
+        # Scalar numpy arithmetic warns on wraparound where array arithmetic
+        # wraps silently, so a lone seed must not be hashed as a scalar.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = pcg64_words(seed)
+        assert words.shape == (4,)
+        assert words.tolist() == pcg64_words([5])[0].tolist()
 
     def test_pcg64_words_hold_the_states_by_seed(self):
         seeds = derive_seeds(11, 5, count=24).reshape(4, 6)
@@ -110,9 +122,8 @@ class TestSeedDerivation:
         (np.array([1, 2.0], dtype=object), "2.0"),
     ])
     def test_out_of_range_seeds_raise(self, seeds, bad):
-        for fn in (lambda: next(pcg64_states(seeds)), lambda: pcg64_words(seeds)):
-            with pytest.raises(ValueError, match=f"2\\^32\\), got {bad}$"):
-                fn()
+        with pytest.raises(ValueError, match=f"2\\^32\\), got {bad}$"):
+            pcg64_words(seeds)
 
     @pytest.mark.parametrize("spec", [
         GaussianAR((0.5, 0.2), covariate_dim=1, warmup=84),
@@ -124,7 +135,8 @@ class TestSeedDerivation:
     def test_a_generator_set_from_the_state_draws_the_seeded_stream(self, spec):
         seeds = derive_seeds(5, count=6)
         rng = np.random.Generator(np.random.PCG64(0))
-        for n, s, state in zip(range(1, 400, 67), seeds.tolist(), pcg64_states(seeds)):
+        for n, s, words in zip(range(1, 400, 67), seeds.tolist(), pcg64_words(seeds)):
+            state = pcg64_state(words)
             rng.bit_generator.state = state
             got = spec._draw(rng, n)
             want = spec._draw(np.random.default_rng(s), n)
