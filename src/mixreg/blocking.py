@@ -2,20 +2,20 @@
 blockwise-independent (decoupled) resampling.
 
 A decoupled resample draws each block from its own stream, seeded by
-`derive_seed(seed, i)` for block i.  `decoupled_resample` takes the seed, or
-the blocks' PCG64 states as uint64 words, which the trial engine derives for
-a whole chunk of resamples at once (`parallel.draw_decoupled`); either way
-each state dict is built only when its block is drawn."""
+`derive_seed(seed, i)` for block i.  `decoupled_resample` takes the seed,
+or one Generator per block, which the trial engine seeds for a whole chunk
+of resamples at once (`parallel.draw_decoupled`)."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .processes import ProcessSpec, Trajectory, simulate
-from .seeding import derive_seeds, pcg64_state, pcg64_words
+from .seeding import default_rngs, derive_seeds
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def block_sums(values, partition: BlockPartition) -> np.ndarray:
 
 
 def decoupled_resample(spec: ProcessSpec, partition: BlockPartition,
-                       seed: int | np.ndarray) -> Trajectory:
+                       seed: int | Iterator[np.random.Generator]) -> Trajectory:
     """Sample the blockwise-decoupled process: every block is drawn
     independently from the marginal law of the original process on that
     block's positions.
@@ -118,28 +118,20 @@ def decoupled_resample(spec: ProcessSpec, partition: BlockPartition,
     `simulate(spec, stop, ..., start)` for its own rows only, and a Gaussian
     AR block filters only from the first series value those rows read.
 
-    The seed may also be given as its blocks' states: the
-    `seeding.pcg64_words` of `derive_seeds(seed, count=partition.n_blocks)`,
-    one row of four uint64 words per block, as a caller that seeds many
-    resamples at once derives them (see `parallel.draw_decoupled`).  One
-    Generator is set before each block to the state `default_rng` builds
-    from the block's seed, made from its words only then, so block i is
-    `simulate(spec, stop, derive_seed(seed, i), start)`.  Its rows are
-    copied into the result, allocated up front from the spec's dimensions,
-    so one block draw is alive at a time.
+    The seed may also be given as an iterator of Generators, one per block,
+    as a caller that seeds many resamples at once does (see
+    `parallel.draw_decoupled`); block i draws from the i-th, so the
+    `seeding.default_rngs` of `derive_seeds(seed, count=partition.n_blocks)`
+    draw what the seed draws.  Too few or too many Generators raise
+    `ValueError`.  Each block's rows are copied into the result, allocated
+    up front from the spec's dimensions, so one block draw is alive at a
+    time.
     """
-    if isinstance(seed, np.ndarray):
-        if seed.shape != (partition.n_blocks, 4) or seed.dtype != np.uint64:
-            raise ValueError(f"expected the uint64 state words of {partition.n_blocks} "
-                             f"blocks, got a {seed.dtype} array of shape {seed.shape}")
-        words = seed
-    else:
-        words = pcg64_words(derive_seeds(seed, count=partition.n_blocks))
+    rngs = (seed if isinstance(seed, Iterator)
+            else default_rngs(derive_seeds(seed, count=partition.n_blocks)))
     xs = np.empty((partition.n, spec.covariate_dim))
     ys = np.empty((partition.n, spec.target_dim))
-    rng = np.random.Generator(np.random.PCG64(0))
-    for (start, stop), block_words in zip(partition.blocks, words.tolist()):
-        rng.bit_generator.state = pcg64_state(block_words)
+    for (start, stop), rng in zip(partition.blocks, rngs, strict=True):
         block_traj = simulate(spec, stop, rng, start)
         xs[start:stop] = block_traj.xs
         ys[start:stop] = block_traj.ys

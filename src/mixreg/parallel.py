@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
+from itertools import islice
 
 import numpy as np
 
 from .blocking import decoupled_resample
 from .processes import Trajectory, simulate
-from .seeding import derive_seeds, pcg64_state, pcg64_words
+from .seeding import default_rngs, derive_seeds
 
 TRIAL_CHUNKS = 8  # the most processes a trial loop's pool can use
-STATE_BLOCKS = 2048  # block states held at once by `draw_decoupled`: 64 KB
 
 
 def worker_count() -> int:
@@ -74,25 +74,20 @@ def map_chunks(fn, chunk_args: list, workers: int | None = None) -> list:
 
 def draw_process(spec, n: int, seeds: np.ndarray) -> Iterator[Trajectory]:
     """A length-n trajectory of the process per seed, each drawn by one
-    Generator set to the state `default_rng` builds from the seed."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for words in pcg64_words(seeds).tolist():
-        rng.bit_generator.state = pcg64_state(words)
+    Generator re-seeded to the state `default_rng` builds from the seed."""
+    for rng in default_rngs(seeds):
         yield simulate(spec, n, rng)
 
 
 def draw_decoupled(spec, partition, seeds: np.ndarray) -> Iterator[Trajectory]:
     """A trajectory of the blockwise-decoupled process over the partition
     per seed.  The block seeds of the whole chunk, `derive_seed(seed, i)`
-    for every seed and block i, are derived in one pass of the hash.  Their
-    PCG64 states are derived as uint64 words, 32 bytes per block, in passes
-    over the blocks of as many trials as fit in STATE_BLOCKS, and each
-    state dict is built only when its block is drawn."""
-    block_seeds = derive_seeds(seeds, count=partition.n_blocks)
-    step = max(1, STATE_BLOCKS // partition.n_blocks)
-    for first in range(0, len(block_seeds), step):
-        for trial_words in pcg64_words(block_seeds[first:first + step]):
-            yield decoupled_resample(spec, partition, trial_words)
+    for every seed and block i, are derived in one pass of the hash, and
+    one `default_rngs` over them, in trial order, hands each resample its
+    blocks' Generators."""
+    rngs = default_rngs(derive_seeds(seeds, count=partition.n_blocks).reshape(-1))
+    for _ in range(len(seeds)):
+        yield decoupled_resample(spec, partition, islice(rngs, partition.n_blocks))
 
 
 def _trial_chunk(args):

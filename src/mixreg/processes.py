@@ -6,8 +6,8 @@ the same arguments reproduces the trajectory bit for bit, and a start above 0
 keeps the rows from start on of the same draw.  Seeds are split with
 numpy's SeedSequence hash (seeding.py), so derived streams (per block, per
 trial) never collide.  `simulate` also takes a Generator, so a loop over
-blocks can re-seed one Generator from `seeding.pcg64_state` of its
-`seeding.pcg64_words` instead of building one per block.  Everything here,
+blocks or trials can draw from the one Generator that `seeding.default_rngs`
+re-seeds instead of building one per draw.  Everything here,
 the AR filter and the stationary second moments included, is plain numpy.
 """
 
@@ -757,8 +757,8 @@ def simulate(spec: ProcessSpec, n: int, seed: int | np.random.Generator,
              start: int = 0) -> Trajectory:
     """Samples start..n-1 of the first n samples of the spec's process, a
     pure function of (spec, n, seed, start).  The seed may also be a
-    Generator, which the draw advances: one whose state is
-    `pcg64_state(pcg64_words(s))` draws what seed s draws.  Every start
+    Generator, which the draw advances: the one `seeding.default_rngs`
+    yields for seed s draws what seed s draws.  Every start
     makes the same random calls, and the kind's `_draw(rng, n, start)`
     builds only the kept rows: the full draw's rows from start on, bit for
     bit for the iid, Markov and block-constant kinds and to rounding for

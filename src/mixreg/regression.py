@@ -36,7 +36,9 @@ class RegressionProblem:
     m_star: np.ndarray
 
     def __post_init__(self):
-        sx = symmetrize(np.atleast_2d(np.asarray(self.sigma_x, dtype=float)))
+        # Shapes first: symmetrizing a non-square sigma_x would fail on
+        # broadcasting instead.
+        sx = np.atleast_2d(np.asarray(self.sigma_x, dtype=float))
         ms = np.atleast_2d(np.asarray(self.m_star, dtype=float))
         if sx.shape[0] != sx.shape[1]:
             raise ValueError("sigma_x must be square")
@@ -44,7 +46,7 @@ class RegressionProblem:
             raise ValueError("m_star columns must match sigma_x dimension")
         if min_eig(sx) <= EIG_FLOOR:
             raise ValueError("sigma_x must be strictly positive definite")
-        object.__setattr__(self, "sigma_x", sx)
+        object.__setattr__(self, "sigma_x", symmetrize(sx))
         object.__setattr__(self, "m_star", ms)
 
     @cached_property

@@ -1,17 +1,17 @@
 """Seed derivation: numpy's SeedSequence hash, restated so that one pass
-derives many seeds.
+derives many seeds, and the one place where seeds become Generators.
 
 `derive_seed(seed, *keys)` equals `SeedSequence([seed, *keys])
 .generate_state(1)[0]`.  `derive_seeds` computes that word for a whole range
 of last keys at once, on uint32 arrays, and for a whole array of seeds below
 2^32 at once: a chunk of trials derives the seeds of all its (trial, block)
-pairs in one pass.  `pcg64_words` gives, as four uint64 words per seed, the
-state that `np.random.default_rng` builds from each derived seed, and
-`pcg64_state` turns one seed's words into the state dict a Generator is set
-to, so a loop can re-seed one Generator instead of building a SeedSequence
-and a PCG64 per draw, while the states it has not reached yet stay 32
-bytes each.  tests/test_seeding.py checks all of them against numpy's own
-SeedSequence and `default_rng`, word for word.
+pairs in one pass.  `default_rngs` yields, for each seed of an array, one
+reused Generator set to the state `np.random.default_rng` builds from it,
+so a loop re-seeds one Generator instead of building a SeedSequence and a
+PCG64 per draw.  It computes the PCG64 states in passes of STATE_PASS seeds,
+as four uint64 words per seed (32 bytes), and builds each state dict only
+when its Generator is yielded.  tests/test_seeding.py checks them against
+numpy's own SeedSequence and `default_rng`, word for word.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT_HI, _PCG64_MULT_LO = 2549297995355413924, 4865540595714422341
+STATE_PASS = 2048  # seeds whose PCG64 states `default_rngs` holds at once: 64 KB
 
 
 def _mul32(a, b):
@@ -138,16 +139,14 @@ def _mul_wide(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32), a * m
 
 
-def pcg64_words(seeds) -> np.ndarray:
-    """The state of `np.random.default_rng(s)` for every seed s below 2^32,
-    as uint64 words (state high, state low, increment high, increment low)
-    on a last axis of 4, which `pcg64_state` turns into a state dict.  The
-    hash of [s] gives PCG64's 128-bit seed and initial sequence, and
-    `srandom` sets inc = 2 initseq + 1 and state = (seed + inc) MULT + inc
-    mod 2^128, which is computed here on 64-bit halves.  A lone seed, hashed
-    as a 1-D array since numpy scalars warn on wraparound, gives shape (4,)."""
-    seeds = _seed_array(seeds)
-    w = [x.astype(np.uint64) for x in _hash_state([seeds.reshape(-1)], 8)]
+def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """The state of `np.random.default_rng(s)` for every seed s of a 1-D
+    uint32 array, one row of uint64 words (state high, state low, increment
+    high, increment low) per seed.  The hash of [s] gives PCG64's 128-bit
+    seed and initial sequence, and `srandom` sets inc = 2 initseq + 1 and
+    state = (seed + inc) MULT + inc mod 2^128, which is computed here on
+    64-bit halves."""
+    w = [x.astype(np.uint64) for x in _hash_state([seeds], 8)]
     # Each 64-bit half is two hash words, low first.
     seed_hi, seed_lo, initseq_hi, initseq_lo = (w[i] | w[i + 1] << 32 for i in (0, 2, 4, 6))
     inc_hi = initseq_hi << 1 | initseq_lo >> 63
@@ -158,12 +157,23 @@ def pcg64_words(seeds) -> np.ndarray:
     prod_hi += sum_lo * _PCG64_MULT_HI + sum_hi * _PCG64_MULT_LO
     state_lo = prod_lo + inc_lo
     state_hi = prod_hi + inc_hi + (state_lo < prod_lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=-1).reshape(*seeds.shape, 4)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=-1)
 
 
-def pcg64_state(words) -> dict:
-    """The bit-generator state dict for one seed's four `pcg64_words`."""
-    state_hi, state_lo, inc_hi, inc_lo = map(int, words)
-    return {"bit_generator": "PCG64",
-            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0, "uinteger": 0}
+def default_rngs(seeds) -> Iterator[np.random.Generator]:
+    """For each seed s of a 1-D array of integers in [0, 2^32), in order,
+    one Generator set to the state `np.random.default_rng(s)` builds.  It is
+    the same Generator every time, re-seeded: draw from it before asking for
+    the next.  Any other seeds raise `ValueError` on the first request."""
+    seeds = _seed_array(seeds)
+    if seeds.ndim != 1:
+        raise ValueError(f"expected a 1-D array of seeds, got shape {seeds.shape}")
+    rng = np.random.Generator(np.random.PCG64(0))
+    for first in range(0, len(seeds), STATE_PASS):
+        for row in _pcg64_words(seeds[first:first + STATE_PASS]):
+            state_hi, state_lo, inc_hi, inc_lo = row.tolist()
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": 0, "uinteger": 0}
+            yield rng

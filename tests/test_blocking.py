@@ -21,7 +21,7 @@ from mixreg.blocking import (
     make_partition,
     uniform_partition,
 )
-from mixreg.seeding import derive_seeds, pcg64_words
+from mixreg.seeding import default_rngs, derive_seeds
 
 
 class TestMakePartition:
@@ -189,18 +189,17 @@ class TestDecoupledResample:
     ])
     def test_the_blocks_states_draw_what_the_seed_draws(self, spec):
         part = make_partition(300, 5)
-        words = pcg64_words(derive_seeds(4, count=part.n_blocks))
-        by_seed, by_words = decoupled_resample(spec, part, 4), decoupled_resample(spec, part, words)
-        assert by_words.xs.tobytes() == by_seed.xs.tobytes()
-        assert by_words.ys.tobytes() == by_seed.ys.tobytes()
-        assert by_words.ys.shape == (300, spec.target_dim)
+        rngs = default_rngs(derive_seeds(4, count=part.n_blocks))
+        by_seed, by_rngs = decoupled_resample(spec, part, 4), decoupled_resample(spec, part, rngs)
+        assert by_rngs.xs.tobytes() == by_seed.xs.tobytes()
+        assert by_rngs.ys.tobytes() == by_seed.ys.tobytes()
+        assert by_rngs.ys.shape == (300, spec.target_dim)
 
-    def test_states_of_another_shape_or_type_raise(self):
+    @pytest.mark.parametrize("count, word", [(9, "shorter"), (11, "longer")])
+    def test_one_generator_too_few_or_too_many_raises(self, count, word):
         part = make_partition(300, 5)
-        words = pcg64_words(derive_seeds(4, count=10))
-        for bad in (words[:9], words.astype(float), words[:, :3]):
-            with pytest.raises(ValueError, match="state words of 10 blocks"):
-                decoupled_resample(IIDGaussian(1), part, bad)
+        with pytest.raises(ValueError, match=f"argument 2 is {word}"):
+            decoupled_resample(IIDGaussian(1), part, default_rngs(derive_seeds(4, count=count)))
 
     def test_one_block_draw_is_alive_at_a_time(self):
         """One call's peak memory stays within the result plus twice the

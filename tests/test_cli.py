@@ -148,6 +148,18 @@ def test_max_gap_below_1_exits_1(tmp_path, capsys, max_gap):
     assert not (tmp_path / "mixing.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trials", "0", "trials must be >= 1"),
+    ("--trials", "-3", "trials must be >= 1"),
+    ("--seed", "-1", "must be non-negative, got -1"),
+])
+def test_bad_trials_or_seed_override_exits_1(iid_cfg, tmp_path, capsys, flag, value, message):
+    assert cli_main(["coverage", "--config", str(iid_cfg), flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("argument error:") and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["iid.cfg"]
+
+
 def test_clt_and_slope_smoke(tmp_path):
     cfg = tmp_path / "ar.cfg"
     cfg.write_text(

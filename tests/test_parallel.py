@@ -9,17 +9,17 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mixreg import parallel
+from mixreg import parallel, seeding
 from mixreg.blocking import decoupled_resample, make_partition
 from mixreg.bounds import estimate_r, noise_spectrum
 from mixreg.config import ExperimentConfig
 from mixreg.harness import run_coverage
 from mixreg.parallel import (
-    STATE_BLOCKS, TRIAL_CHUNKS, chunk_ranges, draw_decoupled, draw_process, map_chunks, map_trials,
+    TRIAL_CHUNKS, chunk_ranges, draw_decoupled, draw_process, map_chunks, map_trials,
 )
 from mixreg.processes import GaussianAR, IIDGaussian, derive_seed, simulate, two_state_flip
 from mixreg.regression import population_optimum
-from mixreg.seeding import derive_seeds, pcg64_state
+from mixreg.seeding import derive_seeds
 
 SPEC = GaussianAR(ar_coeffs=(0.5,), warmup=20)
 PROB = population_optimum(SPEC)
@@ -114,13 +114,14 @@ class TestDrawContract:
                 for t in range(trials)]
         assert values.tobytes() == np.array(want).tobytes()
 
-    @pytest.mark.parametrize("state_blocks", [1, 2 * 13, 2 * 13 + 1, 5 * 13 - 1])
-    def test_state_passes_change_no_draw(self, monkeypatch, state_blocks):
-        """However many trials one pass of the PCG64 hash covers, each
-        resample gets its own blocks' states."""
+    @pytest.mark.parametrize("state_pass", [1, 7, 2 * 13, 2 * 13 + 1, 64])
+    def test_state_passes_change_no_draw(self, monkeypatch, state_pass):
+        """However many block seeds one pass of the PCG64 hash covers, each
+        resample gets its own blocks' states, also when its 26 blocks
+        straddle two passes."""
         seeds = derive_seeds(2, count=7)
         want = [decoupled_resample(SPEC, self.PART, s).xs for s in seeds.tolist()]
-        monkeypatch.setattr(parallel, "STATE_BLOCKS", state_blocks)
+        monkeypatch.setattr(seeding, "STATE_PASS", state_pass)
         got = [traj.xs for traj in draw_decoupled(SPEC, self.PART, seeds)]
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -131,8 +132,8 @@ class TestDrawContract:
         per block."""
         part, seeds = make_partition(2000, 50), derive_seeds(7, count=125)
         monkeypatch.setattr(parallel, "decoupled_resample",
-                            lambda spec, part, words: pcg64_state(words[-1]))
-        assert STATE_BLOCKS < part.n_blocks * len(seeds)
+                            lambda spec, part, rngs: [rng.bit_generator.state for rng in rngs][-1])
+        assert seeding.STATE_PASS < part.n_blocks * len(seeds)
         list(draw_decoupled(SPEC, part, seeds))  # warm up
         tracemalloc.start()
         try:

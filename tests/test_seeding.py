@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixreg.processes import BlockConstant, GaussianAR, IIDGaussian, simulate, two_state_flip
-from mixreg.seeding import derive_seed, derive_seeds, pcg64_state, pcg64_words
+from mixreg import seeding
+from mixreg.seeding import default_rngs, derive_seed, derive_seeds
 
 
 def seed_sequence_word(*entropy):
@@ -83,33 +84,40 @@ class TestSeedDerivation:
 
     def test_pcg64_states_equal_default_rng(self):
         seeds = derive_seeds(11, 4, count=200)
-        words = pcg64_words(seeds)
-        assert words.shape == (200, 4)
-        for s, w in zip(seeds.tolist(), words):
-            assert np.random.default_rng(s).bit_generator.state == pcg64_state(w)
+        states = [rng.bit_generator.state for rng in default_rngs(seeds)]
+        assert states == [np.random.default_rng(s).bit_generator.state for s in seeds.tolist()]
         edges = [0, 1, 2**31, 2**32 - 1]
-        for seeds in (edges, np.array(edges, dtype=np.int64), np.array(edges, dtype=np.uint64)):
-            for s, w in zip(edges, pcg64_words(seeds)):
-                assert np.random.default_rng(s).bit_generator.state == pcg64_state(w)
+        want = [np.random.default_rng(s).bit_generator.state for s in edges]
+        for seeds in (edges, np.array(edges, dtype=np.int64), np.array(edges, dtype=np.uint64),
+                      np.array(edges, dtype=object)):
+            assert [rng.bit_generator.state for rng in default_rngs(seeds)] == want
+
+    @pytest.mark.parametrize("state_pass", [1, 3, 7, 64])
+    def test_state_passes_change_no_state(self, monkeypatch, state_pass):
+        seeds = derive_seeds(11, 5, count=24)
+        monkeypatch.setattr(seeding, "STATE_PASS", state_pass)
+        states = [rng.bit_generator.state for rng in default_rngs(seeds)]
+        assert states == [np.random.default_rng(s).bit_generator.state for s in seeds.tolist()]
 
     @pytest.mark.parametrize("seed", [5, np.array(5), np.uint32(5)], ids=["int", "0-d", "scalar"])
     def test_pcg64_words_of_one_seed(self, seed):
         # Scalar numpy arithmetic warns on wraparound where array arithmetic
-        # wraps silently, so a lone seed must not be hashed as a scalar.
+        # wraps silently: a lone seed is hashed as a one-entry array.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            words = pcg64_words(seed)
-        assert words.shape == (4,)
-        assert words.tolist() == pcg64_words([5])[0].tolist()
+            states = [rng.bit_generator.state for rng in default_rngs([seed])]
+        assert states == [np.random.default_rng(5).bit_generator.state]
 
-    def test_pcg64_words_hold_the_states_by_seed(self):
-        seeds = derive_seeds(11, 5, count=24).reshape(4, 6)
-        words = pcg64_words(seeds)
-        assert words.dtype == np.uint64 and words.shape == (4, 6, 4)
-        for index in np.ndindex(seeds.shape):
-            want = np.random.default_rng(int(seeds[index])).bit_generator.state
-            assert pcg64_state(words[index]) == want
-            assert pcg64_state(words[index].tolist()) == want
+    def test_one_generator_re_seeded(self):
+        rngs = list(default_rngs(derive_seeds(3, count=5)))
+        assert all(rng is rngs[0] for rng in rngs)
+        assert list(default_rngs(np.array([], dtype=np.uint32))) == []
+
+    @pytest.mark.parametrize("seeds", [5, np.array(5), np.uint32(5), np.zeros((2, 3), np.uint32)],
+                             ids=["int", "0-d", "scalar", "2-d"])
+    def test_seeds_must_be_one_dimensional(self, seeds):
+        with pytest.raises(ValueError, match="1-D array of seeds"):
+            next(default_rngs(seeds))
 
     @pytest.mark.parametrize("seeds, bad", [
         (np.array([2**32], dtype=np.uint64), "4294967296"),   # would wrap to seed 0
@@ -123,7 +131,7 @@ class TestSeedDerivation:
     ])
     def test_out_of_range_seeds_raise(self, seeds, bad):
         with pytest.raises(ValueError, match=f"2\\^32\\), got {bad}$"):
-            pcg64_words(seeds)
+            next(default_rngs(seeds))
 
     @pytest.mark.parametrize("spec", [
         GaussianAR((0.5, 0.2), covariate_dim=1, warmup=84),
@@ -134,10 +142,8 @@ class TestSeedDerivation:
     ], ids=lambda spec: spec.kind)
     def test_a_generator_set_from_the_state_draws_the_seeded_stream(self, spec):
         seeds = derive_seeds(5, count=6)
-        rng = np.random.Generator(np.random.PCG64(0))
-        for n, s, words in zip(range(1, 400, 67), seeds.tolist(), pcg64_words(seeds)):
-            state = pcg64_state(words)
-            rng.bit_generator.state = state
+        for n, s, rng in zip(range(1, 400, 67), seeds.tolist(), default_rngs(seeds)):
+            state = rng.bit_generator.state
             got = spec._draw(rng, n)
             want = spec._draw(np.random.default_rng(s), n)
             for g, w in zip(got, want):
