@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .csvfile import write_csv
-from .linalg import EIG_FLOOR, min_eig, opnorm_psd, symmetrize
+from .linalg import inv_sqrt_psd, opnorm_psd, positive_definite, symmetrize
 from .seeding import derive_seed
 
 ROW_SUM_TOL = 1e-12
@@ -299,10 +299,17 @@ class ProcessSpec:
         Kinds that take the sup over the `_h_directions` grid draw it from
         the seed.  Here, for stationary Gaussian covariates of covariance C,
         it is the closed form 3 lambda_max(sigma_x^{-1} C): 3 if sigma_x = C."""
-        cov = self.optimum()[0]
-        chol = np.linalg.cholesky(sigma_x)
-        whitened = np.linalg.solve(chol, np.linalg.solve(chol, cov).T)
-        return math.sqrt(3.0 * opnorm_psd(whitened))
+        whitener = inv_sqrt_psd(sigma_x)
+        return math.sqrt(3.0 * opnorm_psd(whitener @ self.optimum()[0] @ whitener))
+
+
+def _best_linear_map(sigma_x: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_x, cross sigma_x^{-1}): the covariate covariance and the best
+    linear map given the target-covariate cross covariance, solved only after
+    `positive_definite` has accepted sigma_x."""
+    if not positive_definite(sigma_x):
+        raise ValueError("covariate covariance is not positive definite")
+    return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,11 +411,7 @@ class GaussianAR(ProcessSpec):
             weights = np.minimum(horizon, k - np.arange(k))
             mean_cov = self.noise_std**2 * (r * weights) @ r.T / horizon
         window = self.covariate_dim
-        sigma_x = mean_cov[:window, :window]
-        if min_eig(sigma_x) <= EIG_FLOOR:
-            raise ValueError("covariate covariance is not positive definite")
-        cross = (a @ mean_cov)[0, :window]
-        return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross)[None, :]
+        return _best_linear_map(mean_cov[:window, :window], (a @ mean_cov)[:1, :window])
 
     @cached_property
     def state_companion(self) -> np.ndarray:
@@ -526,10 +529,8 @@ class FiniteMarkov(ProcessSpec):
 
     def _stationary_optimum(self):
         # Exact enumeration over the states under the stationary law.
-        pi = self.stationary
-        sigma_x = self.emit_x.T @ (pi[:, None] * self.emit_x)
-        cross = self.emit_y.T @ (pi[:, None] * self.emit_x)
-        return sigma_x, np.linalg.solve(symmetrize(sigma_x), cross.T).T
+        weighted = self.stationary[:, None] * self.emit_x
+        return _best_linear_map(self.emit_x.T @ weighted, self.emit_y.T @ weighted)
 
     def fourth_moment_constant(self, sigma_x: np.ndarray, n: int, seed: int) -> float:
         """Exact sums over the stationary law, which every sample time has:

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import EIG_FLOOR, inv_sqrt_psd, min_eig, sqrt_psd, symmetrize
+from .linalg import inv_sqrt_psd, min_eig, positive_definite, sqrt_psd, symmetrize
 from .processes import GaussianAR, ProcessSpec, Trajectory, impulse_response
 
 
@@ -44,7 +44,9 @@ class RegressionProblem:
             raise ValueError("sigma_x must be square")
         if ms.shape[1] != sx.shape[0]:
             raise ValueError("m_star columns must match sigma_x dimension")
-        if min_eig(sx) <= EIG_FLOOR:
+        if not (np.isfinite(sx).all() and np.isfinite(ms).all()):
+            raise ValueError("sigma_x and m_star must be finite")
+        if not positive_definite(sx):
             raise ValueError("sigma_x must be strictly positive definite")
         object.__setattr__(self, "sigma_x", symmetrize(sx))
         object.__setattr__(self, "m_star", ms)
@@ -79,12 +81,8 @@ class FitResult:
 
 
 def _check_gram(gram: np.ndarray) -> None:
-    d = gram.shape[0]
-    floor = EIG_FLOOR * np.trace(gram) / d
-    # A 1 x 1 Gram matrix is its own eigenvalue.
-    smallest = float(gram[0, 0]) if d == 1 else min_eig(gram)
-    if smallest <= floor:
-        raise DegenerateDesignError(smallest)
+    if not positive_definite(gram):
+        raise DegenerateDesignError(min_eig(gram))
 
 
 def fit_ols(traj: Trajectory) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -251,6 +252,54 @@ def test_clt_on_noiseless_iid_exits_0(tmp_path, capsys):
     assert cli_main(["clt", "--config", str(cfg)]) == 0
     assert (tmp_path / "clt.csv").read_text() == "block_len,sigma2\n1,0\n2,0\n4,0\n"
     assert "stable_from=1\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("second", ["4", "4.000000001"], ids=["exactly", "nearly"])
+def test_collinear_markov_emissions_exit_1(tmp_path, capsys, second):
+    # Both are config errors: the exact pair must not reach the solve, whose
+    # "Singular matrix" is a numerical error (exit 2).
+    cfg = tmp_path / "collinear.cfg"
+    cfg.write_text(
+        "[process]\nkind = finite_markov\ntransition = 0.9, 0.1; 0.4, 0.6\n"
+        f"emit_x = 1, 2; 2, {second}\nemit_y = 1; 2\n"
+        f"[experiment]\nns = 200\nn_mc = 1000\nout = {tmp_path}\n")
+    assert cli_main(["bound", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("argument error:") and "not positive definite" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["collinear.cfg"]
+
+
+@pytest.mark.parametrize("command, powers", [
+    ("coverage", {"bound": 2, "quantile": 2}),
+    ("noise-walk", {"threshold": 1, "lambda_odd": 2, "lambda_even": 2}),
+])
+def test_power_of_two_noise_scale_moves_only_the_scaled_cells(tmp_path, capsys, command,
+                                                             powers):
+    # Scaling every draw by 2^-20 changes no rounding, and the bound is
+    # stated in whitened quantities: a cell of scale c^k moves by exactly
+    # 2^(-20 k), and every other cell keeps its text.  An absolute
+    # eigenvalue floor rejected the scaled config.
+    scale = 2.0**-20
+    rows = []
+    for noise_std in (1.0, scale):
+        out = tmp_path / repr(noise_std)
+        cfg = tmp_path / f"{noise_std!r}.cfg"
+        cfg.write_text(
+            "[process]\nkind = gaussian_ar\nar_coeffs = 0.5, 0.2\n"
+            f"noise_std = {noise_std!r}\nwarmup = auto\n"
+            "[fit]\nwindow = 1\n[partition]\ntau = 10\n"
+            f"[experiment]\nns = 200\ntrials = 100\nseed = 1\nn_mc = 1000\nout = {out}\n")
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        with open(out / CSV_OF[command], newline="") as f:
+            rows.append(list(csv.DictReader(f)))
+    capsys.readouterr()
+    unit, scaled = rows
+    assert len(unit) == len(scaled) == 1
+    for key, text in unit[0].items():
+        if key in powers:
+            assert float(scaled[0][key]) == float(text) * scale ** powers[key], key
+        else:
+            assert scaled[0][key] == text, key
 
 
 def test_all_degenerate_slope_exits_2(tmp_path, capsys):

@@ -61,6 +61,7 @@ CHECKS = [
      "at least 4 sample sizes"),
     # linalg
     (lambda: inv_sqrt_psd(np.diag([1.0, 0.0])), "not safely positive definite"),
+    (lambda: inv_sqrt_psd([[np.nan]]), r"not safely positive definite \(min eigenvalue nan\)"),
     # mixing
     (lambda: expected_kl_ar(AR, -1, 1), "t must be >= 0"),
     (lambda: expected_kl_ar(AR, None, 0), "k must be >= 1"),
@@ -90,6 +91,9 @@ CHECKS = [
      "m_star columns must match sigma_x dimension"),
     (lambda: RegressionProblem(np.diag([1.0, 0.0]), np.ones((1, 2))),
      "sigma_x must be strictly positive definite"),
+    (lambda: RegressionProblem([[np.nan]], [[1.0]]), "sigma_x and m_star must be finite"),
+    (lambda: RegressionProblem([[np.inf]], [[1.0]]), "sigma_x and m_star must be finite"),
+    (lambda: RegressionProblem(np.eye(2), [[np.nan, 1.0]]), "sigma_x and m_star must be finite"),
     (lambda: excess_risk(np.ones((1, 3)), PROB), r"expected shape \(1, 2\), got \(1, 3\)"),
 ]
 

@@ -7,10 +7,12 @@ from scipy.stats import ortho_group
 from mixreg.linalg import EIG_FLOOR, inv_sqrt_psd, min_eig, sqrt_psd
 from mixreg.processes import (
     BlockConstant,
+    FiniteMarkov,
     GaussianAR,
     IIDGaussian,
     Trajectory,
     autocovariances,
+    default_warmup,
     simulate,
     two_state_flip,
 )
@@ -30,6 +32,10 @@ from mixreg.regression import (
 from mixreg.regression import _check_gram, _times
 
 from mc_optimum import monte_carlo_optimum
+
+MARKOV_P = np.array([[0.9, 0.1], [0.4, 0.6]])
+MARKOV_X = np.array([[-1.0, 0.5], [1.0, 2.0]])
+MARKOV_Y = np.array([[0.3], [1.1]])
 
 
 def random_problem(rng, d_x, d_y):
@@ -175,6 +181,32 @@ class TestPopulationOptimum:
         prob = population_optimum(BlockConstant(4, x_std=2.0))
         assert prob.m_star[0, 0] == 0.0
         assert prob.sigma_x[0, 0] == pytest.approx(4.0)
+
+    SCALE = 2.0**-20  # a power of two: scaling changes no rounding
+
+    @pytest.mark.parametrize("unit, scaled", [
+        (GaussianAR((0.5, 0.2), covariate_dim=1, warmup=default_warmup((0.5, 0.2))),
+         GaussianAR((0.5, 0.2), noise_std=SCALE, covariate_dim=1,
+                    warmup=default_warmup((0.5, 0.2)))),
+        (GaussianAR((0.5, 0.2, 0.1), covariate_dim=3, warmup=0),
+         GaussianAR((0.5, 0.2, 0.1), noise_std=SCALE, covariate_dim=3, warmup=0)),
+        (BlockConstant(3, covariate_dim=2, target_dim=2),
+         BlockConstant(3, covariate_dim=2, target_dim=2, x_std=SCALE, y_std=SCALE)),
+        (FiniteMarkov(MARKOV_P, MARKOV_X, MARKOV_Y),
+         FiniteMarkov(MARKOV_P, SCALE * MARKOV_X, SCALE * MARKOV_Y)),
+    ], ids=["ar-window-1", "ar3-window-3-warmup-0", "block-constant-d2", "markov-d2"])
+    def test_scaled_draws_scale_only_sigma_x(self, unit, scaled):
+        # The bound is stated in whitened quantities, so scaling every draw
+        # by c scales sigma_x by c^2 and leaves everything else as it is.
+        # An absolute eigenvalue floor rejected the scaled specs.
+        want, got = population_optimum(unit), population_optimum(scaled)
+        np.testing.assert_array_equal(got.sigma_x, self.SCALE**2 * want.sigma_x)
+        np.testing.assert_array_equal(got.m_star, want.m_star)
+        assert (scaled.fourth_moment_constant(got.sigma_x, 500, 3)
+                == unit.fourth_moment_constant(want.sigma_x, 500, 3))
+        gaps = [1, 2, 3, 10]
+        assert (scaled.mixing_profile(gaps).coefficients
+                == unit.mixing_profile(gaps).coefficients)
 
     def test_window_only_for_ar(self):
         with pytest.raises(ValueError):
